@@ -40,10 +40,14 @@ class HoverTrajectory:
     """Fixed hover point with zero desired attitude."""
 
     def __init__(self, x: float = 0.0, y: float = 0.0, altitude: float = 0.0):
-        self._pos = np.array([x, y, altitude, 0.0, 0.0, 0.0])
+        self._pos = [float(x), float(y), float(altitude), 0.0, 0.0, 0.0]
+
+    def _coords(self, t: float) -> tuple[list[float], list[float], list[float]]:
+        """Desired pose, velocity and acceleration as lists of floats."""
+        return self._pos[:], [0.0] * 6, [0.0] * 6
 
     def point(self, t: float) -> TrajectoryPoint:
-        return TrajectoryPoint(self._pos.copy(), np.zeros(6), np.zeros(6))
+        return TrajectoryPoint(*(np.array(v) for v in self._coords(t)))
 
 
 class CircleTrajectory:
@@ -68,10 +72,11 @@ class CircleTrajectory:
         self.omega = speed / radius
         self.center = (start_x - radius, start_y)
 
-    def point(self, t: float) -> TrajectoryPoint:
-        pos = np.zeros(6)
-        vel = np.zeros(6)
-        acc = np.zeros(6)
+    def _coords(self, t: float) -> tuple[list[float], list[float], list[float]]:
+        """Desired pose, velocity and acceleration as lists of floats."""
+        pos = [0.0] * 6
+        vel = [0.0] * 6
+        acc = [0.0] * 6
         x0, y0 = self.start
         if t < self.climb_time:
             s = t / self.climb_time
@@ -81,19 +86,24 @@ class CircleTrajectory:
             pos[0], pos[1], pos[2] = x0, y0, self.altitude * blend
             vel[2] = self.altitude * dblend
             acc[2] = self.altitude * ddblend
-            return TrajectoryPoint(pos, vel, acc)
+            return pos, vel, acc
         tau = t - self.climb_time
         ang = self.omega * tau
         cx, cy = self.center
         r, w = self.radius, self.omega
-        pos[0] = cx + r * math.cos(ang)
-        pos[1] = cy + r * math.sin(ang)
+        cos_a = math.cos(ang)
+        sin_a = math.sin(ang)
+        pos[0] = cx + r * cos_a
+        pos[1] = cy + r * sin_a
         pos[2] = self.altitude
-        vel[0] = -r * w * math.sin(ang)
-        vel[1] = r * w * math.cos(ang)
-        acc[0] = -r * w * w * math.cos(ang)
-        acc[1] = -r * w * w * math.sin(ang)
-        return TrajectoryPoint(pos, vel, acc)
+        vel[0] = -r * w * sin_a
+        vel[1] = r * w * cos_a
+        acc[0] = -r * w * w * cos_a
+        acc[1] = -r * w * w * sin_a
+        return pos, vel, acc
+
+    def point(self, t: float) -> TrajectoryPoint:
+        return TrajectoryPoint(*(np.array(v) for v in self._coords(t)))
 
 
 @dataclass(frozen=True)
@@ -130,32 +140,53 @@ def feedforward_terms(tp: TrajectoryPoint, params: UavParams) -> tuple[np.ndarra
     return xi_p, xi_a
 
 
-def position_control(est: EstimateBundle, tp: TrajectoryPoint,
-                     gains: ControlGains, params: UavParams) -> np.ndarray:
-    m, kp1, kp2 = params.m, gains.kp1, gains.kp2
+def _position_law(pos, vel, delta_p, tp_pos, tp_vel, tp_acc, m: float, g: float,
+                  kp1: float, kp2: float) -> list[float]:
+    """Position control law on plain floats (axes 0-2 of the sequences); no checks."""
     u = [0.0, 0.0, 0.0]
     for i in range(3):
-        e = est.pos[i] - tp.pos[i]
-        ed = est.vel[i] - tp.vel[i]
-        xi = -m * tp.acc[i] - (m * params.g if i == 2 else 0.0)
-        u[i] = -xi - est.delta_p[i] - m * (kp1 * e + kp2 * ed)
-        if not math.isfinite(u[i]):
-            raise ValueError("non-finite position control output")
+        e = pos[i] - tp_pos[i]
+        ed = vel[i] - tp_vel[i]
+        xi = -m * tp_acc[i] - (m * g if i == 2 else 0.0)
+        u[i] = -xi - delta_p[i] - m * (kp1 * e + kp2 * ed)
+    return u
+
+
+def _attitude_law(pos, vel, delta_a, tp_pos, tp_vel, tp_acc,
+                  inert: tuple[float, float, float], ka1: float,
+                  ka2: float) -> list[float]:
+    """Attitude control law on plain floats (axes 3-5 of pos, vel and tp_*); no checks."""
+    u = [0.0, 0.0, 0.0]
+    for i in range(3):
+        e = pos[3 + i] - tp_pos[3 + i]
+        ed = vel[3 + i] - tp_vel[3 + i]
+        xi = -inert[i] * tp_acc[3 + i]
+        u[i] = -xi - delta_a[i] - inert[i] * (ka1 * e + ka2 * ed)
+    return u
+
+
+def _rescale(sigma_hat, m: float,
+             inert: tuple[float, float, float]) -> tuple[list[float], list[float]]:
+    """Uncertainty accelerations to (forces, torques) on plain floats."""
+    return ([m * sigma_hat[0], m * sigma_hat[1], m * sigma_hat[2]],
+            [inert[0] * sigma_hat[3], inert[1] * sigma_hat[4], inert[2] * sigma_hat[5]])
+
+
+def position_control(est: EstimateBundle, tp: TrajectoryPoint,
+                     gains: ControlGains, params: UavParams) -> np.ndarray:
+    u = _position_law(est.pos, est.vel, est.delta_p, tp.pos, tp.vel, tp.acc,
+                      params.m, params.g, gains.kp1, gains.kp2)
+    if not all(map(math.isfinite, u)):
+        raise ValueError("non-finite position control output")
     return np.array(u)
 
 
 def attitude_control(est: EstimateBundle, tp: TrajectoryPoint,
                      gains: ControlGains, params: UavParams) -> np.ndarray:
-    ka1, ka2 = gains.ka1, gains.ka2
-    inert = params.inertias
-    u = [0.0, 0.0, 0.0]
-    for i in range(3):
-        e = est.pos[3 + i] - tp.pos[3 + i]
-        ed = est.vel[3 + i] - tp.vel[3 + i]
-        xi = -inert[i] * tp.acc[3 + i]
-        u[i] = -xi - est.delta_a[i] - inert[i] * (ka1 * e + ka2 * ed)
-        if not math.isfinite(u[i]):
-            raise ValueError("non-finite attitude control output")
+    u = _attitude_law(est.pos, est.vel, est.delta_a, tp.pos, tp.vel, tp.acc,
+                      params.inertias, gains.ka1, gains.ka2)
+    if not all(map(math.isfinite, u)):
+        raise ValueError("non-finite attitude control output")
     return np.array(u)
 
 
@@ -169,9 +200,8 @@ def uncertainty_rescale(sigma_hat, params: UavParams) -> tuple[np.ndarray, np.nd
     sig = np.asarray(sigma_hat, dtype=float)
     if sig.shape != (6,):
         raise ValueError("expected six uncertainty estimates")
-    delta_p = params.m * sig[:3]
-    delta_a = np.array(params.inertias) * sig[3:]
-    return delta_p, delta_a
+    delta_p, delta_a = _rescale(sig, params.m, params.inertias)
+    return np.array(delta_p), np.array(delta_a)
 
 
 def wrench_from_controls(u_p: np.ndarray, u_a: np.ndarray) -> WrenchInput:

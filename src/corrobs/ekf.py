@@ -58,14 +58,41 @@ class EkfState:
         return np.array([[self.p11, self.p12], [self.p12, self.p22]])
 
 
-def _checked(pos: float, vel: float, p11: float, p12: float, p22: float) -> EkfState:
+def _check(pos: float, vel: float, p11: float, p12: float, p22: float) -> None:
     # Symmetry holds by storage; verify positive definiteness.
     if not (p11 > 0.0 and p22 > 0.0 and p11 * p22 - p12 * p12 > 0.0):
         raise EkfDivergence(
             f"covariance not positive definite: p11={p11}, p12={p12}, p22={p22}")
     if not (math.isfinite(pos) and math.isfinite(vel)):
         raise EkfDivergence("non-finite filter mean")
+
+
+def _checked(pos: float, vel: float, p11: float, p12: float, p22: float) -> EkfState:
+    _check(pos, vel, p11, p12, p22)
     return EkfState(pos, vel, p11, p12, p22)
+
+
+def _floats(s: EkfState) -> tuple[float, float, float, float, float]:
+    """(pos, vel, p11, p12, p22), the form `_predict` works on."""
+    return s.pos, s.vel, s.p11, s.p12, s.p22
+
+
+def _process_noise(q: float, dt: float) -> tuple[float, float, float]:
+    """Entries (q11, q12, q22) of Q = q * [[dt^3/3, dt^2/2], [dt^2/2, dt]]."""
+    return q * dt ** 3 / 3.0, q * dt * dt / 2.0, q * dt
+
+
+def _predict(s: tuple[float, float, float, float, float], dt: float,
+             q: tuple[float, float, float]) -> tuple[float, float, float, float, float]:
+    """Constant-velocity propagation of `_floats` state; ``q`` from `_process_noise`."""
+    pos, vel, p11, p12, p22 = s
+    q11, q12, q22 = q
+    out = (pos + dt * vel, vel,
+           p11 + 2.0 * dt * p12 + dt * dt * p22 + q11,
+           p12 + dt * p22 + q12,
+           p22 + q22)
+    _check(*out)
+    return out
 
 
 def ekf_init(meas: AxisMeasurement, cfg: EkfConfig) -> EkfState:
@@ -80,12 +107,7 @@ def ekf_predict(s: EkfState, dt: float, cfg: EkfConfig) -> EkfState:
     """
     if dt <= 0.0:
         raise ValueError("dt must be positive")
-    q = cfg.q
-    pos = s.pos + dt * s.vel
-    p11 = s.p11 + 2.0 * dt * s.p12 + dt * dt * s.p22 + q * dt ** 3 / 3.0
-    p12 = s.p12 + dt * s.p22 + q * dt * dt / 2.0
-    p22 = s.p22 + q * dt
-    return _checked(pos, s.vel, p11, p12, p22)
+    return EkfState(*_predict(_floats(s), dt, _process_noise(cfg.q, dt)))
 
 
 def _update_position(s: EkfState, y: float, r1: float) -> EkfState:

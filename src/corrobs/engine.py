@@ -15,20 +15,27 @@ identical traces.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field, replace
 from typing import Sequence
 
 import numpy as np
 
 from .control import (CircleTrajectory, ControlGains, EstimateBundle,
-                      HoverTrajectory, attitude_control, position_control,
-                      uncertainty_rescale, wrench_from_controls)
-from .ekf import EkfConfig, EkfState, ekf_init, ekf_predict, ekf_update
+                      HoverTrajectory, _attitude_law, _position_law, _rescale,
+                      attitude_control, position_control, wrench_from_controls)
+from .ekf import (EkfConfig, EkfDivergence, EkfState, _floats, _predict,
+                  _process_noise, ekf_init, ekf_update)
 from .estimators import (CorrectorParams, CorrectorState, ObserverParams,
-                         ObserverState, step_corrector, step_observer)
-from .plant import (AXIS_NAMES, UavParams, UncertaintyModel, WrenchInput,
-                    input_acceleration_scalars, sigma_vector, step_plant,
+                         ObserverState, _observer_rk4, step_corrector, step_observer)
+from .plant import (AXIS_NAMES, UavParams, UncertaintyModel, _axis_constants,
+                    _plant_rk4, input_acceleration_scalars, sigma_vector,
                     true_delta)
+# The loop calls the kernels behind these steppers.  They stay attributes of
+# this module because perfbench/tracer.py wraps the engine-level names.
+from .control import uncertainty_rescale  # noqa: F401
+from .ekf import ekf_predict  # noqa: F401
+from .plant import step_plant  # noqa: F401
 from .sensors import SensorConfig, SensorSuite
 
 __all__ = [
@@ -42,6 +49,15 @@ __all__ = [
 
 class SimulationDiverged(RuntimeError):
     """A subsystem produced a non-finite value; message names tick and subsystem."""
+
+
+def _all_finite(values) -> bool:
+    return all(map(math.isfinite, values))
+
+
+def _diverged(tick: int, t: float, stage: str, what) -> SimulationDiverged:
+    return SimulationDiverged(f"divergence at tick {tick} (t={t:.3f} s) "
+                              f"in the {stage} stage: {what}")
 
 
 @dataclass(frozen=True)
@@ -102,6 +118,9 @@ class ScenarioConfig:
         m = self.duration / self.sample_interval
         if abs(m - round(m)) > 1e-6 or round(m) < 1:
             raise ValueError("duration must be a whole multiple of sample_interval")
+        if not (isinstance(self.corrector_substeps, numbers.Integral)
+                and self.corrector_substeps >= 1):
+            raise ValueError("corrector_substeps must be an integer >= 1")
         if len(self.correctors) != 6 or len(self.observers) != 6:
             raise ValueError("six corrector and six observer parameter sets required")
         if self.estimator_init not in ("first_measurement", "truth"):
@@ -185,6 +204,10 @@ def run_scenario(cfg: ScenarioConfig, *, record_controls: bool = False,
     the live estimates), which is what the decoupling check uses.  ``perturb``
     is (target, time, magnitude): the named estimator bank's states are offset
     by the magnitude once, at the first tick at or after the given time.
+
+    The loop keeps every state as plain floats and calls the float kernels
+    behind the public steppers with constants worked out once per run; the
+    outputs of each stage are checked for finiteness once per tick.
     """
     traj = cfg.trajectory.build()
     params = cfg.uav
@@ -197,10 +220,12 @@ def run_scenario(cfg: ScenarioConfig, *, record_controls: bool = False,
     suite = SensorSuite(cfg.sensors, cfg.seed, dt)
     vel_every = suite.velocity_every
     pert = _Perturbation(*perturb) if perturb is not None else None
+    if pert is not None and pert.target not in ("corrector", "observer"):
+        raise ValueError(f"unknown perturbation target: {pert.target}")
     pert_done = pert is None
 
     tp0 = traj.point(0.0)
-    state = np.concatenate([tp0.pos, tp0.vel]) + np.asarray(cfg.initial_offset)
+    s = (np.concatenate([tp0.pos, tp0.vel]) + np.asarray(cfg.initial_offset)).tolist()
 
     n_rows = n_ticks // sample_every + 1
     rows = np.empty((n_rows, len(TraceLog.COLUMNS)))
@@ -209,97 +234,118 @@ def run_scenario(cfg: ScenarioConfig, *, record_controls: bool = False,
     if control_replay is not None and len(control_replay) < n_ticks + 1:
         raise ValueError("control replay shorter than the scenario")
 
-    corr: list[CorrectorState] = [CorrectorState(0.0, 0.0)] * 6
-    obs: list[ObserverState] = [ObserverState(0.0, 0.0)] * 6
-    kf: list[EkfState] = [None] * 3  # type: ignore[list-item]
+    # Per-run constants of the kernels, and locals for the per-tick calls.
+    measure = suite.measure
+    coords = traj._coords
+    step_corr = step_corrector
+    input_terms = input_acceleration_scalars
+    correctors = cfg.correctors
+    dts = (dt,) * 6
+    substeps6 = (cfg.corrector_substeps,) * 6
+    obs_k = [p._constants for p in cfg.observers]
+    plant_axes = _axis_constants(unc, params)
+    ekf_q = _process_noise(cfg.ekf.q, dt)
+    m, g, inert = params.m, params.g, params.inertias
+    gains = cfg.gains
+    kp1, kp2, ka1, ka2 = gains.kp1, gains.kp2, gains.ka1, gains.ka2
+    est_truth = cfg.control_source == "truth"
+    feed = cfg.uncertainty_feed
+    zeros3 = (0.0, 0.0, 0.0)
+    axes6 = range(6)
 
-    inert = (params.J_psi, params.J_theta, params.J_phi)
+    corr: list[CorrectorState] = []
+    o3: list[float] = []          # observer velocity estimates
+    o4: list[float] = []          # observer uncertainty estimates
+    kf: list[tuple] = []          # EKF (pos, vel, p11, p12, p22) per position axis
+    for i in range(n_ticks + 1):
+        t = i * dt
+        frame = measure(s, i)
 
-    try:
-        for i in range(n_ticks + 1):
-            t = i * dt
-            frame = suite.measure(state, i)
-
-            if i == 0:
-                if cfg.estimator_init == "truth":
-                    corr = [CorrectorState(float(state[a]), float(state[6 + a]))
-                            for a in range(6)]
-                    obs = [ObserverState(float(state[6 + a]), 0.0) for a in range(6)]
-                else:
-                    corr = [CorrectorState(frame[a].y_o1, frame[a].y_o2)
-                            for a in range(6)]
-                    obs = [ObserverState(frame[a].y_o2, 0.0) for a in range(6)]
-                kf = [ekf_init(frame[a], cfg.ekf) for a in range(3)]
+        if i == 0:
+            if cfg.estimator_init == "truth":
+                corr = [CorrectorState(s[a], s[6 + a]) for a in axes6]
+                o3 = s[6:]
             else:
-                if not pert_done and t >= pert.time:
-                    if pert.target == "observer":
-                        obs = [ObserverState(o.xhat3 + pert.magnitude,
-                                             o.xhat4 + pert.magnitude) for o in obs]
-                    elif pert.target == "corrector":
-                        corr = [CorrectorState(c.xhat1 + pert.magnitude,
-                                               c.xhat2 + pert.magnitude) for c in corr]
-                    else:
-                        raise ValueError(f"unknown perturbation target: {pert.target}")
-                    pert_done = True
-                if i % vel_every == 0:
-                    kf = [ekf_update(kf[a], frame[a], cfg.ekf) for a in range(3)]
+                corr = [CorrectorState(mz.y_o1, mz.y_o2) for mz in frame]
+                o3 = [mz.y_o2 for mz in frame]
+            o4 = [0.0] * 6
+            kf = [_floats(ekf_init(frame[a], cfg.ekf)) for a in range(3)]
+        else:
+            if not pert_done and t >= pert.time:
+                mag = pert.magnitude
+                if pert.target == "observer":
+                    o3 = [x + mag for x in o3]
+                    o4 = [x + mag for x in o4]
+                else:
+                    corr = [CorrectorState(c.xhat1 + mag, c.xhat2 + mag) for c in corr]
+                pert_done = True
+            if i % vel_every == 0:
+                try:
+                    kf = [_floats(ekf_update(EkfState(*kf[a]), frame[a], cfg.ekf))
+                          for a in range(3)]
+                except EkfDivergence as exc:
+                    raise _diverged(i, t, "ekf", exc) from exc
 
-            tp = traj.point(t)
-            if control_replay is not None:
-                wrench = WrenchInput(*control_replay[i])
+        tp_pos, tp_vel, tp_acc = coords(t)
+        if control_replay is not None:
+            wrench = control_replay[i].tolist()
+        else:
+            if est_truth:
+                est_pos, est_vel = s[:6], s[6:]
             else:
-                if cfg.control_source == "truth":
-                    est_pos = state[:6].copy()
-                    est_vel = state[6:].copy()
-                else:
-                    est_pos = np.array([c.xhat1 for c in corr])
-                    est_vel = np.array([c.xhat2 for c in corr])
-                if cfg.uncertainty_feed == "truth":
-                    dp = np.array([true_delta(a, state, t, unc, params) for a in range(3)])
-                    da = np.array([true_delta(a, state, t, unc, params) for a in range(3, 6)])
-                elif cfg.uncertainty_feed == "zero":
-                    dp = np.zeros(3)
-                    da = np.zeros(3)
-                else:
-                    dp, da = uncertainty_rescale([o.xhat4 for o in obs], params)
-                bundle = EstimateBundle(est_pos, est_vel, dp, da)
-                u_p = position_control(bundle, tp, cfg.gains, params)
-                u_a = attitude_control(bundle, tp, cfg.gains, params)
-                wrench = wrench_from_controls(u_p, u_a)
-            if controls is not None:
-                controls[i] = wrench
+                est_pos = [c.xhat1 for c in corr]
+                est_vel = [c.xhat2 for c in corr]
+            if feed == "estimates":
+                dp, da = _rescale(o4, m, inert)
+            elif feed == "truth":
+                dp = [true_delta(a, s, t, unc, params) for a in range(3)]
+                da = [true_delta(a, s, t, unc, params) for a in range(3, 6)]
+            else:
+                dp = da = zeros3
+            wrench = (_position_law(est_pos, est_vel, dp, tp_pos, tp_vel, tp_acc,
+                                    m, g, kp1, kp2)
+                      + _attitude_law(est_pos, est_vel, da, tp_pos, tp_vel, tp_acc,
+                                      inert, ka1, ka2))
+        if not _all_finite(wrench):
+            raise _diverged(i, t, "control", "non-finite wrench")
+        if controls is not None:
+            controls[i] = wrench
 
-            if i % sample_every == 0:
-                row = rows[row_i]
-                row[0] = t
-                row[1:13] = state
-                row[13:19] = [m.y_o1 for m in frame]
-                row[19:25] = [m.y_o2 for m in frame]
-                row[25:31] = [c.xhat1 for c in corr]
-                row[31:37] = [c.xhat2 for c in corr]
-                row[37:43] = [o.xhat3 for o in obs]
-                row[43:49] = [o.xhat4 for o in obs]
-                row[49:52] = [k.pos for k in kf]
-                row[52:55] = [k.vel for k in kf]
-                row[55:61] = wrench
-                row[61:67] = tp.pos
-                row_i += 1
+        if i % sample_every == 0:
+            row = rows[row_i]
+            row[0] = t
+            row[1:13] = s
+            row[13:19] = [mz.y_o1 for mz in frame]
+            row[19:25] = [mz.y_o2 for mz in frame]
+            row[25:31] = [c.xhat1 for c in corr]
+            row[31:37] = [c.xhat2 for c in corr]
+            row[37:43] = o3
+            row[43:49] = o4
+            row[49:52] = [k[0] for k in kf]
+            row[52:55] = [k[1] for k in kf]
+            row[55:61] = wrench
+            row[61:67] = tp_pos
+            row_i += 1
 
-            if i == n_ticks:
-                break
+        if i == n_ticks:
+            break
 
-            h6 = input_acceleration_scalars(wrench, params)
-            corr = [step_corrector(corr[a], frame[a], cfg.correctors[a], dt,
-                                   cfg.corrector_substeps) for a in range(6)]
-            obs = [step_observer(obs[a], frame[a].y_o2, h6[a],
-                                 cfg.observers[a], dt) for a in range(6)]
-            state = step_plant(state, wrench, unc, params, t, dt)
-            if not math.isfinite(float(state.sum())):
-                raise SimulationDiverged(f"plant state non-finite at tick {i + 1} "
-                                         f"(t={t + dt:.3f} s)")
-            kf = [ekf_predict(kf[a], dt, cfg.ekf) for a in range(3)]
-    except ValueError as exc:
-        raise SimulationDiverged(f"divergence at tick {i} (t={t:.3f} s): {exc}") from exc
+        h6 = input_terms(wrench, params)
+        try:
+            corr = list(map(step_corr, corr, frame, correctors, dts, substeps6))
+        except ValueError as exc:
+            raise _diverged(i, t, "corrector", exc) from exc
+        for a in axes6:
+            o3[a], o4[a] = _observer_rk4(o3[a], o4[a], frame[a].y_o2, h6[a], obs_k[a], dt)
+        if not (_all_finite(o3) and _all_finite(o4)):
+            raise _diverged(i, t, "observer", "non-finite state")
+        s = _plant_rk4(s, h6, plant_axes, t, dt)
+        if not _all_finite(s):
+            raise _diverged(i + 1, t + dt, "plant", "non-finite state")
+        try:
+            kf = [_predict(k, dt, ekf_q) for k in kf]
+        except EkfDivergence as exc:
+            raise _diverged(i, t, "ekf", exc) from exc
 
     trace = TraceLog(rows)
     if record_controls:

@@ -25,9 +25,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property, partial
+from math import copysign, isfinite
 from typing import Callable, NamedTuple
 
-from .fractional import _fp, falpha, relay_step
+from .fractional import falpha, relay_step
 
 __all__ = [
     "CorrectorParams", "CorrectorState", "ObserverParams", "ObserverState",
@@ -67,6 +69,13 @@ class CorrectorParams:
         """Exponent of the position-channel feedback, alpha_c/(2 - alpha_c)."""
         return self.alpha_c / (2.0 - self.alpha_c)
 
+    @cached_property
+    def _constants(self) -> tuple[float, float, float, float, float, float]:
+        """(eps_c, 1/eps_c^3, k1, k2/eps_c^3, alpha_c, kappa) for `step_corrector`."""
+        eps = self.eps_c
+        inv_eps3 = 1.0 / (eps * eps * eps)
+        return eps, inv_eps3, self.k1, self.k2 * inv_eps3, self.alpha_c, self.kappa
+
 
 @dataclass(frozen=True)
 class ObserverParams:
@@ -85,10 +94,22 @@ class ObserverParams:
         if not 0.0 < self.eps_o < 1.0:
             raise ValueError("eps_o must be in (0, 1)")
 
+    @cached_property
+    def _constants(self) -> tuple[float, float, float, float]:
+        """(alpha_o, (alpha_o + 1)/2, k4/eps_o, k3/eps_o^2) for the observer kernel."""
+        alpha = self.alpha_o
+        return (alpha, 0.5 * (alpha + 1.0), self.k4 / self.eps_o,
+                self.k3 / (self.eps_o * self.eps_o))
+
 
 class CorrectorState(NamedTuple):
     xhat1: float  # corrected position (or angle)
     xhat2: float  # corrected velocity (or rate)
+
+
+# CorrectorState from an (xhat1, xhat2) pair, without the Python-level
+# __new__ that calling the class goes through.
+_new_corrector_state = partial(tuple.__new__, CorrectorState)
 
 
 class ObserverState(NamedTuple):
@@ -249,31 +270,56 @@ def step_corrector(state: CorrectorState, meas: AxisMeasurement,
     if substeps < 1:
         raise ValueError("substeps must be >= 1")
     xhat1, xhat2 = state
-    y1, y2 = meas.y_o1, meas.y_o2
-    if not (math.isfinite(xhat1) and math.isfinite(xhat2)
-            and math.isfinite(y1) and math.isfinite(y2)):
+    y1, y2 = meas[0], meas[1]
+    if not (isfinite(xhat1) and isfinite(xhat2) and isfinite(y1) and isfinite(y2)):
         raise ValueError("non-finite value in corrector step input")
 
-    eps = p.eps_c
-    inv_eps3 = 1.0 / (eps * eps * eps)
-    k1 = p.k1
-    c2 = p.k2 * inv_eps3
-    alpha = p.alpha_c
-    kappa = alpha / (2.0 - alpha)
+    eps, inv_eps3, k1, c2, alpha, kappa = p._constants
     u1 = xhat1 - y1
     u2 = xhat2 - y2
     h = dt / substeps
     for _ in range(substeps):
-        spring = -k1 * _fp(eps * u1, kappa) * inv_eps3
+        v = eps * u1
+        spring = -k1 * (copysign(abs(v) ** kappa, v) if v != 0.0 else 0.0) * inv_eps3
         u2_next, integral = relay_step(u2, spring, c2, alpha, h)
         # du1/dt = xhat2 = y_o2 + u2
         u1 += h * y2 + integral
         u2 = u2_next
     x1_out = y1 + u1
     x2_out = y2 + u2
-    if not (math.isfinite(x1_out) and math.isfinite(x2_out)):
+    if not (isfinite(x1_out) and isfinite(x2_out)):
         raise ValueError("corrector step produced a non-finite state")
-    return CorrectorState(x1_out, x2_out)
+    return _new_corrector_state((x1_out, x2_out))
+
+
+def _observer_rk4(xhat3: float, xhat4: float, y_o2: float, h: float,
+                  k: tuple[float, float, float, float],
+                  dt: float) -> tuple[float, float]:
+    """Classical 4th-order observer step on plain floats; no checks.
+
+    ``k`` is `ObserverParams._constants`.  Non-finite inputs give
+    non-finite outputs, so callers check the outputs.
+    """
+    alpha, beta, c4, c3 = k
+    half = 0.5 * dt
+    innov = xhat3 - y_o2
+    mag = abs(innov)
+    a1 = xhat4 - c4 * (copysign(mag ** beta, innov) if innov != 0.0 else 0.0) + h
+    b1 = -c3 * (copysign(mag ** alpha, innov) if innov != 0.0 else 0.0)
+    innov = xhat3 + half * a1 - y_o2
+    mag = abs(innov)
+    a2 = xhat4 + half * b1 - c4 * (copysign(mag ** beta, innov) if innov != 0.0 else 0.0) + h
+    b2 = -c3 * (copysign(mag ** alpha, innov) if innov != 0.0 else 0.0)
+    innov = xhat3 + half * a2 - y_o2
+    mag = abs(innov)
+    a3 = xhat4 + half * b2 - c4 * (copysign(mag ** beta, innov) if innov != 0.0 else 0.0) + h
+    b3 = -c3 * (copysign(mag ** alpha, innov) if innov != 0.0 else 0.0)
+    innov = xhat3 + dt * a3 - y_o2
+    mag = abs(innov)
+    a4 = xhat4 + dt * b3 - c4 * (copysign(mag ** beta, innov) if innov != 0.0 else 0.0) + h
+    b4 = -c3 * (copysign(mag ** alpha, innov) if innov != 0.0 else 0.0)
+    return (xhat3 + dt / 6.0 * (a1 + 2.0 * a2 + 2.0 * a3 + a4),
+            xhat4 + dt / 6.0 * (b1 + 2.0 * b2 + 2.0 * b3 + b4))
 
 
 def step_observer(state: ObserverState, y_o2: float, h: float,
@@ -287,30 +333,9 @@ def step_observer(state: ObserverState, y_o2: float, h: float,
     if dt <= 0.0:
         raise ValueError("dt must be positive")
     xhat3, xhat4 = state
-    if not (math.isfinite(xhat3) and math.isfinite(xhat4)
-            and math.isfinite(y_o2) and math.isfinite(h)):
+    if not (isfinite(xhat3) and isfinite(xhat4) and isfinite(y_o2) and isfinite(h)):
         raise ValueError("non-finite value in observer step input")
-
-    alpha = p.alpha_o
-    beta = 0.5 * (alpha + 1.0)
-    c4 = p.k4 / p.eps_o
-    c3 = p.k3 / (p.eps_o * p.eps_o)
-    half = 0.5 * dt
-
-    innov = xhat3 - y_o2
-    a1 = xhat4 - c4 * _fp(innov, beta) + h
-    b1 = -c3 * _fp(innov, alpha)
-    innov = xhat3 + half * a1 - y_o2
-    a2 = xhat4 + half * b1 - c4 * _fp(innov, beta) + h
-    b2 = -c3 * _fp(innov, alpha)
-    innov = xhat3 + half * a2 - y_o2
-    a3 = xhat4 + half * b2 - c4 * _fp(innov, beta) + h
-    b3 = -c3 * _fp(innov, alpha)
-    innov = xhat3 + dt * a3 - y_o2
-    a4 = xhat4 + dt * b3 - c4 * _fp(innov, beta) + h
-    b4 = -c3 * _fp(innov, alpha)
-    x3_out = xhat3 + dt / 6.0 * (a1 + 2.0 * a2 + 2.0 * a3 + a4)
-    x4_out = xhat4 + dt / 6.0 * (b1 + 2.0 * b2 + 2.0 * b3 + b4)
-    if not (math.isfinite(x3_out) and math.isfinite(x4_out)):
+    x3_out, x4_out = _observer_rk4(xhat3, xhat4, y_o2, h, p._constants, dt)
+    if not (isfinite(x3_out) and isfinite(x4_out)):
         raise ValueError("observer step produced a non-finite state")
     return ObserverState(x3_out, x4_out)

@@ -7,11 +7,16 @@ misbehave: they develop small but persistent spurious offsets instead of
 settling onto the true equilibrium.  ``relay_step`` integrates the scalar
 forced relay ODE over one step with a closed-form treatment of exactly that
 regime, and is the building block for the corrector stepper.
+
+The steppers evaluate the odd power inline, on unvalidated floats, as
+``copysign(abs(v) ** alpha, v) if v != 0.0 else 0.0``: the same operations
+as `falpha` after its checks, with the +0.0 result at v = +-0.0 kept.
 """
 
 from __future__ import annotations
 
 import math
+from math import copysign, isfinite
 
 __all__ = ["falpha", "relay_step"]
 
@@ -35,23 +40,6 @@ def falpha(v: float, alpha: float) -> float:
     return math.copysign(abs(v) ** alpha, v)
 
 
-def _fp(v: float, alpha: float) -> float:
-    """falpha without argument validation, for validated hot paths."""
-    if v == 0.0:
-        return 0.0
-    return math.copysign(abs(v) ** alpha, v)
-
-
-def _relay_equilibrium(forcing: float, c: float, alpha: float) -> float:
-    """Equilibrium of du/dt = forcing - c*|u|^alpha*sign(u)."""
-    if forcing == 0.0:
-        return 0.0
-    try:
-        return math.copysign((abs(forcing) / c) ** (1.0 / alpha), forcing)
-    except OverflowError:
-        return math.copysign(math.inf, forcing)
-
-
 def relay_step(u: float, forcing: float, c: float, alpha: float,
                h: float) -> tuple[float, float]:
     """Advance ``du/dt = forcing - c*|u|^alpha*sign(u)`` over one interval.
@@ -70,11 +58,18 @@ def relay_step(u: float, forcing: float, c: float, alpha: float,
         ``(u_end, integral)`` where ``integral`` is the time integral of u
         over the step (needed by callers that integrate u into another state).
     """
-    ueq = _relay_equilibrium(forcing, c, alpha)
+    # Equilibrium, where the relay term balances the forcing.
+    if forcing == 0.0:
+        ueq = 0.0
+    else:
+        try:
+            ueq = copysign((abs(forcing) / c) ** (1.0 / alpha), forcing)
+        except OverflowError:
+            ueq = copysign(math.inf, forcing)
 
-    if math.isfinite(ueq):
+    if isfinite(ueq):
         d = u - ueq
-        g1 = forcing - c * _fp(u, alpha)
+        g1 = forcing - c * (copysign(abs(u) ** alpha, u) if u != 0.0 else 0.0)
         um = u + 0.5 * h * g1
         if d == 0.0 or (um - ueq) * d <= 0.0:
             # Relay-dominated: the midpoint already overshoots.  Decay the
@@ -91,13 +86,13 @@ def relay_step(u: float, forcing: float, c: float, alpha: float,
                 return ueq + dend, ueq * h + d * (1.0 - dec) / c
             z = ad ** one_m - c * one_m * h
             if z <= 0.0:
-                integral = math.copysign(ad ** (2.0 - alpha) / (c * (2.0 - alpha)), d)
+                integral = copysign(ad ** (2.0 - alpha) / (c * (2.0 - alpha)), d)
                 return ueq, integral + ueq * h
-            dend = math.copysign(z ** (1.0 / one_m), d)
-            integral = math.copysign(
+            dend = copysign(z ** (1.0 / one_m), d)
+            integral = copysign(
                 (ad ** (2.0 - alpha) - abs(dend) ** (2.0 - alpha)) / (c * (2.0 - alpha)), d)
             return ueq + dend, integral + ueq * h
-        g2 = forcing - c * _fp(um, alpha)
+        g2 = forcing - c * (copysign(abs(um) ** alpha, um) if um != 0.0 else 0.0)
         un = u + h * g2
         if (un - ueq) * d < 0.0:
             un = ueq
@@ -105,8 +100,8 @@ def relay_step(u: float, forcing: float, c: float, alpha: float,
 
     # Equilibrium beyond floating-point range: the relay is negligible
     # against the forcing, so a plain midpoint step is accurate.
-    g1 = forcing - c * _fp(u, alpha)
+    g1 = forcing - c * (copysign(abs(u) ** alpha, u) if u != 0.0 else 0.0)
     um = u + 0.5 * h * g1
-    g2 = forcing - c * _fp(um, alpha)
+    g2 = forcing - c * (copysign(abs(um) ** alpha, um) if um != 0.0 else 0.0)
     un = u + h * g2
     return un, 0.5 * h * (u + un)

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property, partial
 from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
@@ -109,13 +110,21 @@ class UncertaintyModel:
 
     def delta(self, axis: int, t: float) -> float:
         """Unmodelled disturbance on one axis (0-based index) at time t."""
-        fn = self.delta_callables[axis]
-        if fn is not None:
-            return fn(t)
-        val = self.delta_constant[axis]
-        for amp, omega, phase in self.delta_sinusoids[axis]:
-            val += amp * math.sin(omega * t + phase)
-        return val
+        return self._disturbances[axis](t)
+
+    @cached_property
+    def _disturbances(self) -> tuple[Callable[[float], float], ...]:
+        """Per axis, the disturbance as a function of time."""
+        return tuple(fn if fn is not None else partial(_sinusoid_sum, const, sins)
+                     for fn, const, sins in zip(self.delta_callables, self.delta_constant,
+                                                self.delta_sinusoids))
+
+
+def _sinusoid_sum(const: float, sinusoids, t: float) -> float:
+    val = const
+    for amp, omega, phase in sinusoids:
+        val += amp * math.sin(omega * t + phase)
+    return val
 
 
 def _axis_scale(axis: int, params: UavParams) -> tuple[float, float]:
@@ -163,13 +172,14 @@ def true_delta(axis: int, state: Sequence[float], t: float, unc: UncertaintyMode
 def input_acceleration_scalars(wrench: WrenchInput,
                                params: UavParams) -> tuple[float, ...]:
     """Known input terms h_i: wrench over mass/inertia, gravity on the z axis."""
+    u_x, u_y, u_z, u_psi, u_theta, u_phi = wrench
     return (
-        wrench.u_x / params.m,
-        wrench.u_y / params.m,
-        wrench.u_z / params.m - params.g,
-        wrench.u_psi / params.J_psi,
-        wrench.u_theta / params.J_theta,
-        wrench.u_phi / params.J_phi,
+        u_x / params.m,
+        u_y / params.m,
+        u_z / params.m - params.g,
+        u_psi / params.J_psi,
+        u_theta / params.J_theta,
+        u_phi / params.J_phi,
     )
 
 
@@ -222,36 +232,66 @@ def hover_thrust(params: UavParams) -> float:
     return params.m * params.g
 
 
+def _axis_constants(unc: UncertaintyModel, params: UavParams):
+    """Per axis: (1/mass or inertia, drag acceleration coefficient, disturbance
+    function of time or None when the disturbance is constant, the constant
+    disturbance acceleration).  Worked out once per run for `_plant_rk4`."""
+    out = []
+    for axis in range(6):
+        inv, lever = _axis_scale(axis, params)
+        fn = unc._disturbances[axis]
+        if unc.delta_callables[axis] is None and not unc.delta_sinusoids[axis]:
+            out.append((inv, inv * lever * unc.drag[axis], None, inv * fn(0.0)))
+        else:
+            out.append((inv, inv * lever * unc.drag[axis], fn, 0.0))
+    return tuple(out)
+
+
+def _plant_rk4(s: list[float], h6: Sequence[float], axes, t: float,
+               dt: float) -> list[float]:
+    """One fixed 4th-order step of the 12 states as plain floats; no checks.
+
+    ``axes`` is `_axis_constants(unc, params)`.  The accelerations depend only
+    on the velocities and time (never on the positions), so the classical
+    scheme decouples per axis into a velocity update plus the exactly
+    corresponding position quadrature.
+    """
+    tm = t + 0.5 * dt
+    te = t + dt
+    half = 0.5 * dt
+    sixth = dt / 6.0
+    sq_sixth = dt * dt / 6.0
+    out = [0.0] * 12
+    for axis in range(6):
+        inv, cdrag, fn, dconst = axes[axis]
+        if fn is None:
+            d0 = dm = de = dconst
+        else:
+            d0 = inv * fn(t)
+            dm = inv * fn(tm)
+            de = inv * fn(te)
+        hv = h6[axis]
+        v = s[6 + axis]
+        a1 = hv - cdrag * v + d0
+        a2 = hv - cdrag * (v + half * a1) + dm
+        a3 = hv - cdrag * (v + half * a2) + dm
+        a4 = hv - cdrag * (v + dt * a3) + de
+        out[6 + axis] = v + sixth * (a1 + 2.0 * a2 + 2.0 * a3 + a4)
+        out[axis] = s[axis] + dt * v + sq_sixth * (a1 + a2 + a3)
+    return out
+
+
 def step_plant(state: np.ndarray, wrench: WrenchInput, unc: UncertaintyModel,
                params: UavParams, t: float, dt: float) -> np.ndarray:
     """One fixed 4th-order step with the wrench held constant over [t, t+dt].
 
-    The accelerations depend only on the velocities and time (never on the
-    positions), so the classical scheme decouples per axis into a velocity
-    update plus the exactly corresponding position quadrature; this is
-    algebraically the same 4th-order step as applying it to the stacked
-    12-dimensional system.
+    The classical scheme applied per axis (see `_plant_rk4`) is algebraically
+    the same 4th-order step as applying it to the stacked 12-dimensional
+    system.
     """
-    s = [float(v) for v in state]
-    h6 = input_acceleration_scalars(wrench, params)
-    tm = t + 0.5 * dt
-    te = t + dt
-    out = [0.0] * 12
-    for axis in range(6):
-        inv, lever = _axis_scale(axis, params)
-        cdrag = inv * lever * unc.drag[axis]
-        d0 = inv * unc.delta(axis, t)
-        dm = inv * unc.delta(axis, tm)
-        de = inv * unc.delta(axis, te)
-        hv = h6[axis]
-        v = s[6 + axis]
-        a1 = hv - cdrag * v + d0
-        a2 = hv - cdrag * (v + 0.5 * dt * a1) + dm
-        a3 = hv - cdrag * (v + 0.5 * dt * a2) + dm
-        a4 = hv - cdrag * (v + dt * a3) + de
-        out[6 + axis] = v + dt / 6.0 * (a1 + 2.0 * a2 + 2.0 * a3 + a4)
-        out[axis] = s[axis] + dt * v + dt * dt / 6.0 * (a1 + a2 + a3)
-    return np.array(out)
+    return np.array(_plant_rk4([float(v) for v in state],
+                               input_acceleration_scalars(wrench, params),
+                               _axis_constants(unc, params), t, dt))
 
 
 def wrap_angle(a: float) -> float:

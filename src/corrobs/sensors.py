@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 from typing import Sequence
 
 import numpy as np
@@ -124,6 +125,11 @@ class LargeErrorProcess:
         return _fold(raw, m.bound)
 
 
+# AxisMeasurement from a (y_o1, y_o2, t, y_o1_fresh) tuple, without the
+# Python-level __new__ that calling the class goes through.
+_new_axis_measurement = partial(tuple.__new__, AxisMeasurement)
+
+
 class MeasurementFrame(tuple):
     """Six AxisMeasurement records sharing one timestamp."""
 
@@ -208,21 +214,18 @@ class SensorSuite:
 
     def measure(self, state: Sequence[float], tick: int) -> MeasurementFrame:
         t = tick * self.dt
-        pos_due = tick % self.position_every == 0
-        vel_due = tick % self.velocity_every == 0
-        blocked = self.cfg.in_dropout(t)
         first = not self._started
         self._started = True
-
-        axes = []
-        for axis in range(6):
-            fresh = (pos_due and not blocked) or first
-            if fresh:
-                d = self._err[axis].value(t)
-                n1 = sample_noise(self.cfg.position_noise[axis], self._pos_rngs[axis])
-                self._held_y1[axis] = float(state[axis]) + d + n1
-            if vel_due or first:
-                n2 = sample_noise(self.cfg.velocity_noise[axis], self._vel_rngs[axis])
-                self._held_y2[axis] = float(state[6 + axis]) + n2
-            axes.append(AxisMeasurement(self._held_y1[axis], self._held_y2[axis], t, fresh))
-        return MeasurementFrame(axes)
+        fresh = (tick % self.position_every == 0 and not self.cfg.in_dropout(t)) or first
+        vel_due = tick % self.velocity_every == 0 or first
+        if fresh or vel_due:
+            for axis in range(6):
+                if fresh:
+                    d = self._err[axis].value(t)
+                    n1 = sample_noise(self.cfg.position_noise[axis], self._pos_rngs[axis])
+                    self._held_y1[axis] = float(state[axis]) + d + n1
+                if vel_due:
+                    n2 = sample_noise(self.cfg.velocity_noise[axis], self._vel_rngs[axis])
+                    self._held_y2[axis] = float(state[6 + axis]) + n2
+        return MeasurementFrame([_new_axis_measurement((y1, y2, t, fresh))
+                                 for y1, y2 in zip(self._held_y1, self._held_y2)])

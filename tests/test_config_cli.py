@@ -271,3 +271,24 @@ def test_cli_entry_point_runs():
                           capture_output=True, text=True)
     assert proc.returncode == 0
     assert "run" in proc.stdout and "sweep" in proc.stdout
+
+
+def test_cli_zero_corrector_substeps_is_config_error(tmp_path, sec6_doc, capsys):
+    cfgp = write_quick(sec6_doc, tmp_path, duration=1.0, corrector_substeps=0)
+    rc = main(["run", "--config", cfgp, "--out", str(tmp_path / "o")])
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert err.startswith("config error:") and "corrector_substeps" in err
+    assert err.count("\n") == 1
+    assert not (tmp_path / "o").exists()
+
+
+def test_cli_ekf_divergence_exits_2_with_one_line(tmp_path, sec6_doc, capsys):
+    doc = json.loads(json.dumps(sec6_doc))
+    doc["ekf"]["q"] = 1e300
+    cfgp = write_quick(doc, tmp_path, duration=1.0)
+    rc = main(["run", "--config", cfgp, "--out", str(tmp_path / "o")])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert err.startswith("simulation diverged:") and err.count("\n") == 1
+    assert "tick 0" in err and "ekf" in err

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import hashlib
 import math
 from dataclasses import replace
 
@@ -10,8 +11,9 @@ from corrobs import (ControlGains, LargeErrorModel,
                      NoiseMixture, ScenarioConfig,
                      SensorConfig, SimulationDiverged, TraceLog,
                      TrajectorySpec, UavParams, UncertaintyModel,
-                     convergence_study, decoupling_check, metrics,
-                     observer_ramp_study, run_scenario, sweep_parameter)
+                     bundled_config_path, convergence_study, decoupling_check,
+                     load_scenario, metrics, observer_ramp_study, run_scenario,
+                     sweep_parameter)
 from corrobs.engine import SWEEPABLE_PARAMETERS, ideal_tracking_errors
 
 
@@ -306,3 +308,65 @@ def test_truth_fed_discrete_loop_close_to_analytic():
     analytic = c1 * np.exp(l1 * trace.time) + c2 * np.exp(l2 * trace.time)
     err = trace.column("true_x") - trace.column("des_x")
     assert np.max(np.abs(err - analytic)) < 1e-3
+
+
+# ------------------------------------------------------------ golden traces
+# SHA-256 of the raw trace samples, recorded with the straightforward
+# (pre-kernel) tick loop.  Any change to the floating-point operations of a
+# per-tick stage, their order, or the numeric types they see shows up here.
+
+GOLDEN = {
+    "paper_sec6_10s": "477e890e03209533f314c0a601dc37cde0462d5f101912a0a18ce27b4c0e44cf",
+    "noise_only_10s": "ff3b14bac6639b3bf901fbed3e4d925c30c81c284f1a6e8687ef4b2cd919d6ca",
+    "init_truth": "d8b7b00cd6b5a99828d40edaeb810fac9c2aa29d3a6fdd8eda1053b01c5e9437",
+    "init_first_measurement":
+        "7e9092d262fb6473780e39c7218aec2bc2d85c00866e44d02d7777684d72c780",
+    "control_truth": "466367d60f0576fdc1dbe9f6fa646bb136e918545fc47ed195b3ff0a340f6c6a",
+    "feed_truth": "7601274c6f4101d0110e76efb7ebd7097a3fcdf6f62dff6e5b81fb4480fc3d5d",
+    "feed_zero": "c77146d13017ba6ce580772c98bba29b52bcd74b798c8cc7f88a3802fe85388b",
+    "hover": "af89600d80020564f32a6fe5951f8ce629cecf7371fa27872878f7d34ded9ef7",
+    "substeps1": "2a8064e188eaf0a31609b8a8dcfca5ec9ddd84ef2cdb374e115b2027edcdf77c",
+    "record_controls": "b5331e2057d1be307b60f97b123dbb7feae7fd89142113e5d4267ab7f05caf64",
+    "replay_observer": "dd7f63db1aff57742e191c9e145f18a33c0f1a7250242b01648b9b5dac1a02c1",
+    "replay_corrector": "f79c0d3e565c3f45504608b7f1666ac0bf0e04f989821f107ac23ab8c831aa2a",
+}
+
+
+def _digest(array) -> str:
+    return hashlib.sha256(np.ascontiguousarray(array).tobytes()).hexdigest()
+
+
+@pytest.fixture(scope="module")
+def sec6():
+    return load_scenario(bundled_config_path("paper_sec6"))
+
+
+@pytest.mark.parametrize("name", ["paper_sec6", "noise_only"])
+def test_golden_trace_bundled_10s(name):
+    cfg = replace(load_scenario(bundled_config_path(name)), duration=10.0)
+    assert _digest(run_scenario(cfg).data) == GOLDEN[f"{name}_10s"]
+
+
+@pytest.mark.parametrize("key,change", [
+    ("init_truth", dict(estimator_init="truth")),
+    ("init_first_measurement", dict(estimator_init="first_measurement")),
+    ("control_truth", dict(control_source="truth")),
+    ("feed_truth", dict(uncertainty_feed="truth")),
+    ("feed_zero", dict(uncertainty_feed="zero")),
+    ("hover", dict(trajectory=TrajectorySpec(kind="hover", altitude=1.0))),
+    ("substeps1", dict(corrector_substeps=1)),
+])
+def test_golden_trace_loop_branches(sec6, key, change):
+    cfg = replace(sec6, duration=1.0, **change)
+    assert _digest(run_scenario(cfg).data) == GOLDEN[key]
+
+
+def test_golden_trace_record_and_replay(sec6):
+    cfg = replace(sec6, duration=1.0)
+    trace, controls = run_scenario(cfg, record_controls=True)
+    assert _digest(trace.data) == GOLDEN["init_truth"]
+    assert _digest(controls) == GOLDEN["record_controls"]
+    for target in ("observer", "corrector"):
+        replayed = run_scenario(cfg, control_replay=controls,
+                                perturb=(target, 0.5, 1.0))
+        assert _digest(replayed.data) == GOLDEN[f"replay_{target}"]
