@@ -86,7 +86,8 @@ def cmd_validate(args) -> int:
     # Validating out-of-range parameters is the point here, so read the raw
     # document values instead of constructing the (strict) scenario objects.
     doc = _load_raw(args)
-    from .config import _get
+    from .config import _get, _trajectory
+    _trajectory(doc)  # an unknown trajectory kind is a config error here too
     ok = True
     warned = False
     for group in ("position", "attitude"):

@@ -83,6 +83,34 @@ def _per_group(position: Any, attitude: Any) -> tuple:
     return (position,) * 3 + (attitude,) * 3
 
 
+def _group_values(values: tuple, name: str) -> tuple[Any, Any]:
+    """The position-group and attitude-group entries of a per-axis tuple.
+
+    A document holds one value per group, so a tuple whose axes differ within
+    a group cannot be written without loss and is refused.
+    """
+    for first in (0, 3):
+        for i in (first + 1, first + 2):
+            if values[i] != values[first]:
+                raise ConfigError(
+                    f"cannot save {name}[{i}] (axis {AXIS_NAMES[i]}): it differs from "
+                    f"{name}[{first}] (axis {AXIS_NAMES[first]}), and a scenario "
+                    "document holds one value per position/attitude group")
+    return values[0], values[3]
+
+
+def _trajectory(doc: dict) -> TrajectorySpec:
+    return TrajectorySpec(
+        kind=str(_get(doc, "trajectory.kind", "circle")),
+        radius=float(_get(doc, "trajectory.radius", 5.0)),
+        speed=float(_get(doc, "trajectory.speed", 1.0)),
+        altitude=float(_get(doc, "trajectory.altitude", 3.0)),
+        climb_time=float(_get(doc, "trajectory.climb_time", 10.0)),
+        start_x=float(_get(doc, "trajectory.start_x", 0.0)),
+        start_y=float(_get(doc, "trajectory.start_y", 0.0)),
+    )
+
+
 def scenario_from_dict(doc: dict) -> ScenarioConfig:
     try:
         uav = UavParams(
@@ -159,16 +187,6 @@ def scenario_from_dict(doc: dict) -> ScenarioConfig:
             p0=float(_get(doc, "ekf.p0", 10.0)),
         )
 
-        traj = TrajectorySpec(
-            kind=str(_get(doc, "trajectory.kind", "circle")),
-            radius=float(_get(doc, "trajectory.radius", 5.0)),
-            speed=float(_get(doc, "trajectory.speed", 1.0)),
-            altitude=float(_get(doc, "trajectory.altitude", 3.0)),
-            climb_time=float(_get(doc, "trajectory.climb_time", 10.0)),
-            start_x=float(_get(doc, "trajectory.start_x", 0.0)),
-            start_y=float(_get(doc, "trajectory.start_y", 0.0)),
-        )
-
         return ScenarioConfig(
             duration=float(_get(doc, "duration")),
             dt=float(_get(doc, "dt", 1e-3)),
@@ -181,7 +199,7 @@ def scenario_from_dict(doc: dict) -> ScenarioConfig:
             correctors=_per_group(corrector("position"), corrector("attitude")),
             observers=_per_group(observer("position"), observer("attitude")),
             ekf=ekf,
-            trajectory=traj,
+            trajectory=_trajectory(doc),
             estimator_init=str(_get(doc, "estimator_init", "first_measurement")),
             control_source=str(_get(doc, "control_source", "estimates")),
             uncertainty_feed=str(_get(doc, "uncertainty_feed", "estimates")),
@@ -196,6 +214,25 @@ def scenario_from_dict(doc: dict) -> ScenarioConfig:
 
 
 def scenario_to_dict(cfg: ScenarioConfig) -> dict:
+    """The scenario document of ``cfg``; ``scenario_from_dict`` inverts it exactly.
+
+    Raises ``ConfigError`` naming the field and axis when ``cfg`` holds what
+    a document cannot: per-axis models that differ within the position or
+    attitude group, or a callable disturbance.
+    """
+    for i, fn in enumerate(cfg.uncertainty.delta_callables):
+        if fn is not None:
+            raise ConfigError(
+                f"cannot save uncertainty.delta_callables[{i}] (axis {AXIS_NAMES[i]}): "
+                "a callable disturbance has no scenario-document form")
+    pos_err, att_err = _group_values(cfg.sensors.large_error, "sensors.large_error")
+    pos_noise, ang_noise = _group_values(cfg.sensors.position_noise,
+                                         "sensors.position_noise")
+    vel_noise, rate_noise = _group_values(cfg.sensors.velocity_noise,
+                                          "sensors.velocity_noise")
+    pos_corr, att_corr = _group_values(cfg.correctors, "correctors")
+    pos_obs, att_obs = _group_values(cfg.observers, "observers")
+
     def noise_dict(n: NoiseMixture) -> dict:
         return {"gaussian_std": n.gaussian_std, "uniform_halfwidth": n.uniform_halfwidth,
                 "impulse_prob": n.impulse_prob, "impulse_magnitude": n.impulse_magnitude}
@@ -227,24 +264,24 @@ def scenario_to_dict(cfg: ScenarioConfig) -> dict:
             "position_period": cfg.sensors.position_period,
             "velocity_period": cfg.sensors.velocity_period,
             "dropouts": [list(d) for d in cfg.sensors.dropouts],
-            "position_large_error": err_dict(cfg.sensors.large_error[0]),
-            "attitude_large_error": err_dict(cfg.sensors.large_error[3]),
-            "position_noise": noise_dict(cfg.sensors.position_noise[0]),
-            "angle_noise": noise_dict(cfg.sensors.position_noise[3]),
-            "velocity_noise": noise_dict(cfg.sensors.velocity_noise[0]),
-            "rate_noise": noise_dict(cfg.sensors.velocity_noise[3]),
+            "position_large_error": err_dict(pos_err),
+            "attitude_large_error": err_dict(att_err),
+            "position_noise": noise_dict(pos_noise),
+            "angle_noise": noise_dict(ang_noise),
+            "velocity_noise": noise_dict(vel_noise),
+            "rate_noise": noise_dict(rate_noise),
         },
         "corrector": {
-            "position": {"k1": cfg.correctors[0].k1, "k2": cfg.correctors[0].k2,
-                         "alpha_c": cfg.correctors[0].alpha_c, "eps_c": cfg.correctors[0].eps_c},
-            "attitude": {"k1": cfg.correctors[3].k1, "k2": cfg.correctors[3].k2,
-                         "alpha_c": cfg.correctors[3].alpha_c, "eps_c": cfg.correctors[3].eps_c},
+            "position": {"k1": pos_corr.k1, "k2": pos_corr.k2,
+                         "alpha_c": pos_corr.alpha_c, "eps_c": pos_corr.eps_c},
+            "attitude": {"k1": att_corr.k1, "k2": att_corr.k2,
+                         "alpha_c": att_corr.alpha_c, "eps_c": att_corr.eps_c},
         },
         "observer": {
-            "position": {"k3": cfg.observers[0].k3, "k4": cfg.observers[0].k4,
-                         "alpha_o": cfg.observers[0].alpha_o, "eps_o": cfg.observers[0].eps_o},
-            "attitude": {"k3": cfg.observers[3].k3, "k4": cfg.observers[3].k4,
-                         "alpha_o": cfg.observers[3].alpha_o, "eps_o": cfg.observers[3].eps_o},
+            "position": {"k3": pos_obs.k3, "k4": pos_obs.k4,
+                         "alpha_o": pos_obs.alpha_o, "eps_o": pos_obs.eps_o},
+            "attitude": {"k3": att_obs.k3, "k4": att_obs.k4,
+                         "alpha_o": att_obs.alpha_o, "eps_o": att_obs.eps_o},
         },
         "control": {"kp1": cfg.gains.kp1, "kp2": cfg.gains.kp2,
                     "ka1": cfg.gains.ka1, "ka2": cfg.gains.ka2},

@@ -60,6 +60,9 @@ def _diverged(tick: int, t: float, stage: str, what) -> SimulationDiverged:
                               f"in the {stage} stage: {what}")
 
 
+TRAJECTORY_KINDS = ("circle", "hover")
+
+
 @dataclass(frozen=True)
 class TrajectorySpec:
     kind: str = "circle"
@@ -70,13 +73,16 @@ class TrajectorySpec:
     start_x: float = 0.0
     start_y: float = 0.0
 
+    def __post_init__(self):
+        if self.kind not in TRAJECTORY_KINDS:
+            raise ValueError(f"unknown trajectory kind: {self.kind!r} (trajectory.kind "
+                             f"must be one of: {', '.join(TRAJECTORY_KINDS)})")
+
     def build(self):
         if self.kind == "circle":
             return CircleTrajectory(self.radius, self.speed, self.altitude,
                                     self.climb_time, self.start_x, self.start_y)
-        if self.kind == "hover":
-            return HoverTrajectory(self.start_x, self.start_y, self.altitude)
-        raise ValueError(f"unknown trajectory kind: {self.kind}")
+        return HoverTrajectory(self.start_x, self.start_y, self.altitude)
 
 
 def _default_correctors() -> tuple[CorrectorParams, ...]:

@@ -5,6 +5,13 @@ gain is N(A) = Omega(a) / A^(1-a) with
 
     Omega(a) = (2/pi) * integral_0^pi |sin u|^(a+1) du,   Omega in [1, 4/pi).
 
+The integral is Wallis's: (2/pi) * B((a+2)/2, 1/2), i.e.
+
+    Omega(a) = (2/sqrt(pi)) * Gamma((a+2)/2) / Gamma((a+3)/2)
+
+(Gradshteyn & Ryzhik 3.621.1; Abramowitz & Stegun 6.2.1), which is how it
+is evaluated here.
+
 Replacing each fractional-power term of the corrector and observer by its
 equivalent gain yields second-order linear systems whose natural frequencies
 and damping expose how the estimators filter noise, and whose discriminants
@@ -18,7 +25,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import integrate
 
 from .estimators import CorrectorParams, ObserverParams
 
@@ -66,12 +72,16 @@ class ParamValidationReport:
 
 
 def omega_coefficient(alpha: float) -> float:
-    """Omega(alpha) = (2/pi) * integral_0^pi sin(u)^(alpha+1) du, alpha in (0, 1]."""
+    """Omega(alpha) = (2/pi) * integral_0^pi sin(u)^(alpha+1) du, alpha in (0, 1].
+
+    Evaluated in closed form through the Beta/Gamma identity
+    (2/pi) * B((alpha+2)/2, 1/2) = (2/sqrt(pi)) * Gamma((alpha+2)/2) / Gamma((alpha+3)/2);
+    exactly 1.0 at alpha = 1.
+    """
     if not 0.0 < alpha <= 1.0:
         raise ValueError(f"alpha must be in (0, 1], got {alpha}")
-    val, _ = integrate.quad(lambda u: math.sin(u) ** (alpha + 1.0), 0.0, math.pi,
-                            epsabs=1e-12, epsrel=1e-12)
-    return 2.0 / math.pi * val
+    return 2.0 / math.sqrt(math.pi) * math.gamma(0.5 * (alpha + 2.0)) \
+        / math.gamma(0.5 * (alpha + 3.0))
 
 
 def describing_function(alpha: float, amplitude: float) -> DescribingFunctionResult:

@@ -3,11 +3,12 @@ from __future__ import annotations
 import json
 import subprocess
 import sys
+from dataclasses import replace
 
 import pytest
 
 from corrobs import (ConfigError, bundled_config_path, load_scenario,
-                     save_scenario, scenario_from_dict)
+                     save_scenario, scenario_from_dict, scenario_to_dict)
 from corrobs.cli import main
 from corrobs.config import BUNDLED_CONFIGS
 
@@ -70,6 +71,49 @@ def test_round_trip(tmp_path, sec6_doc):
     save_scenario(cfg, path)
     again = load_scenario(path)
     assert again == cfg
+
+
+def test_bundled_configs_round_trip_exactly(tmp_path):
+    for name in BUNDLED_CONFIGS:
+        cfg = load_scenario(bundled_config_path(name))
+        assert scenario_from_dict(scenario_to_dict(cfg)) == cfg
+        path = tmp_path / f"{name}.cfg"
+        save_scenario(cfg, path)
+        assert load_scenario(path) == cfg
+
+
+def _set_axis(values: tuple, axis: int, **changes) -> tuple:
+    out = list(values)
+    out[axis] = replace(out[axis], **changes)
+    return tuple(out)
+
+
+LOSSY_EDITS = [
+    (lambda c: replace(c, correctors=_set_axis(c.correctors, 1, k1=7.0)),
+     "correctors[1] (axis y)"),
+    (lambda c: replace(c, observers=_set_axis(c.observers, 4, eps_o=0.5)),
+     "observers[4] (axis theta)"),
+    (lambda c: replace(c, sensors=replace(c.sensors, position_noise=_set_axis(
+        c.sensors.position_noise, 5, gaussian_std=0.3))),
+     "sensors.position_noise[5] (axis phi)"),
+    (lambda c: replace(c, sensors=replace(c.sensors, large_error=_set_axis(
+        c.sensors.large_error, 2, constant=0.0))),
+     "sensors.large_error[2] (axis z)"),
+    (lambda c: replace(c, uncertainty=replace(
+        c.uncertainty, delta_callables=(None, None, abs, None, None, None))),
+     "uncertainty.delta_callables[2] (axis z)"),
+]
+
+
+@pytest.mark.parametrize("edit, where", LOSSY_EDITS, ids=[w for _, w in LOSSY_EDITS])
+def test_save_refuses_config_that_cannot_round_trip(tmp_path, sec6_doc, edit, where):
+    cfg = edit(scenario_from_dict(sec6_doc))
+    with pytest.raises(ConfigError) as err:
+        scenario_to_dict(cfg)
+    assert where in str(err.value)
+    with pytest.raises(ConfigError):
+        save_scenario(cfg, tmp_path / "lossy.cfg")
+    assert not (tmp_path / "lossy.cfg").exists()
 
 
 def test_load_missing_file():
@@ -141,6 +185,31 @@ def test_cli_validate_unstable(tmp_path, sec6_doc, capsys):
     path.write_text(json.dumps(doc))
     rc = main(["validate", "--config", str(path)])
     assert rc == 3
+
+
+def test_cli_validate_unknown_trajectory_kind(tmp_path, sec6_doc, capsys):
+    doc = json.loads(json.dumps(sec6_doc))
+    doc["trajectory"]["kind"] = "spiral"
+    path = tmp_path / "spiral.cfg"
+    path.write_text(json.dumps(doc))
+    rc = main(["validate", "--config", str(path)])
+    captured = capsys.readouterr()
+    assert rc == 1
+    assert "validation passed" not in captured.out
+    assert captured.err.startswith("config error:") and captured.err.count("\n") == 1
+    assert "spiral" in captured.err and "trajectory.kind" in captured.err
+
+
+def test_cli_run_unknown_trajectory_kind(tmp_path, sec6_doc, capsys):
+    doc = json.loads(json.dumps(sec6_doc))
+    doc["trajectory"]["kind"] = "spiral"
+    cfgp = write_quick(doc, tmp_path, duration=1.0)
+    rc = main(["run", "--config", cfgp, "--out", str(tmp_path / "o")])
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert err.startswith("config error:") and err.count("\n") == 1
+    assert "spiral" in err and "trajectory.kind" in err
+    assert not (tmp_path / "o").exists()
 
 
 def test_cli_validate_conservative_no_warnings(tmp_path, sec6_doc, capsys):

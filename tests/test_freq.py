@@ -1,17 +1,17 @@
 """Describing-function values, linearizations, and parameter-rule checks.
 
-The equivalent-gain coefficient has the closed form
-(2/pi) * B((alpha+2)/2, 1/2) via the Beta function, which serves as the
-independent oracle for the quadrature implementation.
+The package evaluates the equivalent-gain coefficient in closed form through
+the Beta function, (2/pi) * B((alpha+2)/2, 1/2); the independent oracle here
+is the defining integral, evaluated by mpmath quadrature at 40 digits.
 """
 
 from __future__ import annotations
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
-from scipy import special
 
 from corrobs import (CorrectorParams, ObserverParams,
                      corrector_natural_frequency, describing_function,
@@ -23,17 +23,34 @@ FLIGHT_CORRECTOR = CorrectorParams(k1=1.0, k2=30.0, alpha_c=0.1, eps_c=1 / 1.2)
 FLIGHT_OBSERVER = ObserverParams(k3=20.0, k4=4.0, alpha_o=0.6, eps_o=1 / 1.1)
 
 
-def omega_beta_oracle(alpha: float) -> float:
-    return 2.0 / math.pi * special.beta(0.5 * (alpha + 2.0), 0.5)
+def omega_quad_mp(alpha: float) -> mpmath.mpf:
+    """(2/pi) * integral_0^pi sin(u)^(alpha+1) du at 40 significant digits."""
+    with mpmath.workdps(40):
+        a = mpmath.mpf(alpha)
+        return 2 / mpmath.pi * mpmath.quad(lambda u: mpmath.sin(u) ** (a + 1),
+                                           [0, mpmath.pi])
+
+
+def omega_oracle(alpha: float) -> float:
+    return float(omega_quad_mp(alpha))
 
 
 def test_omega_at_one():
     assert abs(omega_coefficient(1.0) - 1.0) < 1e-9
 
 
+@pytest.mark.parametrize("alpha", [1e-6, 1e-3, 1 / 19, 0.1, 0.25, 0.5, 0.6,
+                                   0.8, 0.95, 1.0 - 1e-9, 1.0])
+def test_omega_matches_high_precision_quadrature(alpha):
+    exact = omega_quad_mp(alpha)
+    with mpmath.workdps(40):
+        rel = abs((mpmath.mpf(omega_coefficient(alpha)) - exact) / exact)
+    assert rel <= 1e-14
+
+
 def test_omega_at_half_vs_beta_oracle():
     val = omega_coefficient(0.5)
-    assert abs(val - omega_beta_oracle(0.5)) < 1e-9
+    assert abs(val - omega_oracle(0.5)) < 1e-9
     assert abs(val - 1.1129) < 1e-3
 
 
@@ -50,7 +67,7 @@ def test_omega_range_and_monotone_on_grid():
 
 def test_omega_matches_beta_oracle_across_range():
     for a in (0.05, 0.1, 0.3, 0.6, 0.8, 0.95):
-        assert abs(omega_coefficient(a) - omega_beta_oracle(a)) < 1e-9
+        assert abs(omega_coefficient(a) - omega_oracle(a)) < 1e-9
 
 
 def test_omega_rejects_out_of_range():
@@ -69,10 +86,10 @@ def test_describing_function_gain():
 # ------------------------------------------------------ natural frequency
 
 def test_corrector_natural_frequency_example():
-    # Independent route: Beta-function Omega plus direct formula evaluation.
+    # Independent route: quadrature Omega plus direct formula evaluation.
     p = FLIGHT_CORRECTOR
     kappa = 0.1 / 1.9
-    expected = math.sqrt(omega_beta_oracle(kappa) * p.k1) \
+    expected = math.sqrt(omega_oracle(kappa) * p.k1) \
         / p.eps_c ** ((3 - 2 * p.alpha_c) / (2 - p.alpha_c))
     wc = corrector_natural_frequency(p, 1.0)
     assert wc == pytest.approx(expected, abs=1e-9)
@@ -97,7 +114,7 @@ def test_corrector_natural_frequency_amplitude_scaling():
 
 def test_observer_natural_frequency_example():
     wo = observer_natural_frequency(FLIGHT_OBSERVER, 1.0)
-    assert wo == pytest.approx(1.1 * math.sqrt(20.0 * omega_beta_oracle(0.6)), rel=1e-9)
+    assert wo == pytest.approx(1.1 * math.sqrt(20.0 * omega_oracle(0.6)), rel=1e-9)
 
 
 def test_observer_natural_frequency_amplitude_scaling():
