@@ -23,7 +23,8 @@ from dataclasses import replace
 from pathlib import Path
 
 from . import freq
-from .config import BUNDLED_CONFIGS, ConfigError, bundled_config_path, load_scenario
+from .config import (BUNDLED_CONFIGS, ConfigError, bundled_config_path,
+                     estimator_values, read_document, scenario_from_dict)
 from .engine import (SWEEPABLE_PARAMETERS, SimulationDiverged, decoupling_check,
                      metrics, run_scenario, sweep_parameter)
 from .plant import AXIS_NAMES
@@ -41,8 +42,7 @@ def _config_path(args) -> Path:
     return path
 
 
-def _load(args) -> "ScenarioConfig":  # noqa: F821
-    cfg = load_scenario(_config_path(args))
+def _with_overrides(args, cfg: "ScenarioConfig") -> "ScenarioConfig":  # noqa: F821
     if getattr(args, "seed", None) is not None:
         cfg = replace(cfg, seed=args.seed)
     if getattr(args, "duration", None) is not None:
@@ -50,17 +50,8 @@ def _load(args) -> "ScenarioConfig":  # noqa: F821
     return cfg
 
 
-def _load_raw(args) -> dict:
-    path = _config_path(args)
-    if not path.exists():
-        raise ConfigError(f"config file not found: {path}")
-    try:
-        doc = json.loads(path.read_text())
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"config is not valid JSON: {exc}") from exc
-    if not isinstance(doc, dict):
-        raise ConfigError("config document must be a JSON object")
-    return doc
+def _load(args) -> "ScenarioConfig":  # noqa: F821
+    return _with_overrides(args, scenario_from_dict(read_document(_config_path(args))))
 
 
 def _write_json(path: Path, doc: dict) -> None:
@@ -83,34 +74,21 @@ def cmd_run(args) -> int:
 
 
 def cmd_validate(args) -> int:
-    # Validating out-of-range parameters is the point here, so read the raw
-    # document values instead of constructing the (strict) scenario objects.
-    doc = _load_raw(args)
-    from .config import _get, _trajectory
-    _trajectory(doc)  # an unknown trajectory kind is a config error here too
-    ok = True
+    # The selection rules report on out-of-range estimator parameters, which
+    # the scenario objects refuse, so they read the plain document values.
+    # Only when the rules pass is the whole config built, as `run` builds it.
+    doc = read_document(_config_path(args))
+    rules = {"corrector": freq.validate_corrector_params,
+             "observer": freq.validate_observer_params}
+    reports = {section: rules[section.split(".")[0]](**values)
+               for section, values in estimator_values(doc).items()}
+    ok = all(rep.stable for rep in reports.values())
+    if ok:
+        _with_overrides(args, scenario_from_dict(doc))
     warned = False
-    for group in ("position", "attitude"):
-        rep = freq.validate_corrector_params(
-            float(_get(doc, f"corrector.{group}.k1")),
-            float(_get(doc, f"corrector.{group}.k2")),
-            float(_get(doc, f"corrector.{group}.alpha_c")),
-            float(_get(doc, f"corrector.{group}.eps_c")))
-        ok &= rep.stable
+    for section, rep in reports.items():
         warned |= not rep.oscillation_free
-        print(f"corrector/{group}: stable={rep.stable} "
-              f"oscillation_free={rep.oscillation_free}")
-        for m in rep.messages:
-            print(f"  {m}")
-    for group in ("position", "attitude"):
-        rep = freq.validate_observer_params(
-            float(_get(doc, f"observer.{group}.k3")),
-            float(_get(doc, f"observer.{group}.k4")),
-            float(_get(doc, f"observer.{group}.alpha_o")),
-            float(_get(doc, f"observer.{group}.eps_o")))
-        ok &= rep.stable
-        warned |= not rep.oscillation_free
-        print(f"observer/{group}: stable={rep.stable} "
+        print(f"{section.replace('.', '/')}: stable={rep.stable} "
               f"oscillation_free={rep.oscillation_free}")
         for m in rep.messages:
             print(f"  {m}")
@@ -213,8 +191,16 @@ def cmd_decouple_check(args) -> int:
     return EXIT_OK if report.decoupled else EXIT_VALIDATION
 
 
+class _Parser(argparse.ArgumentParser):
+    """Reports a usage error on one stderr line with the config exit code,
+    since argparse's own code, 2, means numerical divergence here."""
+
+    def error(self, message):
+        self.exit(EXIT_CONFIG, f"{self.prog}: error: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="corrobs",
         description="Decoupled signal correction and uncertainty observation "
                     "for large-error sensing; quadrotor simulation front end.")

@@ -10,25 +10,31 @@ trajectory, seed).  Three reference documents ship with the package:
                      disturbance set and no dropouts
     noise_only.cfg   unbiased small-noise scenario used to tune the EKF
                      baseline fairly
+
+A document is the scenario dataclasses written out: each section holds the
+fields of the dataclass it builds under their field names, and a key left
+out takes the field's default (the README lists the sections).  The tables
+below hold only what the dataclasses cannot say.  Loading refuses a value
+of the wrong type and a key that saving would not write back, naming the
+dotted key.
 """
 
 from __future__ import annotations
 
 import json
+import math
+from dataclasses import MISSING, fields, is_dataclass
+from functools import cache
 from importlib import resources
 from pathlib import Path
-from typing import Any
+from typing import Any, get_args, get_type_hints
 
-from .control import ControlGains
-from .ekf import EkfConfig
-from .engine import ScenarioConfig, TrajectorySpec
-from .estimators import CorrectorParams, ObserverParams
-from .plant import AXIS_NAMES, UavParams, UncertaintyModel
-from .sensors import LargeErrorModel, NoiseMixture, SensorConfig
+from .engine import ScenarioConfig
+from .plant import AXIS_NAMES
 
-__all__ = ["ConfigError", "load_scenario", "scenario_from_dict",
-           "scenario_to_dict", "save_scenario", "bundled_config_path",
-           "BUNDLED_CONFIGS"]
+__all__ = ["ConfigError", "load_scenario", "read_document", "scenario_from_dict",
+           "scenario_to_dict", "save_scenario", "estimator_values",
+           "bundled_config_path", "BUNDLED_CONFIGS"]
 
 BUNDLED_CONFIGS = ("paper_sec6", "paper_fig5", "noise_only")
 
@@ -37,50 +43,29 @@ class ConfigError(ValueError):
     """Malformed scenario document; the message names the offending key."""
 
 
-_REQUIRED = object()
+# Keys a document must give although the dataclass has a default (dotted
+# paths from the top); a section named here needs every one of its keys.
+_REQUIRED = frozenset({"duration", "seed", "uav", "control"})
 
-
-def _get(d: dict, path: str, default=_REQUIRED):
-    node: Any = d
-    for part in path.split("."):
-        if not isinstance(node, dict) or part not in node:
-            if default is not _REQUIRED:
-                return default
-            raise ConfigError(f"missing config key: {path}")
-        node = node[part]
-    return node
-
-
-def _sinusoids(raw, path: str) -> tuple[tuple[float, float, float], ...]:
-    out = []
-    for i, triple in enumerate(raw):
-        if len(triple) != 3:
-            raise ConfigError(f"{path}[{i}] must be [amplitude, omega, phase]")
-        out.append(tuple(float(v) for v in triple))
-    return tuple(out)
-
-
-def _large_error(raw: dict, path: str) -> LargeErrorModel:
-    return LargeErrorModel(
-        constant=float(_get(raw, "constant", 0.0)),
-        sinusoids=_sinusoids(_get(raw, "sinusoids", []), f"{path}.sinusoids"),
-        walk_step=float(_get(raw, "walk_step", 0.0)),
-        walk_period=float(_get(raw, "walk_period", 1.0)),
-        bound=float(_get(raw, "bound", 0.0)),
-    )
-
-
-def _noise(raw: dict) -> NoiseMixture:
-    return NoiseMixture(
-        gaussian_std=float(_get(raw, "gaussian_std", 0.0)),
-        uniform_halfwidth=float(_get(raw, "uniform_halfwidth", 0.0)),
-        impulse_prob=float(_get(raw, "impulse_prob", 0.0)),
-        impulse_magnitude=float(_get(raw, "impulse_magnitude", 0.0)),
-    )
-
-
-def _per_group(position: Any, attitude: Any) -> tuple:
-    return (position,) * 3 + (attitude,) * 3
+# The document keys of each field not held under its own name (field names
+# are unique across the scenario dataclasses), relative to the section of the
+# dataclass that owns the field.  Two keys hold a per-axis
+# field once for the position group (x, y, z) and once for the attitude group
+# (psi, theta, phi); six keys hold it once per axis; no key means a document
+# has no form for it, so it loads as its default and saving refuses any other
+# value.
+_KEYS = {
+    "gains": ("control",),
+    "correctors": ("corrector.position", "corrector.attitude"),
+    "observers": ("observer.position", "observer.attitude"),
+    "large_error": ("position_large_error", "attitude_large_error"),
+    "position_noise": ("position_noise", "angle_noise"),
+    "velocity_noise": ("velocity_noise", "rate_noise"),
+    "drag": tuple(f"drag.{a}" for a in AXIS_NAMES),
+    "delta_sinusoids": tuple(f"delta.{a}.sinusoids" for a in AXIS_NAMES),
+    "delta_constant": tuple(f"delta.{a}.constant" for a in AXIS_NAMES),
+    "delta_callables": (),
+}
 
 
 def _group_values(values: tuple, name: str) -> tuple[Any, Any]:
@@ -99,118 +84,154 @@ def _group_values(values: tuple, name: str) -> tuple[Any, Any]:
     return values[0], values[3]
 
 
-def _trajectory(doc: dict) -> TrajectorySpec:
-    return TrajectorySpec(
-        kind=str(_get(doc, "trajectory.kind", "circle")),
-        radius=float(_get(doc, "trajectory.radius", 5.0)),
-        speed=float(_get(doc, "trajectory.speed", 1.0)),
-        altitude=float(_get(doc, "trajectory.altitude", 3.0)),
-        climb_time=float(_get(doc, "trajectory.climb_time", 10.0)),
-        start_x=float(_get(doc, "trajectory.start_x", 0.0)),
-        start_y=float(_get(doc, "trajectory.start_y", 0.0)),
-    )
+# The resolved field types of a scenario dataclass; resolving them is most
+# of the cost of a load.
+_hints = cache(get_type_hints)
+
+
+def _join(path: str, key: str) -> str:
+    return f"{path}.{key}" if path else key
+
+
+def _object(node: Any, path: str) -> dict:
+    if not isinstance(node, dict):
+        raise ConfigError(f"{path} must be a JSON object, not {node!r}" if path
+                          else "config document must be a JSON object")
+    return node
+
+
+def _lookup(node: dict, key: str, path: str) -> Any:
+    """The value at dotted ``key`` in the section ``node`` at ``path``, or MISSING."""
+    *outer, last = key.split(".")
+    for part in outer:
+        path = _join(path, part)
+        node = _object(node.get(part, {}), path)
+    return node.get(last, MISSING)
+
+
+def _section(node: dict, key: str, path: str) -> dict:
+    """The section at dotted ``key`` in ``node``; empty when it is absent."""
+    sub = _lookup(node, key, path)
+    return _object({} if sub is MISSING else sub, _join(path, key))
+
+
+def _value(raw: Any, hint: Any, path: str) -> Any:
+    """``raw`` checked against the field type ``hint`` and converted to it.
+
+    Numbers are never coerced from booleans or strings, and an integer field
+    takes only an integral number.
+    """
+    if hint is float:
+        if isinstance(raw, (int, float)) and not isinstance(raw, bool) and math.isfinite(raw):
+            return float(raw)
+        raise ConfigError(f"{path} must be a finite number, not {raw!r}")
+    if hint is int:
+        if isinstance(raw, bool) or not (isinstance(raw, int) or (
+                isinstance(raw, float) and raw.is_integer())):
+            raise ConfigError(f"{path} must be an integer, not {raw!r}")
+        return int(raw)
+    if hint is str:
+        if not isinstance(raw, str):
+            raise ConfigError(f"{path} must be a string, not {raw!r}")
+        return raw
+    items = get_args(hint)   # tuple[T, ...] or a fixed-length tuple[T1, T2, ...]
+    if items[-1] is Ellipsis:
+        if not isinstance(raw, list):
+            raise ConfigError(f"{path} must be a list, not {raw!r}")
+        items = (items[0],) * len(raw)
+    elif not (isinstance(raw, list) and len(raw) == len(items)):
+        raise ConfigError(f"{path} must be a list of {len(items)} numbers, not {raw!r}")
+    return tuple(_value(v, h, f"{path}[{i}]") for i, (v, h) in enumerate(zip(raw, items)))
+
+
+def _fields(cls: type, node: dict, path: str, required: bool = False) -> dict:
+    """Keyword arguments for dataclass ``cls`` from the document section ``node``."""
+    hints = _hints(cls)
+    kwargs = {}
+    for f in fields(cls):
+        keys = _KEYS.get(f.name, (f.name,))
+        if not keys:
+            continue
+        hint = hints[f.name] if len(keys) == 1 else get_args(hints[f.name])[0]
+        parts = []
+        for i, key in enumerate(keys):
+            where = _join(path, key)
+            needed = required or where in _REQUIRED
+            if is_dataclass(hint):
+                parts.append(_build(hint, _section(node, key, path), where, needed))
+                continue
+            raw = _lookup(node, key, path)
+            if raw is not MISSING:
+                parts.append(_value(raw, hint, where))
+            elif needed or f.default is MISSING:
+                raise ConfigError(f"missing config key: {where}")
+            else:
+                parts.append(f.default if len(keys) == 1 else f.default[i])
+        # a group's value goes to each of its three axes
+        kwargs[f.name] = parts[0] if len(keys) == 1 else tuple(
+            p for p in parts for _ in range(6 // len(keys)))
+    return kwargs
+
+
+def _build(cls: type, node: dict, path: str, required: bool = False):
+    kwargs = _fields(cls, node, path, required)
+    try:
+        return cls(**kwargs)
+    except ValueError as exc:
+        raise ConfigError(f"{path}: {exc}" if path else str(exc)) from exc
+
+
+def _document(obj: Any, where: str) -> dict:
+    """The document section of dataclass instance ``obj``, whose attribute
+    path from the ScenarioConfig is ``where`` (for errors)."""
+    out: dict = {}
+    for f in fields(obj):
+        value = getattr(obj, f.name)
+        name = _join(where, f.name)
+        keys = _KEYS.get(f.name, (f.name,))
+        if not keys:
+            for i, (v, default) in enumerate(zip(value, f.default)):
+                if v != default:
+                    raise ConfigError(f"cannot save {name}[{i}] (axis {AXIS_NAMES[i]}): "
+                                      "a scenario document has no form for it")
+            continue
+        parts = ((value,) if len(keys) == 1 else
+                 _group_values(value, name) if len(keys) == 2 else value)
+        for key, part in zip(keys, parts):
+            *outer, last = key.split(".")
+            node = out
+            for k in outer:
+                node = node.setdefault(k, {})
+            node[last] = _document(part, name) if is_dataclass(part) else _plain(part)
+    return out
+
+
+def _plain(value: Any) -> Any:
+    return [_plain(v) for v in value] if isinstance(value, tuple) else value
+
+
+def _unknown_keys(doc: dict, known: dict, path: str = ""):
+    for key, value in doc.items():
+        where = _join(path, key)
+        if key not in known:
+            yield where
+        elif isinstance(known[key], dict):
+            yield from _unknown_keys(value, known[key], where)
 
 
 def scenario_from_dict(doc: dict) -> ScenarioConfig:
-    try:
-        uav = UavParams(
-            m=float(_get(doc, "uav.m")),
-            g=float(_get(doc, "uav.g")),
-            l=float(_get(doc, "uav.l")),
-            J_psi=float(_get(doc, "uav.J_psi")),
-            J_theta=float(_get(doc, "uav.J_theta")),
-            J_phi=float(_get(doc, "uav.J_phi")),
-            b=float(_get(doc, "uav.b")),
-            k=float(_get(doc, "uav.k")),
-        )
+    """The ScenarioConfig a scenario document describes.
 
-        drag = tuple(float(_get(doc, f"uncertainty.drag.{a}", 0.0)) for a in AXIS_NAMES)
-        sin6 = []
-        const6 = []
-        for a in AXIS_NAMES:
-            raw = _get(doc, f"uncertainty.delta.{a}", {})
-            sin6.append(_sinusoids(_get(raw, "sinusoids", []),
-                                   f"uncertainty.delta.{a}.sinusoids"))
-            const6.append(float(_get(raw, "constant", 0.0)))
-        unc = UncertaintyModel(
-            drag=drag,
-            delta_sinusoids=tuple(sin6),
-            delta_constant=tuple(const6),
-            l_sigma=float(_get(doc, "uncertainty.l_sigma", 1.0)),
-        )
-
-        sensors = SensorConfig(
-            position_period=float(_get(doc, "sensors.position_period", 1.0)),
-            velocity_period=float(_get(doc, "sensors.velocity_period", 0.01)),
-            dropouts=tuple((float(a), float(b))
-                           for a, b in _get(doc, "sensors.dropouts", [])),
-            large_error=_per_group(
-                _large_error(_get(doc, "sensors.position_large_error", {}),
-                             "sensors.position_large_error"),
-                _large_error(_get(doc, "sensors.attitude_large_error", {}),
-                             "sensors.attitude_large_error")),
-            position_noise=_per_group(
-                _noise(_get(doc, "sensors.position_noise", {})),
-                _noise(_get(doc, "sensors.angle_noise", {}))),
-            velocity_noise=_per_group(
-                _noise(_get(doc, "sensors.velocity_noise", {})),
-                _noise(_get(doc, "sensors.rate_noise", {}))),
-        )
-
-        def corrector(group: str) -> CorrectorParams:
-            return CorrectorParams(
-                k1=float(_get(doc, f"corrector.{group}.k1")),
-                k2=float(_get(doc, f"corrector.{group}.k2")),
-                alpha_c=float(_get(doc, f"corrector.{group}.alpha_c")),
-                eps_c=float(_get(doc, f"corrector.{group}.eps_c")),
-            )
-
-        def observer(group: str) -> ObserverParams:
-            return ObserverParams(
-                k3=float(_get(doc, f"observer.{group}.k3")),
-                k4=float(_get(doc, f"observer.{group}.k4")),
-                alpha_o=float(_get(doc, f"observer.{group}.alpha_o")),
-                eps_o=float(_get(doc, f"observer.{group}.eps_o")),
-            )
-
-        gains = ControlGains(
-            kp1=float(_get(doc, "control.kp1")),
-            kp2=float(_get(doc, "control.kp2")),
-            ka1=float(_get(doc, "control.ka1")),
-            ka2=float(_get(doc, "control.ka2")),
-        )
-
-        ekf = EkfConfig(
-            q=float(_get(doc, "ekf.q")),
-            r1=float(_get(doc, "ekf.r1")),
-            r2=float(_get(doc, "ekf.r2")),
-            p0=float(_get(doc, "ekf.p0", 10.0)),
-        )
-
-        return ScenarioConfig(
-            duration=float(_get(doc, "duration")),
-            dt=float(_get(doc, "dt", 1e-3)),
-            seed=int(_get(doc, "seed")),
-            sample_interval=float(_get(doc, "sample_interval", 0.01)),
-            uav=uav,
-            uncertainty=unc,
-            sensors=sensors,
-            gains=gains,
-            correctors=_per_group(corrector("position"), corrector("attitude")),
-            observers=_per_group(observer("position"), observer("attitude")),
-            ekf=ekf,
-            trajectory=_trajectory(doc),
-            estimator_init=str(_get(doc, "estimator_init", "first_measurement")),
-            control_source=str(_get(doc, "control_source", "estimates")),
-            uncertainty_feed=str(_get(doc, "uncertainty_feed", "estimates")),
-            corrector_substeps=int(_get(doc, "corrector_substeps", 2)),
-            initial_offset=tuple(float(v) for v in _get(doc, "initial_offset",
-                                                        [0.0] * 12)),
-        )
-    except ConfigError:
-        raise
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(str(exc)) from exc
+    Raises ``ConfigError`` naming the dotted key for a missing key, a value
+    of the wrong type or out of range, and a key the document format does not
+    have (one that ``scenario_to_dict`` would not write back).
+    """
+    cfg = _build(ScenarioConfig, _object(doc, ""), "")
+    unknown = list(_unknown_keys(doc, scenario_to_dict(cfg)))
+    if unknown:
+        raise ConfigError(f"unknown config key{'s' if len(unknown) > 1 else ''}: "
+                          + ", ".join(unknown))
+    return cfg
 
 
 def scenario_to_dict(cfg: ScenarioConfig) -> dict:
@@ -220,91 +241,34 @@ def scenario_to_dict(cfg: ScenarioConfig) -> dict:
     a document cannot: per-axis models that differ within the position or
     attitude group, or a callable disturbance.
     """
-    for i, fn in enumerate(cfg.uncertainty.delta_callables):
-        if fn is not None:
-            raise ConfigError(
-                f"cannot save uncertainty.delta_callables[{i}] (axis {AXIS_NAMES[i]}): "
-                "a callable disturbance has no scenario-document form")
-    pos_err, att_err = _group_values(cfg.sensors.large_error, "sensors.large_error")
-    pos_noise, ang_noise = _group_values(cfg.sensors.position_noise,
-                                         "sensors.position_noise")
-    vel_noise, rate_noise = _group_values(cfg.sensors.velocity_noise,
-                                          "sensors.velocity_noise")
-    pos_corr, att_corr = _group_values(cfg.correctors, "correctors")
-    pos_obs, att_obs = _group_values(cfg.observers, "observers")
+    return _document(cfg, "")
 
-    def noise_dict(n: NoiseMixture) -> dict:
-        return {"gaussian_std": n.gaussian_std, "uniform_halfwidth": n.uniform_halfwidth,
-                "impulse_prob": n.impulse_prob, "impulse_magnitude": n.impulse_magnitude}
 
-    def err_dict(m: LargeErrorModel) -> dict:
-        return {"constant": m.constant, "sinusoids": [list(s) for s in m.sinusoids],
-                "walk_step": m.walk_step, "walk_period": m.walk_period, "bound": m.bound}
+def estimator_values(doc: dict) -> dict[str, dict[str, float]]:
+    """The corrector and observer parameters of each group, keyed by section
+    (``corrector.position``, ...), type-checked but not range-checked, so
+    that the selection rules can report on out-of-range values."""
+    hints = _hints(ScenarioConfig)
+    return {key: _fields(get_args(hints[name])[0], _section(_object(doc, ""), key, ""), key)
+            for name in ("correctors", "observers") for key in _KEYS[name]}
 
-    doc = {
-        "duration": cfg.duration,
-        "dt": cfg.dt,
-        "seed": cfg.seed,
-        "sample_interval": cfg.sample_interval,
-        "estimator_init": cfg.estimator_init,
-        "control_source": cfg.control_source,
-        "uncertainty_feed": cfg.uncertainty_feed,
-        "corrector_substeps": cfg.corrector_substeps,
-        "initial_offset": list(cfg.initial_offset),
-        "uav": {k: getattr(cfg.uav, k)
-                for k in ("m", "g", "l", "J_psi", "J_theta", "J_phi", "b", "k")},
-        "uncertainty": {
-            "drag": {a: cfg.uncertainty.drag[i] for i, a in enumerate(AXIS_NAMES)},
-            "delta": {a: {"constant": cfg.uncertainty.delta_constant[i],
-                          "sinusoids": [list(s) for s in cfg.uncertainty.delta_sinusoids[i]]}
-                      for i, a in enumerate(AXIS_NAMES)},
-            "l_sigma": cfg.uncertainty.l_sigma,
-        },
-        "sensors": {
-            "position_period": cfg.sensors.position_period,
-            "velocity_period": cfg.sensors.velocity_period,
-            "dropouts": [list(d) for d in cfg.sensors.dropouts],
-            "position_large_error": err_dict(pos_err),
-            "attitude_large_error": err_dict(att_err),
-            "position_noise": noise_dict(pos_noise),
-            "angle_noise": noise_dict(ang_noise),
-            "velocity_noise": noise_dict(vel_noise),
-            "rate_noise": noise_dict(rate_noise),
-        },
-        "corrector": {
-            "position": {"k1": pos_corr.k1, "k2": pos_corr.k2,
-                         "alpha_c": pos_corr.alpha_c, "eps_c": pos_corr.eps_c},
-            "attitude": {"k1": att_corr.k1, "k2": att_corr.k2,
-                         "alpha_c": att_corr.alpha_c, "eps_c": att_corr.eps_c},
-        },
-        "observer": {
-            "position": {"k3": pos_obs.k3, "k4": pos_obs.k4,
-                         "alpha_o": pos_obs.alpha_o, "eps_o": pos_obs.eps_o},
-            "attitude": {"k3": att_obs.k3, "k4": att_obs.k4,
-                         "alpha_o": att_obs.alpha_o, "eps_o": att_obs.eps_o},
-        },
-        "control": {"kp1": cfg.gains.kp1, "kp2": cfg.gains.kp2,
-                    "ka1": cfg.gains.ka1, "ka2": cfg.gains.ka2},
-        "ekf": {"q": cfg.ekf.q, "r1": cfg.ekf.r1, "r2": cfg.ekf.r2, "p0": cfg.ekf.p0},
-        "trajectory": {"kind": cfg.trajectory.kind, "radius": cfg.trajectory.radius,
-                       "speed": cfg.trajectory.speed, "altitude": cfg.trajectory.altitude,
-                       "climb_time": cfg.trajectory.climb_time,
-                       "start_x": cfg.trajectory.start_x, "start_y": cfg.trajectory.start_y},
-    }
-    return doc
+
+def read_document(path) -> dict:
+    """The JSON object in the file at ``path``."""
+    p = Path(path)
+    try:
+        doc = json.loads(p.read_text())
+    except FileNotFoundError:
+        raise ConfigError(f"config file not found: {p}") from None
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ConfigError(f"cannot read config file {p}: {exc}") from exc
+    except json.JSONDecodeError as exc:
+        raise ConfigError(f"config is not valid JSON: {exc}") from exc
+    return _object(doc, "")
 
 
 def load_scenario(path) -> ScenarioConfig:
-    p = Path(path)
-    if not p.exists():
-        raise ConfigError(f"config file not found: {p}")
-    try:
-        doc = json.loads(p.read_text())
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"config is not valid JSON: {exc}") from exc
-    if not isinstance(doc, dict):
-        raise ConfigError("config document must be a JSON object")
-    return scenario_from_dict(doc)
+    return scenario_from_dict(read_document(path))
 
 
 def save_scenario(cfg: ScenarioConfig, path) -> None:

@@ -114,8 +114,8 @@ class ScenarioConfig:
     initial_offset: tuple[float, ...] = (0.0,) * 12  # added to the on-trajectory start
 
     def __post_init__(self):
-        if self.duration <= 0 or self.dt <= 0:
-            raise ValueError("duration and dt must be positive")
+        if not (0 < self.duration < math.inf and 0 < self.dt < math.inf):
+            raise ValueError("duration and dt must be positive and finite")
         if self.dt > min(self.sensors.position_period, self.sensors.velocity_period):
             raise ValueError("dt must not exceed the fastest sensor period")
         n = self.sample_interval / self.dt

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import hashlib
 import json
 import subprocess
 import sys
@@ -80,6 +81,61 @@ def test_bundled_configs_round_trip_exactly(tmp_path):
         path = tmp_path / f"{name}.cfg"
         save_scenario(cfg, path)
         assert load_scenario(path) == cfg
+
+
+# SHA-256 of `save_scenario` output for the bundled documents: the document
+# format must not change.
+SAVED_SHA256 = {
+    "paper_sec6": "296c6cfa4ccc5be1a458e2f357394f76ef242ec5f3aebd1aa582424f986f6f51",
+    "paper_fig5": "dcc8aa8a201172fff7fa29f07be5b851526c57b34199d4e36c4f771938e7de31",
+    "noise_only": "5c524cb283f706096f49bbcc882610fad6160435634c05a418b3808e7ef263eb",
+}
+
+
+@pytest.mark.parametrize("name", BUNDLED_CONFIGS)
+def test_saved_bundled_config_bytes_are_pinned(tmp_path, name):
+    path = tmp_path / f"{name}.cfg"
+    save_scenario(load_scenario(bundled_config_path(name)), path)
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == SAVED_SHA256[name]
+
+
+def _edit(doc: dict, path: str, value) -> dict:
+    """A copy of ``doc`` with the value at dotted ``path`` set."""
+    doc = json.loads(json.dumps(doc))
+    *outer, last = path.split(".")
+    node = doc
+    for key in outer:
+        node = node[key]
+    node[last] = value
+    return doc
+
+
+REFUSED_VALUES = [
+    ("corrector_substeps", 2.5),
+    ("seed", 1.7),
+    ("seed", True),
+    ("ekf.q", True),
+    ("ekf.r1", "0.46"),
+    ("duration", float("inf")),
+    ("trajectory.kind", 3),
+    ("uav.m", "heavy"),
+    ("sensors.dropouts", [[1]]),
+    ("uncertainty.delta.x.sinusoids", [5]),
+    ("initial_offset", 0.0),
+    ("uncertainty.drag", [0.01] * 6),
+    ("corrector.position", 1.0),
+    ("sample_intervall", 0.02),
+    ("uncertainty.delta.x.amplitude", 0.3),
+    ("trajectory.radus", 3.0),
+]
+
+
+@pytest.mark.parametrize("path, value", REFUSED_VALUES,
+                         ids=[f"{p}={v!r}" for p, v in REFUSED_VALUES])
+def test_bad_value_or_unknown_key_names_its_key(sec6_doc, path, value):
+    with pytest.raises(ConfigError) as err:
+        scenario_from_dict(_edit(sec6_doc, path, value))
+    assert path in str(err.value)
 
 
 def _set_axis(values: tuple, axis: int, **changes) -> tuple:
@@ -210,6 +266,54 @@ def test_cli_run_unknown_trajectory_kind(tmp_path, sec6_doc, capsys):
     assert err.startswith("config error:") and err.count("\n") == 1
     assert "spiral" in err and "trajectory.kind" in err
     assert not (tmp_path / "o").exists()
+
+
+RUN_REFUSES = [
+    ("estimator_init", "bogus"),
+    ("uav.m", "heavy"),
+    ("corrector_substeps", 0),
+    ("trajectory.kind", "spiral"),
+    ("sample_intervall", 0.01),
+]
+
+
+@pytest.mark.parametrize("path, value", RUN_REFUSES, ids=[p for p, _ in RUN_REFUSES])
+def test_cli_validate_refuses_what_run_refuses(tmp_path, sec6_doc, capsys, path, value):
+    cfgp = write_quick(_edit(sec6_doc, path, value), tmp_path, duration=1.0)
+    for argv in (["validate", "--config", cfgp],
+                 ["run", "--config", cfgp, "--out", str(tmp_path / "o")]):
+        rc = main(argv)
+        captured = capsys.readouterr()
+        assert rc == 1, argv[0]
+        assert "validation passed" not in captured.out
+        assert captured.err.startswith("config error:") and captured.err.count("\n") == 1
+        assert path in captured.err
+    assert not (tmp_path / "o").exists()
+
+
+def test_cli_infinite_duration_override_is_config_error(tmp_path, sec6_doc, capsys):
+    cfgp = write_quick(sec6_doc, tmp_path)
+    rc = main(["run", "--config", cfgp, "--out", str(tmp_path / "o"), "--duration", "inf"])
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert err.startswith("config error:") and "duration" in err and err.count("\n") == 1
+
+
+USAGE_ERRORS = [
+    ["validate", "--config", "paper_sec6", "--out", "x"],
+    ["run"],
+    ["run", "--config", "paper_sec6", "--seed", "one"],
+    ["fly", "--config", "paper_sec6"],
+]
+
+
+@pytest.mark.parametrize("argv", USAGE_ERRORS, ids=[" ".join(a) for a in USAGE_ERRORS])
+def test_cli_usage_error_exits_1_with_one_line(capsys, argv):
+    with pytest.raises(SystemExit) as stop:
+        main(argv)
+    err = capsys.readouterr().err
+    assert stop.value.code == 1
+    assert err.startswith("corrobs") and "error:" in err and err.count("\n") == 1
 
 
 def test_cli_validate_conservative_no_warnings(tmp_path, sec6_doc, capsys):
