@@ -4,12 +4,8 @@ quadrotor navigation-and-control simulation and an EKF comparison baseline.
 """
 
 from .estimators import (AxisMeasurement, CorrectorParams, CorrectorState,
-                         GeneralCorrectorSpec, GeneralObserverSpec,
-                         ObserverParams, ObserverState, corrector_derivative,
-                         fractional_corrector_spec, fractional_observer_spec,
-                         general_corrector_derivative,
-                         general_observer_derivative, observer_derivative,
-                         step_corrector, step_observer)
+                         ObserverParams, ObserverState, step_corrector,
+                         step_observer)
 from .fractional import falpha
 from .freq import (DescribingFunctionResult, LinearizedSystem,
                    ParamValidationReport, corrector_natural_frequency,
@@ -17,14 +13,13 @@ from .freq import (DescribingFunctionResult, LinearizedSystem,
                    linearize_observer, observer_natural_frequency,
                    omega_coefficient, validate_corrector_params,
                    validate_observer_params)
-from .plant import (UavParams, UavState, UncertaintyModel, WrenchInput,
-                    dynamics_derivative, hover_thrust, rotor_forces_to_wrench,
-                    sigma, step_plant)
+from .plant import (UavParams, UncertaintyModel, WrenchInput,
+                    dynamics_derivative, sigma, step_plant)
 from .sensors import (LargeErrorModel, LargeErrorProcess, MeasurementFrame,
                       NoiseMixture, SensorConfig, SensorSuite, sample_noise)
 from .control import (CircleTrajectory, ControlGains, EstimateBundle,
                       HoverTrajectory, TrajectoryPoint, attitude_control,
-                      feedforward_terms, position_control, uncertainty_rescale)
+                      position_control, uncertainty_rescale)
 from .ekf import EkfConfig, EkfState, ekf_init, ekf_predict, ekf_update
 from .engine import (DecouplingReport, ScenarioConfig, SimulationDiverged,
                      SweepResult, TraceLog, TrajectorySpec, convergence_study,

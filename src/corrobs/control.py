@@ -23,7 +23,7 @@ from .plant import UavParams, WrenchInput
 
 __all__ = [
     "TrajectoryPoint", "CircleTrajectory", "HoverTrajectory", "ControlGains",
-    "EstimateBundle", "feedforward_terms", "position_control",
+    "EstimateBundle", "position_control",
     "attitude_control", "uncertainty_rescale", "wrench_from_controls",
 ]
 
@@ -130,14 +130,6 @@ class EstimateBundle(NamedTuple):
     vel: np.ndarray
     delta_p: np.ndarray
     delta_a: np.ndarray
-
-
-def feedforward_terms(tp: TrajectoryPoint, params: UavParams) -> tuple[np.ndarray, np.ndarray]:
-    """Xi_p = -m*(acc_xy, acc_z + g); Xi_a = -J*acc_attitude."""
-    xi_p = -params.m * tp.acc[:3]
-    xi_p[2] -= params.m * params.g
-    xi_a = -np.array(params.inertias) * tp.acc[3:]
-    return xi_p, xi_a
 
 
 def _position_law(pos, vel, delta_p, tp_pos, tp_vel, tp_acc, m: float, g: float,

@@ -29,7 +29,7 @@ from .ekf import (EkfConfig, EkfDivergence, EkfState, _floats, _predict,
 from .estimators import (CorrectorParams, CorrectorState, ObserverParams,
                          ObserverState, _observer_rk4, step_corrector, step_observer)
 from .plant import (AXIS_NAMES, UavParams, UncertaintyModel, _axis_constants,
-                    _plant_rk4, input_acceleration_scalars, sigma_vector,
+                    _plant_rk4, dynamics_derivative, input_acceleration_scalars,
                     true_delta)
 # The loop calls the kernels behind these steppers.  They stay attributes of
 # this module because perfbench/tracer.py wraps the engine-level names.
@@ -114,8 +114,9 @@ class ScenarioConfig:
     initial_offset: tuple[float, ...] = (0.0,) * 12  # added to the on-trajectory start
 
     def __post_init__(self):
-        if not (0 < self.duration < math.inf and 0 < self.dt < math.inf):
-            raise ValueError("duration and dt must be positive and finite")
+        for name in ("duration", "dt", "sample_interval"):
+            if not 0 < getattr(self, name) < math.inf:
+                raise ValueError(f"{name} must be positive and finite")
         if self.dt > min(self.sensors.position_period, self.sensors.velocity_period):
             raise ValueError("dt must not exceed the fastest sensor period")
         n = self.sample_interval / self.dt
@@ -304,8 +305,8 @@ def run_scenario(cfg: ScenarioConfig, *, record_controls: bool = False,
             if feed == "estimates":
                 dp, da = _rescale(o4, m, inert)
             elif feed == "truth":
-                dp = [true_delta(a, s, t, unc, params) for a in range(3)]
-                da = [true_delta(a, s, t, unc, params) for a in range(3, 6)]
+                delta = [true_delta(a, s[6 + a], t, unc, params) for a in axes6]
+                dp, da = delta[:3], delta[3:]
             else:
                 dp = da = zeros3
             wrench = (_position_law(est_pos, est_vel, dp, tp_pos, tp_vel, tp_acc,
@@ -408,16 +409,11 @@ def metrics(trace: TraceLog, settle: float,
         out["ekf"][name] = {"max": mx, "rms": rms}
 
     if scenario is not None:
-        scales = (scenario.uav.m,) * 3 + (scenario.uav.J_psi, scenario.uav.J_theta,
-                                          scenario.uav.J_phi)
+        unc, uav = scenario.uncertainty, scenario.uav
+        scales = (uav.m,) * 3 + uav.inertias
         for a, name in enumerate(AXIS_NAMES):
-            vel = trace.column(f"true_v{name}")
-            lever = scenario.uav.l if a >= 4 else 1.0
-            delta_true = np.array([
-                -lever * scenario.uncertainty.drag[a] * v
-                + scenario.uncertainty.delta(a, ti)
-                for v, ti in zip(vel, t)
-            ])
+            delta_true = np.array([true_delta(a, v, ti, unc, uav)
+                                   for v, ti in zip(trace.column(f"true_v{name}"), t)])
             delta_hat = scales[a] * trace.column(f"obs_sigma_{name}")
             err = np.abs(delta_hat - delta_true)
             mx, rms = _window_stats(err, mask)
@@ -446,16 +442,11 @@ def ideal_tracking_errors(params: UavParams, unc: UncertaintyModel,
 
     def deriv(s: np.ndarray, t: float) -> np.ndarray:
         tp = traj.point(t)
-        dp = np.array([true_delta(a, s, t, unc, params) for a in range(3)])
-        da = np.array([true_delta(a, s, t, unc, params) for a in range(3, 6)])
-        bundle = EstimateBundle(s[:6], s[6:], dp, da)
+        delta = np.array([true_delta(a, s[6 + a], t, unc, params) for a in range(6)])
+        bundle = EstimateBundle(s[:6], s[6:], delta[:3], delta[3:])
         wrench = wrench_from_controls(position_control(bundle, tp, gains, params),
                                       attitude_control(bundle, tp, gains, params))
-        out = np.empty(12)
-        out[:6] = s[6:]
-        out[6:] = np.array(input_acceleration_scalars(wrench, params)) \
-            + sigma_vector(s, t, unc, params)
-        return out
+        return dynamics_derivative(s, wrench, unc, params, t)
 
     n_ticks = int(round(duration / dt))
     sample_every = int(round(sample_interval / dt))

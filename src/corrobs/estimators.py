@@ -15,36 +15,31 @@ tens of meters of raw GNSS error) and y_o2 is an accurate rate channel.
 * The *observer* reconstructs x2 and the lumped uncertainty sigma(t) from
   y_o2 and the known input h(t).
 
-Both are exposed as pure derivative functions plus one-step integrators with
-measurements held constant over the step (zero-order hold).  The general
-templates accept arbitrary feedback functions and reduce to the concrete
-fractional-power forms exactly.
+With [v]^a = |v|^a*sign(v), the two right-hand sides are
+
+    dxhat1 = xhat2
+    dxhat2 = ( -k1*[eps_c*(xhat1 - y_o1)]^(alpha_c/(2-alpha_c))
+               -k2*[xhat2 - y_o2]^alpha_c ) / eps_c^3
+    dxhat3 = xhat4 - (k4/eps_o)*[xhat3 - y_o2]^((alpha_o+1)/2) + h
+    dxhat4 = -(k3/eps_o^2)*[xhat3 - y_o2]^alpha_o
+
+Both are exposed as one-step integrators with measurements held constant
+over the step (zero-order hold).
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from functools import cached_property, partial
 from math import copysign, isfinite
-from typing import Callable, NamedTuple
+from typing import NamedTuple
 
-from .fractional import falpha, relay_step
+from .fractional import relay_step
 
 __all__ = [
     "CorrectorParams", "CorrectorState", "ObserverParams", "ObserverState",
-    "AxisMeasurement", "GeneralCorrectorSpec", "GeneralObserverSpec",
-    "corrector_derivative", "observer_derivative",
-    "general_corrector_derivative", "general_observer_derivative",
-    "fractional_corrector_spec", "fractional_observer_spec",
-    "step_corrector", "step_observer",
+    "AxisMeasurement", "step_corrector", "step_observer",
 ]
-
-
-def _require_finite(*values: float) -> None:
-    for v in values:
-        if not math.isfinite(v):
-            raise ValueError(f"non-finite value in estimator input: {v}")
 
 
 @dataclass(frozen=True)
@@ -124,130 +119,6 @@ class AxisMeasurement(NamedTuple):
     y_o2: float
     t: float
     y_o1_fresh: bool = True
-
-
-@dataclass(frozen=True)
-class GeneralCorrectorSpec:
-    """Pluggable corrector feedback: continuous f_c with f_c(0, 0) = 0.
-
-    ``rho`` and ``hoelder_const`` describe the Hoelder bound
-    |f_c(a, w) - f_c(b, w)| <= hoelder_const*|a - b|**rho assumed of f_c in
-    its first argument; `hoelder_holds` spot-checks it on samples.
-    """
-
-    f_c: Callable[[float, float], float]
-    rho: float = 1.0
-    hoelder_const: float = 0.0
-
-    def __post_init__(self):
-        if not 0.0 < self.rho <= 1.0:
-            raise ValueError("rho must be in (0, 1]")
-        if self.hoelder_const < 0.0:
-            raise ValueError("Hoelder constant must be nonnegative")
-
-    def hoelder_holds(self, first_args, second_arg: float,
-                      rel_slack: float = 1e-12) -> bool:
-        """Check the recorded Hoelder bound on all pairs of sampled points."""
-        pts = [float(v) for v in first_args]
-        for i, a in enumerate(pts):
-            fa = self.f_c(a, second_arg)
-            for b in pts[i + 1:]:
-                gap = abs(fa - self.f_c(b, second_arg))
-                bound = self.hoelder_const * abs(a - b) ** self.rho
-                if gap > bound * (1.0 + rel_slack) + 1e-300:
-                    return False
-        return True
-
-
-@dataclass(frozen=True)
-class GeneralObserverSpec:
-    """Pluggable observer feedback: continuous f_o1, f_o2 vanishing at 0."""
-
-    f_o1: Callable[[float], float]
-    f_o2: Callable[[float], float]
-
-
-def general_corrector_derivative(state: CorrectorState, meas: AxisMeasurement,
-                                 spec: GeneralCorrectorSpec,
-                                 eps_c: float) -> tuple[float, float]:
-    """General corrector template.
-
-    dxhat1 = xhat2
-    dxhat2 = f_c(eps_c*(xhat1 - y_o1), xhat2 - y_o2) / eps_c**3
-    """
-    xhat1, xhat2 = state
-    _require_finite(xhat1, xhat2, meas.y_o1, meas.y_o2)
-    if not 0.0 < eps_c < 1.0:
-        raise ValueError("eps_c must be in (0, 1)")
-    fb = spec.f_c(eps_c * (xhat1 - meas.y_o1), xhat2 - meas.y_o2)
-    return xhat2, fb / (eps_c * eps_c * eps_c)
-
-
-def general_observer_derivative(state: ObserverState, y_o2: float, h: float,
-                                spec: GeneralObserverSpec,
-                                eps_o: float) -> tuple[float, float]:
-    """General observer template.
-
-    dxhat3 = xhat4 + f_o1(xhat3 - y_o2)/eps_o + h
-    dxhat4 = f_o2(xhat3 - y_o2)/eps_o**2
-    """
-    xhat3, xhat4 = state
-    _require_finite(xhat3, xhat4, y_o2, h)
-    if not 0.0 < eps_o < 1.0:
-        raise ValueError("eps_o must be in (0, 1)")
-    innov = xhat3 - y_o2
-    d3 = xhat4 + spec.f_o1(innov) / eps_o + h
-    d4 = spec.f_o2(innov) / (eps_o * eps_o)
-    return d3, d4
-
-
-def fractional_corrector_spec(p: CorrectorParams) -> GeneralCorrectorSpec:
-    """The concrete fractional-power corrector feedback as a pluggable spec."""
-    kappa = p.kappa
-
-    def f_c(a: float, b: float) -> float:
-        return -p.k1 * falpha(a, kappa) - p.k2 * falpha(b, p.alpha_c)
-
-    # |x^rho - y^rho| <= 2^(1-rho) |x - y|^rho gives the Hoelder data for the
-    # position-channel term.
-    return GeneralCorrectorSpec(f_c, rho=kappa,
-                                hoelder_const=p.k1 * 2.0 ** (1.0 - kappa))
-
-
-def fractional_observer_spec(p: ObserverParams) -> GeneralObserverSpec:
-    """The concrete fractional-power observer feedback as a pluggable spec."""
-    beta = 0.5 * (p.alpha_o + 1.0)
-
-    def f_o1(e: float) -> float:
-        return -p.k4 * falpha(e, beta)
-
-    def f_o2(e: float) -> float:
-        return -p.k3 * falpha(e, p.alpha_o)
-
-    return GeneralObserverSpec(f_o1, f_o2)
-
-
-def corrector_derivative(state: CorrectorState, meas: AxisMeasurement,
-                         p: CorrectorParams) -> tuple[float, float]:
-    """Concrete signal corrector right-hand side.
-
-    dxhat1 = xhat2
-    dxhat2 = ( -k1*|eps_c*(xhat1 - y_o1)|^(alpha_c/(2-alpha_c))*sign(xhat1 - y_o1)
-               -k2*|xhat2 - y_o2|^alpha_c*sign(xhat2 - y_o2) ) / eps_c^3
-    """
-    return general_corrector_derivative(state, meas, fractional_corrector_spec(p),
-                                        p.eps_c)
-
-
-def observer_derivative(state: ObserverState, y_o2: float, h: float,
-                        p: ObserverParams) -> tuple[float, float]:
-    """Concrete uncertainty observer right-hand side.
-
-    dxhat3 = xhat4 - (k4/eps_o)*|xhat3 - y_o2|^((alpha_o+1)/2)*sign(xhat3 - y_o2) + h
-    dxhat4 = -(k3/eps_o^2)*|xhat3 - y_o2|^alpha_o*sign(xhat3 - y_o2)
-    """
-    return general_observer_derivative(state, y_o2, h, fractional_observer_spec(p),
-                                       p.eps_o)
 
 
 def step_corrector(state: CorrectorState, meas: AxisMeasurement,

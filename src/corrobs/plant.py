@@ -7,9 +7,8 @@ with yaw psi, pitch theta, roll phi.  Each axis obeys
 
 where h_i is the known input (wrench component over mass or inertia, minus
 gravity on the vertical axis) and sigma_i lumps drag and unmodelled
-disturbances.  The plant is driven directly by the six-component wrench; the
-rotor-thrust aggregation is provided for consistency checks but rotor-level
-allocation is out of scope.
+disturbances.  The plant is driven directly by the six-component wrench;
+rotor-level thrust allocation is out of scope.
 """
 
 from __future__ import annotations
@@ -22,10 +21,8 @@ from typing import Callable, NamedTuple, Sequence
 import numpy as np
 
 __all__ = [
-    "UavParams", "UavState", "WrenchInput", "UncertaintyModel",
-    "AXIS_NAMES", "sigma", "sigma_vector", "true_delta",
-    "input_accelerations", "dynamics_derivative",
-    "rotor_forces_to_wrench", "hover_thrust", "step_plant", "wrap_angle",
+    "UavParams", "WrenchInput", "UncertaintyModel", "AXIS_NAMES", "sigma",
+    "true_delta", "dynamics_derivative", "step_plant",
 ]
 
 AXIS_NAMES = ("x", "y", "z", "psi", "theta", "phi")
@@ -52,28 +49,6 @@ class UavParams:
     @property
     def inertias(self) -> tuple[float, float, float]:
         return (self.J_psi, self.J_theta, self.J_phi)
-
-
-class UavState(NamedTuple):
-    x: float
-    y: float
-    z: float
-    psi: float
-    theta: float
-    phi: float
-    vx: float
-    vy: float
-    vz: float
-    vpsi: float
-    vtheta: float
-    vphi: float
-
-    def as_array(self) -> np.ndarray:
-        return np.array(self, dtype=float)
-
-    @classmethod
-    def from_array(cls, arr: Sequence[float]) -> "UavState":
-        return cls(*(float(v) for v in arr))
 
 
 class WrenchInput(NamedTuple):
@@ -144,29 +119,23 @@ def _axis_scale(axis: int, params: UavParams) -> tuple[float, float]:
     raise ValueError(f"axis index out of range: {axis}")
 
 
-def sigma(axis: int, state: Sequence[float], t: float, unc: UncertaintyModel,
-          params: UavParams) -> float:
-    """Lumped uncertainty acceleration sigma_i on one axis (0-based index)."""
-    inv, lever = _axis_scale(axis, params)
-    vel = state[6 + axis]
-    return inv * (-lever * unc.drag[axis] * vel + unc.delta(axis, t))
-
-
-def sigma_vector(state: Sequence[float], t: float, unc: UncertaintyModel,
-                 params: UavParams) -> np.ndarray:
-    return np.array([sigma(i, state, t, unc, params) for i in range(6)])
-
-
-def true_delta(axis: int, state: Sequence[float], t: float, unc: UncertaintyModel,
+def true_delta(axis: int, vel: float, t: float, unc: UncertaintyModel,
                params: UavParams) -> float:
-    """Uncertainty force/torque seen by the control error system.
+    """Uncertainty force/torque on one axis at velocity ``vel`` and time t.
 
     delta_p components are Delta_i - k_i*v_i (position axes); delta_a
-    components carry the arm-length lever on the pitch/roll drag.  Equals
-    sigma_i scaled back by the mass or inertia.
+    components carry the arm-length lever on the pitch/roll drag.
     """
-    inv, lever = _axis_scale(axis, params)
-    return -lever * unc.drag[axis] * state[6 + axis] + unc.delta(axis, t)
+    lever = _axis_scale(axis, params)[1]
+    return -lever * unc.drag[axis] * vel + unc.delta(axis, t)
+
+
+def sigma(axis: int, state: Sequence[float], t: float, unc: UncertaintyModel,
+          params: UavParams) -> float:
+    """Lumped uncertainty acceleration sigma_i on one axis (0-based index):
+    `true_delta` over the mass or inertia."""
+    inv = _axis_scale(axis, params)[0]
+    return inv * true_delta(axis, state[6 + axis], t, unc, params)
 
 
 def input_acceleration_scalars(wrench: WrenchInput,
@@ -183,53 +152,22 @@ def input_acceleration_scalars(wrench: WrenchInput,
     )
 
 
-def input_accelerations(wrench: WrenchInput, params: UavParams) -> np.ndarray:
-    """Array view of the known input terms; see input_acceleration_scalars."""
-    return np.array(input_acceleration_scalars(wrench, params))
-
-
 def dynamics_derivative(state: np.ndarray, wrench: WrenchInput,
                         unc: UncertaintyModel, params: UavParams,
                         t: float) -> np.ndarray:
-    """Time derivative of the 12-component state: xdd_i = h_i + sigma_i."""
+    """Time derivative of the 12-component state: xdd_i = h_i + sigma_i.
+
+    The reference form of the model; `_plant_rk4` integrates the same
+    accelerations with the per-axis factors multiplied out.
+    """
     state = np.asarray(state, dtype=float)
     if not np.all(np.isfinite(state)):
         raise ValueError("non-finite plant state")
+    h = input_acceleration_scalars(wrench, params)
     deriv = np.empty(12)
     deriv[:6] = state[6:]
-    deriv[6:] = input_accelerations(wrench, params) + sigma_vector(state, t, unc, params)
+    deriv[6:] = [h[i] + sigma(i, state, t, unc, params) for i in range(6)]
     return deriv
-
-
-def rotor_forces_to_wrench(forces: Sequence[float], attitude: Sequence[float],
-                           params: UavParams) -> WrenchInput:
-    """Aggregate four rotor thrusts into the body wrench at a given attitude.
-
-    ``attitude`` is (psi, theta, phi).  Torques: yaw from the alternating
-    reactive torques scaled by k/b, pitch from (F3 - F1)*l, roll from
-    (F2 - F4)*l.
-    """
-    f1, f2, f3, f4 = (float(f) for f in forces)
-    if min(f1, f2, f3, f4) < 0.0:
-        raise ValueError("rotor thrusts must be nonnegative")
-    psi, theta, phi = attitude
-    total = f1 + f2 + f3 + f4
-    cpsi, spsi = math.cos(psi), math.sin(psi)
-    cth, sth = math.cos(theta), math.sin(theta)
-    cph, sph = math.cos(phi), math.sin(phi)
-    return WrenchInput(
-        (cpsi * sth * cph + spsi * sph) * total,
-        (spsi * sth * cph - cpsi * sph) * total,
-        cth * cph * total,
-        params.k / params.b * (f1 - f2 + f3 - f4),
-        (f3 - f1) * params.l,
-        (f2 - f4) * params.l,
-    )
-
-
-def hover_thrust(params: UavParams) -> float:
-    """Total thrust that balances gravity."""
-    return params.m * params.g
 
 
 def _axis_constants(unc: UncertaintyModel, params: UavParams):
@@ -293,10 +231,3 @@ def step_plant(state: np.ndarray, wrench: WrenchInput, unc: UncertaintyModel,
                                input_acceleration_scalars(wrench, params),
                                _axis_constants(unc, params), t, dt))
 
-
-def wrap_angle(a: float) -> float:
-    """Wrap an angle to (-pi, pi]; applied at logging time, not in integration."""
-    w = math.fmod(a + math.pi, 2.0 * math.pi)
-    if w <= 0.0:
-        w += 2.0 * math.pi
-    return w - math.pi

@@ -7,7 +7,7 @@ import pytest
 
 from corrobs import (CircleTrajectory, ControlGains, EstimateBundle,
                      HoverTrajectory, UavParams, attitude_control,
-                     feedforward_terms, position_control, uncertainty_rescale)
+                     position_control, uncertainty_rescale)
 
 PARAMS = UavParams()
 GAINS = ControlGains(kp1=2.5, kp2=4.0, ka1=2.5, ka2=4.0)
@@ -76,24 +76,40 @@ def test_hover_trajectory_constant():
 
 
 # ------------------------------------------------------------- feedforward
+# With the estimates on the trajectory and zero uncertainty, the control
+# laws return the feedforward alone: u_p = -Xi_p = m*(acc_xy, acc_z + g) and
+# u_a = -Xi_a = J*acc_attitude.
+
+def on_trajectory(tp) -> EstimateBundle:
+    return bundle(pos=tp.pos, vel=tp.vel)
+
 
 def test_feedforward_hover():
-    xi_p, xi_a = feedforward_terms(HoverTrajectory().point(0.0), PARAMS)
-    assert np.allclose(xi_p, [0.0, 0.0, -2.01 * 9.81], atol=1e-12)
-    assert np.allclose(xi_a, 0.0)
+    tp = HoverTrajectory(1.0, -2.0, 4.0).point(0.0)
+    for params in (PARAMS, UavParams(m=1.0, g=1.0), UavParams(m=2.0, g=1.0)):
+        u = position_control(on_trajectory(tp), tp, GAINS, params)
+        assert u.tolist() == [0.0, 0.0, params.m * params.g]
+        assert np.all(attitude_control(on_trajectory(tp), tp, GAINS, params) == 0.0)
 
 
 def test_feedforward_acceleration_scaling():
     tp = HoverTrajectory().point(0.0)
     tp = tp._replace(acc=np.array([1.0, 0, 0, 0, 0, 0]))
-    xi_p, _ = feedforward_terms(tp, PARAMS)
-    assert xi_p[0] == -2.01
+    u = position_control(on_trajectory(tp), tp, GAINS, PARAMS)
+    assert u[0] == 2.01
 
 
 def test_feedforward_centripetal_magnitude():
     tp = CIRCLE.point(25.0)
-    xi_p, _ = feedforward_terms(tp, PARAMS)
-    assert math.hypot(xi_p[0], xi_p[1]) == pytest.approx(2.01 * 1.0 ** 2 / 5.0, rel=1e-12)
+    u = position_control(on_trajectory(tp), tp, GAINS, PARAMS)
+    assert math.hypot(u[0], u[1]) == pytest.approx(2.01 * 1.0 ** 2 / 5.0, rel=1e-12)
+
+
+def test_feedforward_attitude():
+    tp = HoverTrajectory().point(0.0)
+    tp = tp._replace(acc=np.array([0, 0, 0, 0.4, -0.8, 2.0]))
+    u = attitude_control(on_trajectory(tp), tp, GAINS, PARAMS)
+    assert u.tolist() == [2.5 * 0.4, 1.25 * -0.8, 1.25 * 2.0]
 
 
 # ---------------------------------------------------------------- control

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import hashlib
+import json
 import math
 from dataclasses import replace
 
@@ -120,6 +121,12 @@ def test_scenario_validation():
         hover_config(estimator_init="guess")
     with pytest.raises(ValueError):
         hover_config(initial_offset=(1.0,))
+
+
+@pytest.mark.parametrize("value", [math.inf, math.nan, 0.0, -0.01])
+def test_bad_sample_interval_is_named(sec6, value):
+    with pytest.raises(ValueError, match="sample_interval"):
+        replace(sec6, sample_interval=value)
 
 
 def test_estimator_init_modes():
@@ -329,11 +336,22 @@ GOLDEN = {
     "record_controls": "b5331e2057d1be307b60f97b123dbb7feae7fd89142113e5d4267ab7f05caf64",
     "replay_observer": "dd7f63db1aff57742e191c9e145f18a33c0f1a7250242b01648b9b5dac1a02c1",
     "replay_corrector": "f79c0d3e565c3f45504608b7f1666ac0bf0e04f989821f107ac23ab8c831aa2a",
+    # The post-run paths, recorded before the uncertainty force and the
+    # plant acceleration each moved to a single function: `metrics` of the
+    # paper_sec6 10 s run (its observer section evaluates the true force per
+    # row) and the (times, errors) of `ideal_tracking_errors`.
+    "metrics_paper_sec6_10s":
+        "64ab64857383b2ad40e18efa7c11063d5399a3e6cad8450054d3e082cc96b9c2",
+    "ideal_hover": "b9766e2ba4d54832786d0f3ce9c568fc7f1106f912d2288ef55b803cee8db139",
+    "ideal_circle": "7b6b20a8f56f0405c1ba4c06294ce2327add0cec8361cfc0193ddb5987d118f5",
 }
 
 
-def _digest(array) -> str:
-    return hashlib.sha256(np.ascontiguousarray(array).tobytes()).hexdigest()
+def _digest(*arrays) -> str:
+    h = hashlib.sha256()
+    for array in arrays:
+        h.update(np.ascontiguousarray(array).tobytes())
+    return h.hexdigest()
 
 
 @pytest.fixture(scope="module")
@@ -370,3 +388,22 @@ def test_golden_trace_record_and_replay(sec6):
         replayed = run_scenario(cfg, control_replay=controls,
                                 perturb=(target, 0.5, 1.0))
         assert _digest(replayed.data) == GOLDEN[f"replay_{target}"]
+
+
+def test_golden_metrics_bundled_10s(sec6):
+    cfg = replace(sec6, duration=10.0)
+    summary = metrics(run_scenario(cfg), 5.0, scenario=cfg)
+    digest = hashlib.sha256(json.dumps(summary, sort_keys=True).encode()).hexdigest()
+    assert digest == GOLDEN["metrics_paper_sec6_10s"]
+
+
+@pytest.mark.parametrize("key,spec", [
+    ("ideal_hover", TrajectorySpec(kind="hover", altitude=1.0)),
+    ("ideal_circle", TrajectorySpec(kind="circle", radius=2.0, speed=1.0,
+                                    altitude=2.0, climb_time=1.0)),
+])
+def test_golden_ideal_tracking_errors(key, spec):
+    offsets = [0.5, -0.4, 0.3, 0.02, -0.03, 0.01, 0.1, -0.1, 0.05, 0.01, 0.0, -0.01]
+    times, errors = ideal_tracking_errors(UavParams(), FLIGHT_UNC, ControlGains(), spec,
+                                          offsets, duration=3.0)
+    assert _digest(times, errors) == GOLDEN[key]

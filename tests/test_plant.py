@@ -5,10 +5,9 @@ import math
 import numpy as np
 import pytest
 
-from corrobs import (UavParams, UavState, UncertaintyModel, WrenchInput,
-                     dynamics_derivative, hover_thrust, rotor_forces_to_wrench,
-                     sigma, step_plant)
-from corrobs.plant import input_accelerations, true_delta, wrap_angle
+from corrobs import (UavParams, UncertaintyModel, WrenchInput,
+                     dynamics_derivative, sigma, step_plant)
+from corrobs.plant import AXIS_NAMES, input_acceleration_scalars, true_delta
 
 PARAMS = UavParams()
 NO_UNC = UncertaintyModel()
@@ -27,9 +26,14 @@ FLIGHT_UNC = UncertaintyModel(
 )
 
 
+STATE_NAMES = AXIS_NAMES + tuple(f"v{a}" for a in AXIS_NAMES)
+
+
 def state_with(**kw) -> np.ndarray:
-    s = UavState(*([0.0] * 12))._replace(**kw)
-    return s.as_array()
+    s = np.zeros(12)
+    for name, value in kw.items():
+        s[STATE_NAMES.index(name)] = value
+    return s
 
 
 def test_sigma_zero_at_rest():
@@ -82,13 +86,13 @@ def test_true_delta_matches_sigma_scaling():
     s = rng.uniform(-2, 2, 12)
     scales = (PARAMS.m,) * 3 + PARAMS.inertias
     for axis in range(6):
-        assert true_delta(axis, s, 0.4, FLIGHT_UNC, PARAMS) == pytest.approx(
+        assert true_delta(axis, s[6 + axis], 0.4, FLIGHT_UNC, PARAMS) == pytest.approx(
             scales[axis] * sigma(axis, s, 0.4, FLIGHT_UNC, PARAMS), rel=1e-12)
 
 
 def test_dynamics_hover_trim():
     s = state_with()
-    w = WrenchInput(0.0, 0.0, hover_thrust(PARAMS), 0.0, 0.0, 0.0)
+    w = WrenchInput(0.0, 0.0, PARAMS.m * PARAMS.g, 0.0, 0.0, 0.0)
     deriv = dynamics_derivative(s, w, NO_UNC, PARAMS, 0.0)
     assert np.allclose(deriv, 0.0, atol=1e-12)
 
@@ -110,58 +114,6 @@ def test_dynamics_rejects_nonfinite():
     s[0] = math.nan
     with pytest.raises(ValueError):
         dynamics_derivative(s, ZERO_WRENCH, NO_UNC, PARAMS, 0.0)
-
-
-def test_rotor_wrench_level_equal_thrust():
-    w = rotor_forces_to_wrench((2.0, 2.0, 2.0, 2.0), (0.0, 0.0, 0.0), PARAMS)
-    assert w.u_x == 0.0 and w.u_y == 0.0
-    assert w.u_z == 8.0
-    assert w.u_psi == 0.0 and w.u_theta == 0.0 and w.u_phi == 0.0
-
-
-def test_rotor_wrench_pitch_torque():
-    w = rotor_forces_to_wrench((0.0, 0.0, 1.0, 0.0), (0.0, 0.0, 0.0), PARAMS)
-    assert w.u_theta == pytest.approx(0.2, rel=1e-12)
-
-
-def test_rotor_wrench_yaw_torque():
-    w = rotor_forces_to_wrench((1.0, 0.0, 1.0, 0.0), (0.0, 0.0, 0.0), PARAMS)
-    assert w.u_psi == pytest.approx(2.0 * 5e-4 / 2.923e-3, rel=1e-12)
-    assert w.u_psi == pytest.approx(0.3422, abs=1e-4)
-
-
-def test_rotor_wrench_rejects_negative_thrust():
-    with pytest.raises(ValueError):
-        rotor_forces_to_wrench((-0.1, 0.0, 0.0, 0.0), (0.0, 0.0, 0.0), PARAMS)
-
-
-def test_rotor_wrench_linear_in_forces():
-    rng = np.random.default_rng(12)
-    att = tuple(rng.uniform(-0.5, 0.5, 3))
-    f1 = rng.uniform(0, 5, 4)
-    f2 = rng.uniform(0, 5, 4)
-    wa = np.array(rotor_forces_to_wrench(f1, att, PARAMS))
-    wb = np.array(rotor_forces_to_wrench(f2, att, PARAMS))
-    wc = np.array(rotor_forces_to_wrench(f1 + f2, att, PARAMS))
-    assert np.allclose(wa + wb, wc, rtol=1e-12, atol=1e-12)
-
-
-def test_rotor_wrench_force_norm_preserved():
-    rng = np.random.default_rng(13)
-    for _ in range(50):
-        att = tuple(rng.uniform(-1.2, 1.2, 3))
-        forces = rng.uniform(0, 4, 4)
-        w = rotor_forces_to_wrench(forces, att, PARAMS)
-        total = float(np.sum(forces))
-        assert w.u_x ** 2 + w.u_y ** 2 + w.u_z ** 2 == pytest.approx(total ** 2, rel=1e-12)
-
-
-def test_hover_thrust_values():
-    assert hover_thrust(PARAMS) == 2.01 * 9.81
-    assert hover_thrust(PARAMS) == pytest.approx(19.7181, abs=1e-9)
-    one = UavParams(m=1.0, g=1.0)
-    assert hover_thrust(one) == 1.0
-    assert hover_thrust(UavParams(m=2.0, g=1.0)) == 2.0 * hover_thrust(one)
 
 
 def test_ballistic_closed_form():
@@ -194,7 +146,7 @@ def test_step_plant_matches_classical_stacked_step():
 
 def test_input_accelerations():
     w = WrenchInput(2.01, 4.02, 2.01 * 9.81, 2.5, 2.5, 2.5)
-    h = input_accelerations(w, PARAMS)
+    h = input_acceleration_scalars(w, PARAMS)
     assert np.allclose(h, [1.0, 2.0, 0.0, 1.0, 2.0, 2.0], atol=1e-12)
 
 
@@ -216,16 +168,3 @@ def test_uncertainty_callable_override():
     unc = UncertaintyModel(delta_callables=(lambda t: 2.0 * t,) + (None,) * 5)
     assert unc.delta(0, 3.0) == 6.0
     assert unc.delta(1, 3.0) == 0.0
-
-
-def test_uav_state_array_round_trip():
-    s = UavState(*range(12))
-    assert UavState.from_array(s.as_array()) == s
-
-
-def test_wrap_angle():
-    assert wrap_angle(0.0) == 0.0
-    assert wrap_angle(math.pi) == pytest.approx(math.pi)
-    assert wrap_angle(-math.pi) == pytest.approx(math.pi)
-    assert wrap_angle(3 * math.pi / 2) == pytest.approx(-math.pi / 2)
-    assert wrap_angle(2 * math.pi + 0.25) == pytest.approx(0.25)
