@@ -97,6 +97,20 @@ def test_dynamics_hover_trim():
     assert np.allclose(deriv, 0.0, atol=1e-12)
 
 
+def test_hover_thrust_values():
+    # The thrust that holds the vehicle at rest is m*g for each parameter set.
+    assert PARAMS.m * PARAMS.g == pytest.approx(19.7181, abs=1e-9)
+    for params, thrust in ((PARAMS, 2.01 * 9.81),
+                           (UavParams(m=1.0, g=1.0), 1.0),
+                           (UavParams(m=2.0, g=1.0), 2.0)):
+        w = WrenchInput(0.0, 0.0, thrust, 0.0, 0.0, 0.0)
+        deriv = dynamics_derivative(state_with(), w, NO_UNC, params, 0.0)
+        assert np.allclose(deriv, 0.0, atol=1e-12)
+        w = WrenchInput(0.0, 0.0, 2.0 * thrust, 0.0, 0.0, 0.0)
+        deriv = dynamics_derivative(state_with(), w, NO_UNC, params, 0.0)
+        assert deriv[8] == pytest.approx(params.g, rel=1e-12)
+
+
 def test_dynamics_free_fall():
     deriv = dynamics_derivative(state_with(), ZERO_WRENCH, NO_UNC, PARAMS, 0.0)
     assert deriv[8] == -9.81
