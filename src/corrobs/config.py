@@ -49,11 +49,9 @@ _REQUIRED = frozenset({"duration", "seed", "uav", "control"})
 
 # The document keys of each field not held under its own name (field names
 # are unique across the scenario dataclasses), relative to the section of the
-# dataclass that owns the field.  Two keys hold a per-axis
-# field once for the position group (x, y, z) and once for the attitude group
-# (psi, theta, phi); six keys hold it once per axis; no key means a document
-# has no form for it, so it loads as its default and saving refuses any other
-# value.
+# dataclass that owns the field.  Two keys hold a per-axis field once for the
+# position group (x, y, z) and once for the attitude group (psi, theta, phi);
+# six keys hold it once per axis.
 _KEYS = {
     "gains": ("control",),
     "correctors": ("corrector.position", "corrector.attitude"),
@@ -64,7 +62,6 @@ _KEYS = {
     "drag": tuple(f"drag.{a}" for a in AXIS_NAMES),
     "delta_sinusoids": tuple(f"delta.{a}.sinusoids" for a in AXIS_NAMES),
     "delta_constant": tuple(f"delta.{a}.constant" for a in AXIS_NAMES),
-    "delta_callables": (),
 }
 
 
@@ -150,8 +147,6 @@ def _fields(cls: type, node: dict, path: str, required: bool = False) -> dict:
     kwargs = {}
     for f in fields(cls):
         keys = _KEYS.get(f.name, (f.name,))
-        if not keys:
-            continue
         hint = hints[f.name] if len(keys) == 1 else get_args(hints[f.name])[0]
         parts = []
         for i, key in enumerate(keys):
@@ -189,12 +184,6 @@ def _document(obj: Any, where: str) -> dict:
         value = getattr(obj, f.name)
         name = _join(where, f.name)
         keys = _KEYS.get(f.name, (f.name,))
-        if not keys:
-            for i, (v, default) in enumerate(zip(value, f.default)):
-                if v != default:
-                    raise ConfigError(f"cannot save {name}[{i}] (axis {AXIS_NAMES[i]}): "
-                                      "a scenario document has no form for it")
-            continue
         parts = ((value,) if len(keys) == 1 else
                  _group_values(value, name) if len(keys) == 2 else value)
         for key, part in zip(keys, parts):
@@ -239,7 +228,7 @@ def scenario_to_dict(cfg: ScenarioConfig) -> dict:
 
     Raises ``ConfigError`` naming the field and axis when ``cfg`` holds what
     a document cannot: per-axis models that differ within the position or
-    attitude group, or a callable disturbance.
+    attitude group.
     """
     return _document(cfg, "")
 

@@ -19,8 +19,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from .estimators import AxisMeasurement
 
 __all__ = ["EkfConfig", "EkfState", "EkfDivergence", "ekf_init", "ekf_predict",
@@ -52,10 +50,6 @@ class EkfState:
     p11: float
     p12: float
     p22: float
-
-    @property
-    def covariance(self) -> np.ndarray:
-        return np.array([[self.p11, self.p12], [self.p12, self.p22]])
 
 
 def _check(pos: float, vel: float, p11: float, p12: float, p22: float) -> None:

@@ -412,8 +412,7 @@ def metrics(trace: TraceLog, settle: float,
         unc, uav = scenario.uncertainty, scenario.uav
         scales = (uav.m,) * 3 + uav.inertias
         for a, name in enumerate(AXIS_NAMES):
-            delta_true = np.array([true_delta(a, v, ti, unc, uav)
-                                   for v, ti in zip(trace.column(f"true_v{name}"), t)])
+            delta_true = true_delta(a, trace.column(f"true_v{name}"), t, unc, uav)
             delta_hat = scales[a] * trace.column(f"obs_sigma_{name}")
             err = np.abs(delta_hat - delta_true)
             mx, rms = _window_stats(err, mask)
@@ -681,11 +680,14 @@ def sweep_parameter(cfg: ScenarioConfig, name: str, values: Sequence[float],
                     settle: float = 20.0, jobs: int = 1) -> SweepResult:
     """Run the scenario once per parameter value and tabulate steady errors.
 
-    Results are ordered by the given values regardless of completion order.
+    ``jobs`` (at least 1) is the number of worker processes; results are
+    ordered by the given values regardless of completion order.
     """
     if name not in SWEEPABLE_PARAMETERS:
         known = ", ".join(sorted(SWEEPABLE_PARAMETERS))
         raise ValueError(f"unknown sweep parameter '{name}'; sweepable: {known}")
+    if jobs < 1:
+        raise ValueError(f"jobs must be at least 1, not {jobs}")
     tasks = [(cfg, name, v, settle) for v in values]
     if jobs > 1:
         from concurrent.futures import ProcessPoolExecutor

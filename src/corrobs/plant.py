@@ -38,11 +38,9 @@ class UavParams:
     J_psi: float = 2.5       # yaw inertia, kg m^2
     J_theta: float = 1.25    # pitch inertia, kg m^2
     J_phi: float = 1.25      # roll inertia, kg m^2
-    b: float = 2.923e-3      # rotor force coefficient
-    k: float = 5e-4          # rotor torque coefficient
 
     def __post_init__(self):
-        for name in ("m", "g", "l", "J_psi", "J_theta", "J_phi", "b", "k"):
+        for name in ("m", "g", "l", "J_psi", "J_theta", "J_phi"):
             if not getattr(self, name) > 0:
                 raise ValueError(f"UavParams.{name} must be strictly positive")
 
@@ -64,35 +62,26 @@ class WrenchInput(NamedTuple):
 class UncertaintyModel:
     """Drag coefficients plus unmodelled per-axis disturbances.
 
-    ``delta`` maps each axis to a disturbance signal: either a list of
-    (amplitude, angular frequency, phase) sinusoid triples plus an optional
-    constant offset, or an arbitrary callable of time.  ``l_sigma`` records
-    the assumed bound on the uncertainty derivative.
+    The disturbance Delta_i(t) on each axis is a constant offset plus a sum
+    of (amplitude, angular frequency, phase) sinusoid triples.
     """
 
     drag: tuple[float, ...] = (0.0,) * 6
     delta_sinusoids: tuple[tuple[tuple[float, float, float], ...], ...] = ((),) * 6
     delta_constant: tuple[float, ...] = (0.0,) * 6
-    delta_callables: tuple[Callable[[float], float] | None, ...] = (None,) * 6
-    l_sigma: float = 1.0
 
     def __post_init__(self):
         if len(self.drag) != 6 or len(self.delta_sinusoids) != 6 \
-                or len(self.delta_constant) != 6 or len(self.delta_callables) != 6:
+                or len(self.delta_constant) != 6:
             raise ValueError("uncertainty model fields must have one entry per axis")
         if any(c < 0 for c in self.drag):
             raise ValueError("drag coefficients must be nonnegative")
 
-    def delta(self, axis: int, t: float) -> float:
-        """Unmodelled disturbance on one axis (0-based index) at time t."""
-        return self._disturbances[axis](t)
-
     @cached_property
     def _disturbances(self) -> tuple[Callable[[float], float], ...]:
-        """Per axis, the disturbance as a function of time."""
-        return tuple(fn if fn is not None else partial(_sinusoid_sum, const, sins)
-                     for fn, const, sins in zip(self.delta_callables, self.delta_constant,
-                                                self.delta_sinusoids))
+        """Per axis, the disturbance Delta_i as a function of time."""
+        return tuple(partial(_sinusoid_sum, const, sins)
+                     for const, sins in zip(self.delta_constant, self.delta_sinusoids))
 
 
 def _sinusoid_sum(const: float, sinusoids, t: float) -> float:
@@ -119,15 +108,23 @@ def _axis_scale(axis: int, params: UavParams) -> tuple[float, float]:
     raise ValueError(f"axis index out of range: {axis}")
 
 
-def true_delta(axis: int, vel: float, t: float, unc: UncertaintyModel,
-               params: UavParams) -> float:
-    """Uncertainty force/torque on one axis at velocity ``vel`` and time t.
+def true_delta(axis: int, vel: float | np.ndarray, t: float | np.ndarray,
+               unc: UncertaintyModel, params: UavParams) -> float | np.ndarray:
+    """Uncertainty force/torque on one axis at velocity ``vel`` and time ``t``.
 
     delta_p components are Delta_i - k_i*v_i (position axes); delta_a
-    components carry the arm-length lever on the pitch/roll drag.
+    components carry the arm-length lever on the pitch/roll drag.  ``vel``
+    and ``t`` are either floats or equal-length columns of one axis, which
+    give the force column; Delta_i is evaluated per element with
+    `math.sin` either way, so both forms give the same bits.
     """
     lever = _axis_scale(axis, params)[1]
-    return -lever * unc.drag[axis] * vel + unc.delta(axis, t)
+    fn = unc._disturbances[axis]
+    if isinstance(t, np.ndarray):
+        delta = np.fromiter(map(fn, t.tolist()), float, len(t))
+    else:
+        delta = fn(t)
+    return -lever * unc.drag[axis] * vel + delta
 
 
 def sigma(axis: int, state: Sequence[float], t: float, unc: UncertaintyModel,
@@ -178,7 +175,7 @@ def _axis_constants(unc: UncertaintyModel, params: UavParams):
     for axis in range(6):
         inv, lever = _axis_scale(axis, params)
         fn = unc._disturbances[axis]
-        if unc.delta_callables[axis] is None and not unc.delta_sinusoids[axis]:
+        if not unc.delta_sinusoids[axis]:
             out.append((inv, inv * lever * unc.drag[axis], None, inv * fn(0.0)))
         else:
             out.append((inv, inv * lever * unc.drag[axis], fn, 0.0))

@@ -140,10 +140,6 @@ class MeasurementFrame(tuple):
             raise ValueError("a measurement frame holds exactly six axes")
         return super().__new__(cls, axes)
 
-    @property
-    def t(self) -> float:
-        return self[0].t
-
 
 @dataclass(frozen=True)
 class SensorConfig:

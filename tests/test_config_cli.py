@@ -84,11 +84,11 @@ def test_bundled_configs_round_trip_exactly(tmp_path):
 
 
 # SHA-256 of `save_scenario` output for the bundled documents: the document
-# format must not change.
+# format must not change unnoticed.
 SAVED_SHA256 = {
-    "paper_sec6": "296c6cfa4ccc5be1a458e2f357394f76ef242ec5f3aebd1aa582424f986f6f51",
-    "paper_fig5": "dcc8aa8a201172fff7fa29f07be5b851526c57b34199d4e36c4f771938e7de31",
-    "noise_only": "5c524cb283f706096f49bbcc882610fad6160435634c05a418b3808e7ef263eb",
+    "paper_sec6": "1610620a3b865b0c831cfa125ac0dc2cd60e2de5b8acba66f6bbc0fca0cfd880",
+    "paper_fig5": "6fe0d31bf3cae3aefce3f2b06d122bcc572a9fe280258fd8f5b5175057473353",
+    "noise_only": "fc3bc9378fd41f3c44f0e486de6b1dd6c263898cecc20059861285c86ed9e7b9",
 }
 
 
@@ -127,6 +127,9 @@ REFUSED_VALUES = [
     ("sample_intervall", 0.02),
     ("uncertainty.delta.x.amplitude", 0.3),
     ("trajectory.radus", 3.0),
+    ("uav.b", 0.002923),
+    ("uav.k", 0.0005),
+    ("uncertainty.l_sigma", 1.0),
 ]
 
 
@@ -155,9 +158,6 @@ LOSSY_EDITS = [
     (lambda c: replace(c, sensors=replace(c.sensors, large_error=_set_axis(
         c.sensors.large_error, 2, constant=0.0))),
      "sensors.large_error[2] (axis z)"),
-    (lambda c: replace(c, uncertainty=replace(
-        c.uncertainty, delta_callables=(None, None, abs, None, None, None))),
-     "uncertainty.delta_callables[2] (axis z)"),
 ]
 
 
@@ -274,6 +274,7 @@ RUN_REFUSES = [
     ("corrector_substeps", 0),
     ("trajectory.kind", "spiral"),
     ("sample_intervall", 0.01),
+    ("uav.b", 0.002923),
 ]
 
 
@@ -360,6 +361,18 @@ def test_cli_sweep(tmp_path, sec6_doc):
     lines = (out / "sweep.csv").read_text().splitlines()
     assert len(lines) == 3
     assert lines[0].startswith("eps_o,")
+
+
+@pytest.mark.parametrize("jobs", ["0", "-2"])
+def test_cli_sweep_jobs_below_one_is_config_error(tmp_path, sec6_doc, capsys, jobs):
+    cfgp = write_quick(sec6_doc, tmp_path)
+    out = tmp_path / "o"
+    rc = main(["sweep", "--config", cfgp, "--out", str(out), "--param", "eps_o",
+               "--values", "0.9", "--jobs", jobs])
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert err.startswith("config error:") and "jobs" in err and err.count("\n") == 1
+    assert not out.exists()
 
 
 def test_cli_sweep_unknown_param(tmp_path, sec6_doc, capsys):

@@ -154,6 +154,13 @@ def ref_axis_scale(axis, params):
     return 1.0 / params.J_phi, params.l
 
 
+def ref_delta(unc, axis, t):
+    val = unc.delta_constant[axis]
+    for amp, omega, phase in unc.delta_sinusoids[axis]:
+        val += amp * math.sin(omega * t + phase)
+    return val
+
+
 def ref_step_plant(state, wrench, unc, params, t, dt):
     s = [float(v) for v in state]
     h6 = (
@@ -170,9 +177,9 @@ def ref_step_plant(state, wrench, unc, params, t, dt):
     for axis in range(6):
         inv, lever = ref_axis_scale(axis, params)
         cdrag = inv * lever * unc.drag[axis]
-        d0 = inv * unc.delta(axis, t)
-        dm = inv * unc.delta(axis, tm)
-        de = inv * unc.delta(axis, te)
+        d0 = inv * ref_delta(unc, axis, t)
+        dm = inv * ref_delta(unc, axis, tm)
+        de = inv * ref_delta(unc, axis, te)
         hv = h6[axis]
         v = s[6 + axis]
         a1 = hv - cdrag * v + d0
@@ -281,9 +288,12 @@ def test_step_plant_matches_reference(state, wrench, drag, sins, const, t, dt):
     assert out.tobytes() == ref.tobytes()
 
 
-def test_step_plant_matches_reference_with_callable_disturbance():
+def test_step_plant_matches_reference_with_mixed_disturbance():
+    # sinusoids on x, z and phi, constants (one of them zero) on the others
     unc = UncertaintyModel(drag=(0.1,) * 6,
-                           delta_callables=(math.sin, None, math.cos, None, None, abs))
+                           delta_sinusoids=(((1.0, 1.0, 0.0),), (), ((1.0, 1.0, math.pi / 2),),
+                                            (), (), ((0.5, 2.0, -1.0), (0.1, 7.0, 0.3))),
+                           delta_constant=(0.0, 0.25, -0.5, 0.0, -1.5, 0.2))
     state = np.linspace(-1.0, 1.0, 12)
     w = WrenchInput(0.3, -0.2, 19.7, 0.01, 0.0, -0.0)
     for t in (0.0, 0.37, 12.5):

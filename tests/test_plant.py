@@ -90,6 +90,31 @@ def test_true_delta_matches_sigma_scaling():
             scales[axis] * sigma(axis, s, 0.4, FLIGHT_UNC, PARAMS), rel=1e-12)
 
 
+# Drag on every axis, so the pitch/roll lever applies; sinusoids on x, z and
+# phi, constants (one of them zero) on the others.
+MIXED_UNC = UncertaintyModel(
+    drag=(0.01, 0.02, 0.03, 0.04, 0.05, 0.06),
+    delta_sinusoids=(
+        ((0.3, 1.0, 0.0), (0.2, 0.5, math.pi / 2)), (), ((0.4, 0.6, 0.1),),
+        (), (), ((0.05, 3.0, -1.0),),
+    ),
+    delta_constant=(0.1, -0.2, 0.0, 0.3, 0.0, -0.05),
+)
+
+
+def test_true_delta_column_matches_scalar_calls():
+    rng = np.random.default_rng(12)
+    t = np.arange(2001) * 1e-2
+    for axis in range(6):
+        vel = rng.uniform(-3.0, 3.0, t.size)
+        vel[:3] = (0.0, -0.0, 1e-300)
+        column = true_delta(axis, vel, t, MIXED_UNC, PARAMS)
+        assert column.dtype == np.float64 and column.shape == t.shape
+        for scalars in (zip(vel, t), zip(vel.tolist(), t.tolist())):
+            rows = np.array([true_delta(axis, v, ti, MIXED_UNC, PARAMS) for v, ti in scalars])
+            assert column.tobytes() == rows.tobytes()
+
+
 def test_dynamics_hover_trim():
     s = state_with()
     w = WrenchInput(0.0, 0.0, PARAMS.m * PARAMS.g, 0.0, 0.0, 0.0)
@@ -178,7 +203,11 @@ def test_uncertainty_model_validation():
         UncertaintyModel(drag=(-0.1,) + (0.0,) * 5)
 
 
-def test_uncertainty_callable_override():
-    unc = UncertaintyModel(delta_callables=(lambda t: 2.0 * t,) + (None,) * 5)
-    assert unc.delta(0, 3.0) == 6.0
-    assert unc.delta(1, 3.0) == 0.0
+def test_uncertainty_disturbance_per_axis():
+    # at zero velocity the force is the axis' own disturbance, other axes none
+    unc = UncertaintyModel(drag=(0.5,) * 6, delta_sinusoids=(((2.0, 0.5, 0.25),),) + ((),) * 5,
+                           delta_constant=(0.0, -1.5, 0.0, 0.0, 0.0, 0.0))
+    assert true_delta(0, 0.0, 3.0, unc, PARAMS) == 2.0 * math.sin(1.75)
+    assert true_delta(1, 0.0, 3.0, unc, PARAMS) == -1.5
+    for axis in range(2, 6):
+        assert true_delta(axis, 0.0, 3.0, unc, PARAMS) == 0.0

@@ -112,7 +112,7 @@ def test_measure_noise_free_exact_at_update_instants():
         assert frame[axis].y_o1 == state[axis]
         assert frame[axis].y_o2 == state[6 + axis]
         assert frame[axis].y_o1_fresh
-    assert frame.t == 0.0
+    assert all(m.t == 0.0 for m in frame)
 
 
 def test_measure_holds_between_updates():
