@@ -15,8 +15,8 @@ from .freq import (DescribingFunctionResult, LinearizedSystem,
                    validate_observer_params)
 from .plant import (UavParams, UncertaintyModel, WrenchInput,
                     dynamics_derivative, sigma, step_plant)
-from .sensors import (LargeErrorModel, LargeErrorProcess, MeasurementFrame,
-                      NoiseMixture, SensorConfig, SensorSuite, sample_noise)
+from .sensors import (LargeErrorModel, LargeErrorProcess, NoiseMixture,
+                      SensorConfig, SensorSuite, sample_noise)
 from .control import (CircleTrajectory, ControlGains, EstimateBundle,
                       HoverTrajectory, TrajectoryPoint, attitude_control,
                       position_control, uncertainty_rescale)

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from dataclasses import replace
 from pathlib import Path
@@ -101,9 +102,6 @@ def cmd_validate(args) -> int:
 
 def cmd_analyze(args) -> int:
     cfg = _load(args)
-    if args.amplitude <= 0:
-        print("amplitude must be positive", file=sys.stderr)
-        return EXIT_CONFIG
     out = Path(args.out)
     doc: dict = {"amplitude": args.amplitude, "estimators": {}}
     for label, p in (("corrector_position", cfg.correctors[0]),
@@ -199,6 +197,21 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_CONFIG, f"{self.prog}: error: {message}\n")
 
 
+def _float_arg(ok, requirement: str):
+    """An argparse type: the float a flag's text spells, if ``ok`` holds for it."""
+
+    def parse(text: str) -> float:
+        try:
+            value = float(text)
+        except ValueError:
+            value = math.nan
+        if not ok(value):
+            raise argparse.ArgumentTypeError(f"must be {requirement}, not {text!r}")
+        return value
+
+    return parse
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(
         prog="corrobs",
@@ -215,7 +228,8 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--seed", type=int, default=None, help="seed override")
         p.add_argument("--duration", type=float, default=None,
                        help="duration override, seconds")
-        p.add_argument("--settle", type=float, default=20.0,
+        p.add_argument("--settle", type=_float_arg(lambda v: v >= 0.0, "a number >= 0"),
+                       default=20.0,
                        help="settling time before steady-state metrics")
 
     p = sub.add_parser("run", help="simulate and write trace + metrics")
@@ -228,7 +242,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("analyze", help="describing-function analysis")
     common(p)
-    p.add_argument("--amplitude", type=float, default=1.0,
+    p.add_argument("--amplitude", default=1.0,
+                   type=_float_arg(lambda v: 0.0 < v < math.inf, "positive and finite"),
                    help="innovation oscillation amplitude")
     p.set_defaults(func=cmd_analyze)
 

@@ -18,6 +18,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
+from typing import NamedTuple
 
 from .estimators import AxisMeasurement
 
@@ -41,8 +43,7 @@ class EkfConfig:
             raise ValueError("EKF parameters must be strictly positive")
 
 
-@dataclass(frozen=True)
-class EkfState:
+class EkfState(NamedTuple):
     """Mean (pos, vel) and symmetric covariance entries (p11, p12, p22)."""
 
     pos: float
@@ -61,14 +62,14 @@ def _check(pos: float, vel: float, p11: float, p12: float, p22: float) -> None:
         raise EkfDivergence("non-finite filter mean")
 
 
+# EkfState from a (pos, vel, p11, p12, p22) tuple, without the Python-level
+# __new__ that calling the class goes through.
+_new_state = partial(tuple.__new__, EkfState)
+
+
 def _checked(pos: float, vel: float, p11: float, p12: float, p22: float) -> EkfState:
     _check(pos, vel, p11, p12, p22)
-    return EkfState(pos, vel, p11, p12, p22)
-
-
-def _floats(s: EkfState) -> tuple[float, float, float, float, float]:
-    """(pos, vel, p11, p12, p22), the form `_predict` works on."""
-    return s.pos, s.vel, s.p11, s.p12, s.p22
+    return _new_state((pos, vel, p11, p12, p22))
 
 
 def _process_noise(q: float, dt: float) -> tuple[float, float, float]:
@@ -76,9 +77,8 @@ def _process_noise(q: float, dt: float) -> tuple[float, float, float]:
     return q * dt ** 3 / 3.0, q * dt * dt / 2.0, q * dt
 
 
-def _predict(s: tuple[float, float, float, float, float], dt: float,
-             q: tuple[float, float, float]) -> tuple[float, float, float, float, float]:
-    """Constant-velocity propagation of `_floats` state; ``q`` from `_process_noise`."""
+def _predict(s: EkfState, dt: float, q: tuple[float, float, float]) -> EkfState:
+    """Constant-velocity propagation; ``q`` from `_process_noise`."""
     pos, vel, p11, p12, p22 = s
     q11, q12, q22 = q
     out = (pos + dt * vel, vel,
@@ -86,7 +86,7 @@ def _predict(s: tuple[float, float, float, float, float], dt: float,
            p12 + dt * p22 + q12,
            p22 + q22)
     _check(*out)
-    return out
+    return _new_state(out)
 
 
 def ekf_init(meas: AxisMeasurement, cfg: EkfConfig) -> EkfState:
@@ -101,7 +101,7 @@ def ekf_predict(s: EkfState, dt: float, cfg: EkfConfig) -> EkfState:
     """
     if dt <= 0.0:
         raise ValueError("dt must be positive")
-    return EkfState(*_predict(_floats(s), dt, _process_noise(cfg.q, dt)))
+    return _predict(s, dt, _process_noise(cfg.q, dt))
 
 
 def _update_position(s: EkfState, y: float, r1: float) -> EkfState:

@@ -15,7 +15,6 @@ identical traces.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass, field, replace
 from typing import Sequence
 
@@ -24,8 +23,8 @@ import numpy as np
 from .control import (CircleTrajectory, ControlGains, EstimateBundle,
                       HoverTrajectory, _attitude_law, _position_law, _rescale,
                       attitude_control, position_control, wrench_from_controls)
-from .ekf import (EkfConfig, EkfDivergence, EkfState, _floats, _predict,
-                  _process_noise, ekf_init, ekf_update)
+from .ekf import (EkfConfig, EkfDivergence, _predict, _process_noise, ekf_init,
+                  ekf_update)
 from .estimators import (CorrectorParams, CorrectorState, ObserverParams,
                          ObserverState, _observer_rk4, step_corrector, step_observer)
 from .plant import (AXIS_NAMES, UavParams, UncertaintyModel, _axis_constants,
@@ -108,9 +107,6 @@ class ScenarioConfig:
     ekf: EkfConfig = field(default_factory=lambda: EkfConfig(q=1e-4, r1=0.25, r2=1e-6))
     trajectory: TrajectorySpec = field(default_factory=TrajectorySpec)
     estimator_init: str = "first_measurement"   # or "truth"
-    control_source: str = "estimates"           # or "truth"
-    uncertainty_feed: str = "estimates"         # "truth" | "zero"
-    corrector_substeps: int = 2
     initial_offset: tuple[float, ...] = (0.0,) * 12  # added to the on-trajectory start
 
     def __post_init__(self):
@@ -125,17 +121,10 @@ class ScenarioConfig:
         m = self.duration / self.sample_interval
         if abs(m - round(m)) > 1e-6 or round(m) < 1:
             raise ValueError("duration must be a whole multiple of sample_interval")
-        if not (isinstance(self.corrector_substeps, numbers.Integral)
-                and self.corrector_substeps >= 1):
-            raise ValueError("corrector_substeps must be an integer >= 1")
         if len(self.correctors) != 6 or len(self.observers) != 6:
             raise ValueError("six corrector and six observer parameter sets required")
         if self.estimator_init not in ("first_measurement", "truth"):
             raise ValueError("estimator_init must be 'first_measurement' or 'truth'")
-        if self.control_source not in ("estimates", "truth"):
-            raise ValueError("control_source must be 'estimates' or 'truth'")
-        if self.uncertainty_feed not in ("estimates", "truth", "zero"):
-            raise ValueError("uncertainty_feed must be 'estimates', 'truth' or 'zero'")
         if len(self.initial_offset) != 12:
             raise ValueError("initial_offset needs 12 components")
 
@@ -193,24 +182,26 @@ class TraceLog:
         return cls(np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2))
 
 
-@dataclass(frozen=True)
-class _Perturbation:
-    target: str          # "corrector" or "observer"
-    time: float
-    magnitude: float
-
-
 def run_scenario(cfg: ScenarioConfig, *, record_controls: bool = False,
                  control_replay: np.ndarray | None = None,
                  perturb: tuple[str, float, float] | None = None):
     """Run one closed-loop scenario; returns a TraceLog.
+
+    Tick 0 senses the start state and starts the estimators and the EKF on
+    it (from the first measurement or, with ``estimator_init="truth"``, from
+    the true state).  Every tick then runs control from the corrector
+    estimates and the rescaled observer uncertainty, logs a row when one is
+    due, steps the corrector bank, the observer bank and the plant, predicts
+    the EKF, and senses the next tick, where the EKF absorbs the measurement
+    when the velocity channel is fresh.
 
     With ``record_controls`` the per-tick wrench history is returned as a
     second value; passing it back as ``control_replay`` re-runs the scenario
     open loop (plant and observers driven by the recorded commands instead of
     the live estimates), which is what the decoupling check uses.  ``perturb``
     is (target, time, magnitude): the named estimator bank's states are offset
-    by the magnitude once, at the first tick at or after the given time.
+    by the magnitude once, at the first tick after tick 0 at or after the
+    given time.
 
     The loop keeps every state as plain floats and calls the float kernels
     behind the public steppers with constants worked out once per run; the
@@ -218,7 +209,6 @@ def run_scenario(cfg: ScenarioConfig, *, record_controls: bool = False,
     """
     traj = cfg.trajectory.build()
     params = cfg.uav
-    unc = cfg.uncertainty
     dt = cfg.dt
     n_ticks = int(round(cfg.duration / dt))
     if abs(n_ticks * dt - cfg.duration) > 1e-6:
@@ -226,20 +216,23 @@ def run_scenario(cfg: ScenarioConfig, *, record_controls: bool = False,
     sample_every = int(round(cfg.sample_interval / dt))
     suite = SensorSuite(cfg.sensors, cfg.seed, dt)
     vel_every = suite.velocity_every
-    pert = _Perturbation(*perturb) if perturb is not None else None
-    if pert is not None and pert.target not in ("corrector", "observer"):
-        raise ValueError(f"unknown perturbation target: {pert.target}")
-    pert_done = pert is None
 
-    tp0 = traj.point(0.0)
-    s = (np.concatenate([tp0.pos, tp0.vel]) + np.asarray(cfg.initial_offset)).tolist()
+    pert_tick = -1                # no tick is perturbed
+    if perturb is not None:
+        target, when, magnitude = perturb
+        if target not in ("corrector", "observer"):
+            raise ValueError(f"unknown perturbation target: {target}")
+        pert_tick = next((i for i in range(1, n_ticks + 1) if i * dt >= when), -1)
+    replay = None
+    if control_replay is not None:
+        if len(control_replay) < n_ticks + 1:
+            raise ValueError("control replay shorter than the scenario")
+        replay = control_replay[:n_ticks + 1].tolist()
 
     n_rows = n_ticks // sample_every + 1
     rows = np.empty((n_rows, len(TraceLog.COLUMNS)))
     row_i = 0
     controls = np.empty((n_ticks + 1, 6)) if record_controls else None
-    if control_replay is not None and len(control_replay) < n_ticks + 1:
-        raise ValueError("control replay shorter than the scenario")
 
     # Per-run constants of the kernels, and locals for the per-tick calls.
     measure = suite.measure
@@ -248,67 +241,44 @@ def run_scenario(cfg: ScenarioConfig, *, record_controls: bool = False,
     input_terms = input_acceleration_scalars
     correctors = cfg.correctors
     dts = (dt,) * 6
-    substeps6 = (cfg.corrector_substeps,) * 6
     obs_k = [p._constants for p in cfg.observers]
-    plant_axes = _axis_constants(unc, params)
-    ekf_q = _process_noise(cfg.ekf.q, dt)
+    plant_axes = _axis_constants(cfg.uncertainty, params)
+    ekf_cfg = cfg.ekf
+    ekf_q = _process_noise(ekf_cfg.q, dt)
     m, g, inert = params.m, params.g, params.inertias
     gains = cfg.gains
     kp1, kp2, ka1, ka2 = gains.kp1, gains.kp2, gains.ka1, gains.ka2
-    est_truth = cfg.control_source == "truth"
-    feed = cfg.uncertainty_feed
-    zeros3 = (0.0, 0.0, 0.0)
     axes6 = range(6)
 
-    corr: list[CorrectorState] = []
-    o3: list[float] = []          # observer velocity estimates
-    o4: list[float] = []          # observer uncertainty estimates
-    kf: list[tuple] = []          # EKF (pos, vel, p11, p12, p22) per position axis
+    tp0 = traj.point(0.0)
+    s = (np.concatenate([tp0.pos, tp0.vel]) + np.asarray(cfg.initial_offset)).tolist()
+    frame = measure(s, 0)
+    if cfg.estimator_init == "truth":
+        corr = [CorrectorState(s[a], s[6 + a]) for a in axes6]
+        o3 = s[6:]                # observer velocity estimates
+    else:
+        corr = [CorrectorState(mz.y_o1, mz.y_o2) for mz in frame]
+        o3 = [mz.y_o2 for mz in frame]
+    o4 = [0.0] * 6                # observer uncertainty estimates
+    kf = [ekf_init(frame[a], ekf_cfg) for a in range(3)]
+
     for i in range(n_ticks + 1):
         t = i * dt
-        frame = measure(s, i)
-
-        if i == 0:
-            if cfg.estimator_init == "truth":
-                corr = [CorrectorState(s[a], s[6 + a]) for a in axes6]
-                o3 = s[6:]
+        if i == pert_tick:
+            if target == "observer":
+                o3 = [x + magnitude for x in o3]
+                o4 = [x + magnitude for x in o4]
             else:
-                corr = [CorrectorState(mz.y_o1, mz.y_o2) for mz in frame]
-                o3 = [mz.y_o2 for mz in frame]
-            o4 = [0.0] * 6
-            kf = [_floats(ekf_init(frame[a], cfg.ekf)) for a in range(3)]
-        else:
-            if not pert_done and t >= pert.time:
-                mag = pert.magnitude
-                if pert.target == "observer":
-                    o3 = [x + mag for x in o3]
-                    o4 = [x + mag for x in o4]
-                else:
-                    corr = [CorrectorState(c.xhat1 + mag, c.xhat2 + mag) for c in corr]
-                pert_done = True
-            if i % vel_every == 0:
-                try:
-                    kf = [_floats(ekf_update(EkfState(*kf[a]), frame[a], cfg.ekf))
-                          for a in range(3)]
-                except EkfDivergence as exc:
-                    raise _diverged(i, t, "ekf", exc) from exc
+                corr = [CorrectorState(c.xhat1 + magnitude, c.xhat2 + magnitude)
+                        for c in corr]
 
         tp_pos, tp_vel, tp_acc = coords(t)
-        if control_replay is not None:
-            wrench = control_replay[i].tolist()
+        if replay is not None:
+            wrench = replay[i]
         else:
-            if est_truth:
-                est_pos, est_vel = s[:6], s[6:]
-            else:
-                est_pos = [c.xhat1 for c in corr]
-                est_vel = [c.xhat2 for c in corr]
-            if feed == "estimates":
-                dp, da = _rescale(o4, m, inert)
-            elif feed == "truth":
-                delta = [true_delta(a, s[6 + a], t, unc, params) for a in axes6]
-                dp, da = delta[:3], delta[3:]
-            else:
-                dp = da = zeros3
+            est_pos = [c.xhat1 for c in corr]
+            est_vel = [c.xhat2 for c in corr]
+            dp, da = _rescale(o4, m, inert)
             wrench = (_position_law(est_pos, est_vel, dp, tp_pos, tp_vel, tp_acc,
                                     m, g, kp1, kp2)
                       + _attitude_law(est_pos, est_vel, da, tp_pos, tp_vel, tp_acc,
@@ -328,8 +298,8 @@ def run_scenario(cfg: ScenarioConfig, *, record_controls: bool = False,
             row[31:37] = [c.xhat2 for c in corr]
             row[37:43] = o3
             row[43:49] = o4
-            row[49:52] = [k[0] for k in kf]
-            row[52:55] = [k[1] for k in kf]
+            row[49:52] = [k.pos for k in kf]
+            row[52:55] = [k.vel for k in kf]
             row[55:61] = wrench
             row[61:67] = tp_pos
             row_i += 1
@@ -339,7 +309,7 @@ def run_scenario(cfg: ScenarioConfig, *, record_controls: bool = False,
 
         h6 = input_terms(wrench, params)
         try:
-            corr = list(map(step_corr, corr, frame, correctors, dts, substeps6))
+            corr = list(map(step_corr, corr, frame, correctors, dts))
         except ValueError as exc:
             raise _diverged(i, t, "corrector", exc) from exc
         for a in axes6:
@@ -353,6 +323,14 @@ def run_scenario(cfg: ScenarioConfig, *, record_controls: bool = False,
             kf = [_predict(k, dt, ekf_q) for k in kf]
         except EkfDivergence as exc:
             raise _diverged(i, t, "ekf", exc) from exc
+
+        nxt = i + 1
+        frame = measure(s, nxt)
+        if nxt % vel_every == 0:
+            try:
+                kf = [ekf_update(kf[a], frame[a], ekf_cfg) for a in range(3)]
+            except EkfDivergence as exc:
+                raise _diverged(nxt, nxt * dt, "ekf", exc) from exc
 
     trace = TraceLog(rows)
     if record_controls:
@@ -661,8 +639,7 @@ SWEEPABLE_PARAMETERS = {
 
 
 def _sweep_one(args) -> dict:
-    cfg, name, value, settle = args
-    run_cfg = SWEEPABLE_PARAMETERS[name](cfg, value)
+    run_cfg, name, value, settle = args
     trace = run_scenario(run_cfg)
     summary = metrics(trace, settle, run_cfg)
     row = {name: value}
@@ -681,14 +658,16 @@ def sweep_parameter(cfg: ScenarioConfig, name: str, values: Sequence[float],
     """Run the scenario once per parameter value and tabulate steady errors.
 
     ``jobs`` (at least 1) is the number of worker processes; results are
-    ordered by the given values regardless of completion order.
+    ordered by the given values regardless of completion order.  Every
+    value's scenario is built, and so checked, before the first run.
     """
     if name not in SWEEPABLE_PARAMETERS:
         known = ", ".join(sorted(SWEEPABLE_PARAMETERS))
         raise ValueError(f"unknown sweep parameter '{name}'; sweepable: {known}")
     if jobs < 1:
         raise ValueError(f"jobs must be at least 1, not {jobs}")
-    tasks = [(cfg, name, v, settle) for v in values]
+    set_value = SWEEPABLE_PARAMETERS[name]
+    tasks = [(set_value(cfg, v), name, v, settle) for v in values]
     if jobs > 1:
         from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=jobs) as pool:

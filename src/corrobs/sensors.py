@@ -29,7 +29,7 @@ from .estimators import AxisMeasurement
 
 __all__ = [
     "NoiseMixture", "LargeErrorModel", "LargeErrorProcess",
-    "SensorConfig", "MeasurementFrame", "SensorSuite", "sample_noise",
+    "SensorConfig", "SensorSuite", "sample_noise",
 ]
 
 
@@ -43,8 +43,9 @@ class NoiseMixture:
     impulse_magnitude: float = 0.0
 
     def __post_init__(self):
-        if min(self.gaussian_std, self.uniform_halfwidth, self.impulse_magnitude) < 0:
-            raise ValueError("noise mixture parameters must be nonnegative")
+        for name in ("gaussian_std", "uniform_halfwidth", "impulse_magnitude"):
+            if not 0.0 <= getattr(self, name) < math.inf:
+                raise ValueError(f"{name} must be nonnegative and finite")
         if not 0.0 <= self.impulse_prob <= 1.0:
             raise ValueError("impulse_prob must be in [0, 1]")
 
@@ -78,12 +79,16 @@ class LargeErrorModel:
     bound: float = 0.0
 
     def __post_init__(self):
-        if self.bound < 0:
-            raise ValueError("bound must be nonnegative")
-        if self.walk_period <= 0:
-            raise ValueError("walk_period must be positive")
-        if self.walk_step < 0:
-            raise ValueError("walk_step must be nonnegative")
+        if not math.isfinite(self.constant):
+            raise ValueError("constant must be finite")
+        if not all(math.isfinite(v) for triple in self.sinusoids for v in triple):
+            raise ValueError("sinusoids must hold finite (amplitude, frequency, phase) "
+                             "triples")
+        for name in ("bound", "walk_step"):
+            if not 0.0 <= getattr(self, name) < math.inf:
+                raise ValueError(f"{name} must be nonnegative and finite")
+        if not 0.0 < self.walk_period < math.inf:
+            raise ValueError("walk_period must be positive and finite")
 
 
 def _fold(value: float, bound: float) -> float:
@@ -128,17 +133,6 @@ class LargeErrorProcess:
 # AxisMeasurement from a (y_o1, y_o2, t, y_o1_fresh) tuple, without the
 # Python-level __new__ that calling the class goes through.
 _new_axis_measurement = partial(tuple.__new__, AxisMeasurement)
-
-
-class MeasurementFrame(tuple):
-    """Six AxisMeasurement records sharing one timestamp."""
-
-    __slots__ = ()
-
-    def __new__(cls, axes: Sequence[AxisMeasurement]):
-        if len(axes) != 6:
-            raise ValueError("a measurement frame holds exactly six axes")
-        return super().__new__(cls, axes)
 
 
 @dataclass(frozen=True)
@@ -208,7 +202,15 @@ class SensorSuite:
         return np.random.Generator(np.random.PCG64(
             np.random.SeedSequence(seed, spawn_key=(axis, channel))))
 
-    def measure(self, state: Sequence[float], tick: int) -> MeasurementFrame:
+    def measure(self, state: Sequence[float],
+                tick: int) -> tuple[AxisMeasurement, ...]:
+        """The six axes' measurements at ``tick``, all stamped with its time.
+
+        Channels that are due are sampled from ``state`` (12 values: six
+        positions, then six velocities); the others hold their last value.
+        The position sample is flagged fresh only when it was just taken;
+        the first call samples every channel.
+        """
         t = tick * self.dt
         first = not self._started
         self._started = True
@@ -223,5 +225,5 @@ class SensorSuite:
                 if vel_due:
                     n2 = sample_noise(self.cfg.velocity_noise[axis], self._vel_rngs[axis])
                     self._held_y2[axis] = float(state[6 + axis]) + n2
-        return MeasurementFrame([_new_axis_measurement((y1, y2, t, fresh))
-                                 for y1, y2 in zip(self._held_y1, self._held_y2)])
+        return tuple([_new_axis_measurement((y1, y2, t, fresh))
+                      for y1, y2 in zip(self._held_y1, self._held_y2)])

@@ -86,9 +86,9 @@ def test_bundled_configs_round_trip_exactly(tmp_path):
 # SHA-256 of `save_scenario` output for the bundled documents: the document
 # format must not change unnoticed.
 SAVED_SHA256 = {
-    "paper_sec6": "1610620a3b865b0c831cfa125ac0dc2cd60e2de5b8acba66f6bbc0fca0cfd880",
-    "paper_fig5": "6fe0d31bf3cae3aefce3f2b06d122bcc572a9fe280258fd8f5b5175057473353",
-    "noise_only": "fc3bc9378fd41f3c44f0e486de6b1dd6c263898cecc20059861285c86ed9e7b9",
+    "paper_sec6": "251cceedf592c4157606566bea7587a7fb2651ea68f069e4cfb71662de89f864",
+    "paper_fig5": "e23018b7d56432b9c90762669e6cf5d232d68dd6a9eece99a482ea04460916ad",
+    "noise_only": "123e84c37dce639dd2c34b604ed828824d343d00efe561deb35bc8a43652c607",
 }
 
 
@@ -130,6 +130,8 @@ REFUSED_VALUES = [
     ("uav.b", 0.002923),
     ("uav.k", 0.0005),
     ("uncertainty.l_sigma", 1.0),
+    ("control_source", "truth"),
+    ("uncertainty_feed", "zero"),
 ]
 
 
@@ -346,10 +348,26 @@ def test_cli_analyze(tmp_path, capsys):
     assert json.loads((out / "analysis.json").read_text()) == doc
 
 
-def test_cli_analyze_bad_amplitude(tmp_path):
-    rc = main(["analyze", "--config", str(bundled_config_path("paper_sec6")),
-               "--out", str(tmp_path), "--amplitude", "-1"])
-    assert rc == 1
+def test_cli_analyze_bad_amplitude(tmp_path, capsys):
+    for amplitude in ("-1", "0", "nan", "inf"):
+        with pytest.raises(SystemExit) as stop:
+            main(["analyze", "--config", str(bundled_config_path("paper_sec6")),
+                  "--out", str(tmp_path), "--amplitude", amplitude])
+        err = capsys.readouterr().err
+        assert stop.value.code == 1, amplitude
+        assert "error: argument --amplitude" in err and err.count("\n") == 1
+    assert not (tmp_path / "analysis.json").exists()
+
+
+@pytest.mark.parametrize("settle", ["nan", "-1"])
+def test_cli_run_bad_settle_writes_nothing(tmp_path, sec6_doc, capsys, settle):
+    cfgp = write_quick(sec6_doc, tmp_path, duration=1.0)
+    with pytest.raises(SystemExit) as stop:
+        main(["run", "--config", cfgp, "--out", str(tmp_path / "o"), "--settle", settle])
+    err = capsys.readouterr().err
+    assert stop.value.code == 1
+    assert "error: argument --settle" in err and err.count("\n") == 1
+    assert not (tmp_path / "o").exists()
 
 
 def test_cli_sweep(tmp_path, sec6_doc):
@@ -372,6 +390,19 @@ def test_cli_sweep_jobs_below_one_is_config_error(tmp_path, sec6_doc, capsys, jo
     err = capsys.readouterr().err
     assert rc == 1
     assert err.startswith("config error:") and "jobs" in err and err.count("\n") == 1
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("param, value", [("noise_pos_std", "nan"), ("noise_pos_std", "inf"),
+                                          ("L_d", "nan")])
+def test_cli_sweep_non_finite_value_is_config_error(tmp_path, sec6_doc, capsys, param, value):
+    cfgp = write_quick(sec6_doc, tmp_path)
+    out = tmp_path / "o"
+    rc = main(["sweep", "--config", cfgp, "--out", str(out), "--param", param,
+               "--values", f"0.5,{value}", "--settle", "1.0"])
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert err.startswith("config error:") and "finite" in err and err.count("\n") == 1
     assert not out.exists()
 
 
@@ -459,13 +490,24 @@ def test_cli_entry_point_runs():
     assert "run" in proc.stdout and "sweep" in proc.stdout
 
 
-def test_cli_zero_corrector_substeps_is_config_error(tmp_path, sec6_doc, capsys):
-    cfgp = write_quick(sec6_doc, tmp_path, duration=1.0, corrector_substeps=0)
-    rc = main(["run", "--config", cfgp, "--out", str(tmp_path / "o")])
-    err = capsys.readouterr().err
-    assert rc == 1
-    assert err.startswith("config error:") and "corrector_substeps" in err
-    assert err.count("\n") == 1
+# Keys of the scenario modes the tick loop no longer has, with the values a
+# document saved while they existed holds.
+DELETED_MODE_KEYS = [
+    ("control_source", "estimates"),
+    ("uncertainty_feed", "estimates"),
+    ("corrector_substeps", 2),
+]
+
+
+@pytest.mark.parametrize("key, value", DELETED_MODE_KEYS, ids=[k for k, _ in DELETED_MODE_KEYS])
+def test_cli_deleted_mode_key_is_config_error(tmp_path, sec6_doc, capsys, key, value):
+    cfgp = write_quick(sec6_doc, tmp_path, duration=1.0, **{key: value})
+    for argv in (["validate", "--config", cfgp],
+                 ["run", "--config", cfgp, "--out", str(tmp_path / "o")]):
+        rc = main(argv)
+        err = capsys.readouterr().err
+        assert rc == 1, argv[0]
+        assert err.startswith("config error:") and key in err and err.count("\n") == 1
     assert not (tmp_path / "o").exists()
 
 

@@ -44,6 +44,35 @@ def test_sample_noise_validation():
         NoiseMixture(impulse_prob=1.5)
 
 
+NON_FINITE_FIELDS = [
+    (NoiseMixture, "gaussian_std"),
+    (NoiseMixture, "uniform_halfwidth"),
+    (NoiseMixture, "impulse_magnitude"),
+    (NoiseMixture, "impulse_prob"),
+    (LargeErrorModel, "constant"),
+    (LargeErrorModel, "walk_step"),
+    (LargeErrorModel, "walk_period"),
+    (LargeErrorModel, "bound"),
+]
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf])
+@pytest.mark.parametrize("cls, name", NON_FINITE_FIELDS,
+                         ids=[f"{c.__name__}.{n}" for c, n in NON_FINITE_FIELDS])
+def test_non_finite_model_field_is_refused_by_name(cls, name, value):
+    with pytest.raises(ValueError, match=name):
+        cls(**{name: value})
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf])
+@pytest.mark.parametrize("slot", [0, 1, 2])   # amplitude, frequency, phase
+def test_non_finite_sinusoid_is_refused_by_name(slot, value):
+    triple = [1.0, 1.0, 1.0]
+    triple[slot] = value
+    with pytest.raises(ValueError, match="sinusoids"):
+        LargeErrorModel(sinusoids=((0.5, 1.0, 0.0), tuple(triple)))
+
+
 # ------------------------------------------------------------- large error
 
 def test_large_error_zero_bound():
