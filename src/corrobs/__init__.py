@@ -13,14 +13,14 @@ from .freq import (DescribingFunctionResult, LinearizedSystem,
                    linearize_observer, observer_natural_frequency,
                    omega_coefficient, validate_corrector_params,
                    validate_observer_params)
-from .plant import (UavParams, UncertaintyModel, WrenchInput,
-                    dynamics_derivative, sigma, step_plant)
+from .plant import (UavParams, UncertaintyModel, WrenchInput, dynamics_derivative,
+                    input_acceleration_scalars, plant_axes, sigma, step_plant)
 from .sensors import (LargeErrorModel, LargeErrorProcess, NoiseMixture,
                       SensorConfig, SensorSuite, sample_noise)
-from .control import (CircleTrajectory, ControlGains, EstimateBundle,
-                      HoverTrajectory, TrajectoryPoint, attitude_control,
-                      position_control, uncertainty_rescale)
-from .ekf import EkfConfig, EkfState, ekf_init, ekf_predict, ekf_update
+from .control import (CircleTrajectory, ControlGains, HoverTrajectory,
+                      attitude_control, position_control, uncertainty_rescale)
+from .ekf import (EkfConfig, EkfState, ekf_init, ekf_predict, ekf_update,
+                  process_noise)
 from .engine import (DecouplingReport, ScenarioConfig, SimulationDiverged,
                      SweepResult, TraceLog, TrajectorySpec, convergence_study,
                      decoupling_check, ideal_tracking_errors, metrics,

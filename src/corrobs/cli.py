@@ -135,11 +135,7 @@ def cmd_sweep(args) -> int:
         print(f"unknown sweep parameter '{args.param}'; sweepable: "
               f"{', '.join(sorted(SWEEPABLE_PARAMETERS))}", file=sys.stderr)
         return EXIT_CONFIG
-    values = [float(v) for v in args.values.split(",") if v]
-    if not values:
-        print("no sweep values given", file=sys.stderr)
-        return EXIT_CONFIG
-    result = sweep_parameter(cfg, args.param, values,
+    result = sweep_parameter(cfg, args.param, args.values,
                              settle=min(args.settle, cfg.duration / 2.0),
                              jobs=args.jobs)
     out = Path(args.out)
@@ -149,7 +145,7 @@ def cmd_sweep(args) -> int:
     for row in result.rows:
         lines.append(",".join("%.17g" % row[k] for k in keys))
     (out / "sweep.csv").write_text("\n".join(lines) + "\n")
-    print(f"wrote {out / 'sweep.csv'} ({len(values)} rows)")
+    print(f"wrote {out / 'sweep.csv'} ({len(result.rows)} rows)")
     return EXIT_OK
 
 
@@ -197,12 +193,13 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_CONFIG, f"{self.prog}: error: {message}\n")
 
 
-def _float_arg(ok, requirement: str):
-    """An argparse type: the float a flag's text spells, if ``ok`` holds for it."""
+def _number_arg(ok, requirement: str, convert=float):
+    """An argparse type: the number ``convert`` reads from a flag's text, if
+    ``ok`` holds for it."""
 
-    def parse(text: str) -> float:
+    def parse(text: str):
         try:
-            value = float(text)
+            value = convert(text)
         except ValueError:
             value = math.nan
         if not ok(value):
@@ -210,6 +207,17 @@ def _float_arg(ok, requirement: str):
         return value
 
     return parse
+
+
+def _values_arg(text: str) -> list[float]:
+    """An argparse type: the comma-separated numbers of ``--values``."""
+    try:
+        values = [float(v) for v in text.split(",") if v]
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
+    if not values:
+        raise argparse.ArgumentTypeError(f"must list at least one number, not {text!r}")
+    return values
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -225,10 +233,11 @@ def build_parser() -> argparse.ArgumentParser:
                             + ", ".join(BUNDLED_CONFIGS))
         if needs_out:
             p.add_argument("--out", default="out", help="output directory")
-        p.add_argument("--seed", type=int, default=None, help="seed override")
+        p.add_argument("--seed", default=None, help="seed override",
+                       type=_number_arg(lambda v: v >= 0, "a non-negative integer", int))
         p.add_argument("--duration", type=float, default=None,
                        help="duration override, seconds")
-        p.add_argument("--settle", type=_float_arg(lambda v: v >= 0.0, "a number >= 0"),
+        p.add_argument("--settle", type=_number_arg(lambda v: v >= 0.0, "a number >= 0"),
                        default=20.0,
                        help="settling time before steady-state metrics")
 
@@ -243,7 +252,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("analyze", help="describing-function analysis")
     common(p)
     p.add_argument("--amplitude", default=1.0,
-                   type=_float_arg(lambda v: 0.0 < v < math.inf, "positive and finite"),
+                   type=_number_arg(lambda v: 0.0 < v < math.inf, "positive and finite"),
                    help="innovation oscillation amplitude")
     p.set_defaults(func=cmd_analyze)
 
@@ -251,7 +260,8 @@ def build_parser() -> argparse.ArgumentParser:
     common(p)
     p.add_argument("--param", required=True,
                    help="one of: " + ", ".join(sorted(SWEEPABLE_PARAMETERS)))
-    p.add_argument("--values", required=True, help="comma-separated values")
+    p.add_argument("--values", required=True, type=_values_arg,
+                   help="comma-separated values")
     p.add_argument("--jobs", type=int, default=1, help="parallel scenario runs")
     p.set_defaults(func=cmd_sweep)
 

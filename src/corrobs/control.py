@@ -15,25 +15,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import NamedTuple
 
-import numpy as np
-
-from .plant import UavParams, WrenchInput
+from .plant import UavParams
 
 __all__ = [
-    "TrajectoryPoint", "CircleTrajectory", "HoverTrajectory", "ControlGains",
-    "EstimateBundle", "position_control",
-    "attitude_control", "uncertainty_rescale", "wrench_from_controls",
+    "CircleTrajectory", "HoverTrajectory", "ControlGains", "position_control",
+    "attitude_control", "uncertainty_rescale",
 ]
-
-
-class TrajectoryPoint(NamedTuple):
-    """Desired pose, velocity and acceleration in state order (x..phi)."""
-
-    pos: np.ndarray
-    vel: np.ndarray
-    acc: np.ndarray
 
 
 class HoverTrajectory:
@@ -42,12 +30,9 @@ class HoverTrajectory:
     def __init__(self, x: float = 0.0, y: float = 0.0, altitude: float = 0.0):
         self._pos = [float(x), float(y), float(altitude), 0.0, 0.0, 0.0]
 
-    def _coords(self, t: float) -> tuple[list[float], list[float], list[float]]:
-        """Desired pose, velocity and acceleration as lists of floats."""
+    def point(self, t: float) -> tuple[list[float], list[float], list[float]]:
+        """Desired pose, velocity and acceleration in state order (x..phi)."""
         return self._pos[:], [0.0] * 6, [0.0] * 6
-
-    def point(self, t: float) -> TrajectoryPoint:
-        return TrajectoryPoint(*(np.array(v) for v in self._coords(t)))
 
 
 class CircleTrajectory:
@@ -72,8 +57,8 @@ class CircleTrajectory:
         self.omega = speed / radius
         self.center = (start_x - radius, start_y)
 
-    def _coords(self, t: float) -> tuple[list[float], list[float], list[float]]:
-        """Desired pose, velocity and acceleration as lists of floats."""
+    def point(self, t: float) -> tuple[list[float], list[float], list[float]]:
+        """Desired pose, velocity and acceleration in state order (x..phi)."""
         pos = [0.0] * 6
         vel = [0.0] * 6
         acc = [0.0] * 6
@@ -102,9 +87,6 @@ class CircleTrajectory:
         acc[1] = -r * w * w * sin_a
         return pos, vel, acc
 
-    def point(self, t: float) -> TrajectoryPoint:
-        return TrajectoryPoint(*(np.array(v) for v in self._coords(t)))
-
 
 @dataclass(frozen=True)
 class ControlGains:
@@ -118,23 +100,16 @@ class ControlGains:
             raise ValueError("control gains must be positive")
 
 
-class EstimateBundle(NamedTuple):
-    """Inputs the control laws consume.
+# The control laws take the six estimated coordinates and velocities (the
+# corrector outputs), the estimated uncertainty forces or torques (from
+# `uncertainty_rescale`) and a trajectory point (pos, vel, acc).  They return
+# plain floats and leave the finiteness check to the caller.
 
-    pos/vel: six estimated coordinates and velocities (corrector outputs);
-    delta_p/delta_a: estimated uncertainty forces and torques (observer
-    outputs rescaled by mass and inertias).
-    """
-
-    pos: np.ndarray
-    vel: np.ndarray
-    delta_p: np.ndarray
-    delta_a: np.ndarray
-
-
-def _position_law(pos, vel, delta_p, tp_pos, tp_vel, tp_acc, m: float, g: float,
-                  kp1: float, kp2: float) -> list[float]:
-    """Position control law on plain floats (axes 0-2 of the sequences); no checks."""
+def position_control(pos, vel, delta_p, tp, gains: ControlGains,
+                     params: UavParams) -> list[float]:
+    """The forces (u_x, u_y, u_z) from axes 0-2 of the estimates and ``tp``."""
+    tp_pos, tp_vel, tp_acc = tp
+    m, g, kp1, kp2 = params.m, params.g, gains.kp1, gains.kp2
     u = [0.0, 0.0, 0.0]
     for i in range(3):
         e = pos[i] - tp_pos[i]
@@ -144,10 +119,11 @@ def _position_law(pos, vel, delta_p, tp_pos, tp_vel, tp_acc, m: float, g: float,
     return u
 
 
-def _attitude_law(pos, vel, delta_a, tp_pos, tp_vel, tp_acc,
-                  inert: tuple[float, float, float], ka1: float,
-                  ka2: float) -> list[float]:
-    """Attitude control law on plain floats (axes 3-5 of pos, vel and tp_*); no checks."""
+def attitude_control(pos, vel, delta_a, tp, gains: ControlGains,
+                     params: UavParams) -> list[float]:
+    """The torques (u_psi, u_theta, u_phi) from axes 3-5 of the estimates and ``tp``."""
+    tp_pos, tp_vel, tp_acc = tp
+    inert, ka1, ka2 = params.inertias, gains.ka1, gains.ka2
     u = [0.0, 0.0, 0.0]
     for i in range(3):
         e = pos[3 + i] - tp_pos[3 + i]
@@ -157,45 +133,13 @@ def _attitude_law(pos, vel, delta_a, tp_pos, tp_vel, tp_acc,
     return u
 
 
-def _rescale(sigma_hat, m: float,
-             inert: tuple[float, float, float]) -> tuple[list[float], list[float]]:
-    """Uncertainty accelerations to (forces, torques) on plain floats."""
-    return ([m * sigma_hat[0], m * sigma_hat[1], m * sigma_hat[2]],
-            [inert[0] * sigma_hat[3], inert[1] * sigma_hat[4], inert[2] * sigma_hat[5]])
-
-
-def position_control(est: EstimateBundle, tp: TrajectoryPoint,
-                     gains: ControlGains, params: UavParams) -> np.ndarray:
-    u = _position_law(est.pos, est.vel, est.delta_p, tp.pos, tp.vel, tp.acc,
-                      params.m, params.g, gains.kp1, gains.kp2)
-    if not all(map(math.isfinite, u)):
-        raise ValueError("non-finite position control output")
-    return np.array(u)
-
-
-def attitude_control(est: EstimateBundle, tp: TrajectoryPoint,
-                     gains: ControlGains, params: UavParams) -> np.ndarray:
-    u = _attitude_law(est.pos, est.vel, est.delta_a, tp.pos, tp.vel, tp.acc,
-                      params.inertias, gains.ka1, gains.ka2)
-    if not all(map(math.isfinite, u)):
-        raise ValueError("non-finite attitude control output")
-    return np.array(u)
-
-
-def uncertainty_rescale(sigma_hat, params: UavParams) -> tuple[np.ndarray, np.ndarray]:
+def uncertainty_rescale(sigma_hat, params: UavParams) -> tuple[list[float], list[float]]:
     """Convert per-axis uncertainty accelerations into forces and torques.
 
     The observers estimate sigma_i (acceleration units); the control laws
     cancel delta_p and delta_a (force/torque units), which differ by the mass
     and the inertias.
     """
-    sig = np.asarray(sigma_hat, dtype=float)
-    if sig.shape != (6,):
-        raise ValueError("expected six uncertainty estimates")
-    delta_p, delta_a = _rescale(sig, params.m, params.inertias)
-    return np.array(delta_p), np.array(delta_a)
-
-
-def wrench_from_controls(u_p: np.ndarray, u_a: np.ndarray) -> WrenchInput:
-    return WrenchInput(float(u_p[0]), float(u_p[1]), float(u_p[2]),
-                       float(u_a[0]), float(u_a[1]), float(u_a[2]))
+    m, inert = params.m, params.inertias
+    return ([m * sigma_hat[0], m * sigma_hat[1], m * sigma_hat[2]],
+            [inert[0] * sigma_hat[3], inert[1] * sigma_hat[4], inert[2] * sigma_hat[5]])

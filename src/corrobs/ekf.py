@@ -23,8 +23,8 @@ from typing import NamedTuple
 
 from .estimators import AxisMeasurement
 
-__all__ = ["EkfConfig", "EkfState", "EkfDivergence", "ekf_init", "ekf_predict",
-           "ekf_update"]
+__all__ = ["EkfConfig", "EkfState", "EkfDivergence", "process_noise", "ekf_init",
+           "ekf_predict", "ekf_update"]
 
 
 class EkfDivergence(RuntimeError):
@@ -72,13 +72,23 @@ def _checked(pos: float, vel: float, p11: float, p12: float, p22: float) -> EkfS
     return _new_state((pos, vel, p11, p12, p22))
 
 
-def _process_noise(q: float, dt: float) -> tuple[float, float, float]:
+def process_noise(q: float, dt: float) -> tuple[float, float, float]:
     """Entries (q11, q12, q22) of Q = q * [[dt^3/3, dt^2/2], [dt^2/2, dt]]."""
     return q * dt ** 3 / 3.0, q * dt * dt / 2.0, q * dt
 
 
-def _predict(s: EkfState, dt: float, q: tuple[float, float, float]) -> EkfState:
-    """Constant-velocity propagation; ``q`` from `_process_noise`."""
+def ekf_init(meas: AxisMeasurement, cfg: EkfConfig) -> EkfState:
+    """Start from the first measurement pair with diagonal covariance p0*I."""
+    return EkfState(meas.y_o1, meas.y_o2, cfg.p0, 0.0, cfg.p0)
+
+
+def ekf_predict(s: EkfState, dt: float, q: tuple[float, float, float]) -> EkfState:
+    """Constant-velocity propagation with white-noise-acceleration Q.
+
+    ``q`` is `process_noise(cfg.q, dt)`, worked out once per step size.
+    """
+    if dt <= 0.0:
+        raise ValueError("dt must be positive")
     pos, vel, p11, p12, p22 = s
     q11, q12, q22 = q
     out = (pos + dt * vel, vel,
@@ -87,21 +97,6 @@ def _predict(s: EkfState, dt: float, q: tuple[float, float, float]) -> EkfState:
            p22 + q22)
     _check(*out)
     return _new_state(out)
-
-
-def ekf_init(meas: AxisMeasurement, cfg: EkfConfig) -> EkfState:
-    """Start from the first measurement pair with diagonal covariance p0*I."""
-    return EkfState(meas.y_o1, meas.y_o2, cfg.p0, 0.0, cfg.p0)
-
-
-def ekf_predict(s: EkfState, dt: float, cfg: EkfConfig) -> EkfState:
-    """Constant-velocity propagation with white-noise-acceleration Q.
-
-    Q = q * [[dt^3/3, dt^2/2], [dt^2/2, dt]].
-    """
-    if dt <= 0.0:
-        raise ValueError("dt must be positive")
-    return _predict(s, dt, _process_noise(cfg.q, dt))
 
 
 def _update_position(s: EkfState, y: float, r1: float) -> EkfState:

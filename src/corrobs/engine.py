@@ -20,21 +20,15 @@ from typing import Sequence
 
 import numpy as np
 
-from .control import (CircleTrajectory, ControlGains, EstimateBundle,
-                      HoverTrajectory, _attitude_law, _position_law, _rescale,
-                      attitude_control, position_control, wrench_from_controls)
-from .ekf import (EkfConfig, EkfDivergence, _predict, _process_noise, ekf_init,
-                  ekf_update)
+from .control import (CircleTrajectory, ControlGains, HoverTrajectory,
+                      attitude_control, position_control, uncertainty_rescale)
+from .ekf import (EkfConfig, EkfDivergence, ekf_init, ekf_predict, ekf_update,
+                  process_noise)
 from .estimators import (CorrectorParams, CorrectorState, ObserverParams,
                          ObserverState, _observer_rk4, step_corrector, step_observer)
-from .plant import (AXIS_NAMES, UavParams, UncertaintyModel, _axis_constants,
-                    _plant_rk4, dynamics_derivative, input_acceleration_scalars,
-                    true_delta)
-# The loop calls the kernels behind these steppers.  They stay attributes of
-# this module because perfbench/tracer.py wraps the engine-level names.
-from .control import uncertainty_rescale  # noqa: F401
-from .ekf import ekf_predict  # noqa: F401
-from .plant import step_plant  # noqa: F401
+from .plant import (AXIS_NAMES, UavParams, UncertaintyModel, WrenchInput,
+                    dynamics_derivative, input_acceleration_scalars, plant_axes,
+                    step_plant, true_delta)
 from .sensors import SensorConfig, SensorSuite
 
 __all__ = [
@@ -113,6 +107,8 @@ class ScenarioConfig:
         for name in ("duration", "dt", "sample_interval"):
             if not 0 < getattr(self, name) < math.inf:
                 raise ValueError(f"{name} must be positive and finite")
+        if self.seed < 0:
+            raise ValueError(f"seed must be a non-negative integer, not {self.seed}")
         if self.dt > min(self.sensors.position_period, self.sensors.velocity_period):
             raise ValueError("dt must not exceed the fastest sensor period")
         n = self.sample_interval / self.dt
@@ -203,9 +199,10 @@ def run_scenario(cfg: ScenarioConfig, *, record_controls: bool = False,
     by the magnitude once, at the first tick after tick 0 at or after the
     given time.
 
-    The loop keeps every state as plain floats and calls the float kernels
-    behind the public steppers with constants worked out once per run; the
-    outputs of each stage are checked for finiteness once per tick.
+    The loop keeps every state as plain floats and calls the public steppers
+    with constants worked out once per run (the observer bank calls the
+    kernel behind `step_observer`); the outputs of each stage are checked for
+    finiteness once per tick.
     """
     traj = cfg.trajectory.build()
     params = cfg.uav
@@ -234,24 +231,25 @@ def run_scenario(cfg: ScenarioConfig, *, record_controls: bool = False,
     row_i = 0
     controls = np.empty((n_ticks + 1, 6)) if record_controls else None
 
-    # Per-run constants of the kernels, and locals for the per-tick calls.
+    # Per-run constants, and locals for the per-tick calls.  The steppers are
+    # looked up here, on each run, so that a wrapper set on this module's
+    # attributes (or on the trajectory class) sees every call.
     measure = suite.measure
-    coords = traj._coords
-    step_corr = step_corrector
-    input_terms = input_acceleration_scalars
+    point = traj.point
+    rescale, position, attitude = uncertainty_rescale, position_control, attitude_control
+    step_corr, input_terms = step_corrector, input_acceleration_scalars
+    plant_step, predict, update = step_plant, ekf_predict, ekf_update
     correctors = cfg.correctors
     dts = (dt,) * 6
     obs_k = [p._constants for p in cfg.observers]
-    plant_axes = _axis_constants(cfg.uncertainty, params)
+    axes = plant_axes(cfg.uncertainty, params)
     ekf_cfg = cfg.ekf
-    ekf_q = _process_noise(ekf_cfg.q, dt)
-    m, g, inert = params.m, params.g, params.inertias
+    ekf_q = process_noise(ekf_cfg.q, dt)
     gains = cfg.gains
-    kp1, kp2, ka1, ka2 = gains.kp1, gains.kp2, gains.ka1, gains.ka2
     axes6 = range(6)
 
-    tp0 = traj.point(0.0)
-    s = (np.concatenate([tp0.pos, tp0.vel]) + np.asarray(cfg.initial_offset)).tolist()
+    pos0, vel0, _ = point(0.0)
+    s = [a + b for a, b in zip(pos0 + vel0, cfg.initial_offset)]
     frame = measure(s, 0)
     if cfg.estimator_init == "truth":
         corr = [CorrectorState(s[a], s[6 + a]) for a in axes6]
@@ -272,17 +270,15 @@ def run_scenario(cfg: ScenarioConfig, *, record_controls: bool = False,
                 corr = [CorrectorState(c.xhat1 + magnitude, c.xhat2 + magnitude)
                         for c in corr]
 
-        tp_pos, tp_vel, tp_acc = coords(t)
+        tp = point(t)
         if replay is not None:
             wrench = replay[i]
         else:
             est_pos = [c.xhat1 for c in corr]
             est_vel = [c.xhat2 for c in corr]
-            dp, da = _rescale(o4, m, inert)
-            wrench = (_position_law(est_pos, est_vel, dp, tp_pos, tp_vel, tp_acc,
-                                    m, g, kp1, kp2)
-                      + _attitude_law(est_pos, est_vel, da, tp_pos, tp_vel, tp_acc,
-                                      inert, ka1, ka2))
+            dp, da = rescale(o4, params)
+            wrench = (position(est_pos, est_vel, dp, tp, gains, params)
+                      + attitude(est_pos, est_vel, da, tp, gains, params))
         if not _all_finite(wrench):
             raise _diverged(i, t, "control", "non-finite wrench")
         if controls is not None:
@@ -301,7 +297,7 @@ def run_scenario(cfg: ScenarioConfig, *, record_controls: bool = False,
             row[49:52] = [k.pos for k in kf]
             row[52:55] = [k.vel for k in kf]
             row[55:61] = wrench
-            row[61:67] = tp_pos
+            row[61:67] = tp[0]
             row_i += 1
 
         if i == n_ticks:
@@ -316,11 +312,11 @@ def run_scenario(cfg: ScenarioConfig, *, record_controls: bool = False,
             o3[a], o4[a] = _observer_rk4(o3[a], o4[a], frame[a].y_o2, h6[a], obs_k[a], dt)
         if not (_all_finite(o3) and _all_finite(o4)):
             raise _diverged(i, t, "observer", "non-finite state")
-        s = _plant_rk4(s, h6, plant_axes, t, dt)
+        s = plant_step(s, h6, axes, t, dt)
         if not _all_finite(s):
             raise _diverged(i + 1, t + dt, "plant", "non-finite state")
         try:
-            kf = [_predict(k, dt, ekf_q) for k in kf]
+            kf = [predict(k, dt, ekf_q) for k in kf]
         except EkfDivergence as exc:
             raise _diverged(i, t, "ekf", exc) from exc
 
@@ -328,7 +324,7 @@ def run_scenario(cfg: ScenarioConfig, *, record_controls: bool = False,
         frame = measure(s, nxt)
         if nxt % vel_every == 0:
             try:
-                kf = [ekf_update(kf[a], frame[a], ekf_cfg) for a in range(3)]
+                kf = [update(kf[a], frame[a], ekf_cfg) for a in range(3)]
             except EkfDivergence as exc:
                 raise _diverged(nxt, nxt * dt, "ekf", exc) from exc
 
@@ -414,15 +410,15 @@ def ideal_tracking_errors(params: UavParams, unc: UncertaintyModel,
     solution, without the zero-order-hold lag of the discrete loop.
     """
     traj = trajectory.build()
-    tp0 = traj.point(0.0)
-    state = np.concatenate([tp0.pos, tp0.vel]) + np.asarray(initial_offset, dtype=float)
+    pos0, vel0, _ = traj.point(0.0)
+    state = np.array(pos0 + vel0) + np.asarray(initial_offset, dtype=float)
 
     def deriv(s: np.ndarray, t: float) -> np.ndarray:
         tp = traj.point(t)
-        delta = np.array([true_delta(a, s[6 + a], t, unc, params) for a in range(6)])
-        bundle = EstimateBundle(s[:6], s[6:], delta[:3], delta[3:])
-        wrench = wrench_from_controls(position_control(bundle, tp, gains, params),
-                                      attitude_control(bundle, tp, gains, params))
+        pos, vel = s[:6].tolist(), s[6:].tolist()
+        delta = [true_delta(a, vel[a], t, unc, params) for a in range(6)]
+        wrench = WrenchInput(*position_control(pos, vel, delta[:3], tp, gains, params),
+                             *attitude_control(pos, vel, delta[3:], tp, gains, params))
         return dynamics_derivative(s, wrench, unc, params, t)
 
     n_ticks = int(round(duration / dt))
@@ -433,7 +429,7 @@ def ideal_tracking_errors(params: UavParams, unc: UncertaintyModel,
         t = i * dt
         if i % sample_every == 0:
             times.append(t)
-            errors.append(state[:6] - traj.point(t).pos)
+            errors.append(state[:6] - traj.point(t)[0])
         if i == n_ticks:
             break
         k1 = deriv(state, t)
@@ -657,9 +653,10 @@ def sweep_parameter(cfg: ScenarioConfig, name: str, values: Sequence[float],
                     settle: float = 20.0, jobs: int = 1) -> SweepResult:
     """Run the scenario once per parameter value and tabulate steady errors.
 
-    ``jobs`` (at least 1) is the number of worker processes; results are
-    ordered by the given values regardless of completion order.  Every
-    value's scenario is built, and so checked, before the first run.
+    ``jobs`` (at least 1) is the most worker processes to use; no more are
+    started than there are values.  Results are ordered by the given values
+    regardless of completion order.  Every value's scenario is built, and so
+    checked, before the first run.
     """
     if name not in SWEEPABLE_PARAMETERS:
         known = ", ".join(sorted(SWEEPABLE_PARAMETERS))
@@ -668,9 +665,10 @@ def sweep_parameter(cfg: ScenarioConfig, name: str, values: Sequence[float],
         raise ValueError(f"jobs must be at least 1, not {jobs}")
     set_value = SWEEPABLE_PARAMETERS[name]
     tasks = [(set_value(cfg, v), name, v, settle) for v in values]
-    if jobs > 1:
+    workers = min(jobs, len(tasks))
+    if workers > 1:
         from concurrent.futures import ProcessPoolExecutor
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             rows = list(pool.map(_sweep_one, tasks))
     else:
         rows = [_sweep_one(task) for task in tasks]

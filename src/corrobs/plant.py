@@ -22,7 +22,8 @@ import numpy as np
 
 __all__ = [
     "UavParams", "WrenchInput", "UncertaintyModel", "AXIS_NAMES", "sigma",
-    "true_delta", "dynamics_derivative", "step_plant",
+    "true_delta", "input_acceleration_scalars", "dynamics_derivative", "plant_axes",
+    "step_plant",
 ]
 
 AXIS_NAMES = ("x", "y", "z", "psi", "theta", "phi")
@@ -154,7 +155,7 @@ def dynamics_derivative(state: np.ndarray, wrench: WrenchInput,
                         t: float) -> np.ndarray:
     """Time derivative of the 12-component state: xdd_i = h_i + sigma_i.
 
-    The reference form of the model; `_plant_rk4` integrates the same
+    The reference form of the model; `step_plant` integrates the same
     accelerations with the per-axis factors multiplied out.
     """
     state = np.asarray(state, dtype=float)
@@ -167,10 +168,10 @@ def dynamics_derivative(state: np.ndarray, wrench: WrenchInput,
     return deriv
 
 
-def _axis_constants(unc: UncertaintyModel, params: UavParams):
+def plant_axes(unc: UncertaintyModel, params: UavParams):
     """Per axis: (1/mass or inertia, drag acceleration coefficient, disturbance
     function of time or None when the disturbance is constant, the constant
-    disturbance acceleration).  Worked out once per run for `_plant_rk4`."""
+    disturbance acceleration).  Worked out once per run for `step_plant`."""
     out = []
     for axis in range(6):
         inv, lever = _axis_scale(axis, params)
@@ -182,14 +183,16 @@ def _axis_constants(unc: UncertaintyModel, params: UavParams):
     return tuple(out)
 
 
-def _plant_rk4(s: list[float], h6: Sequence[float], axes, t: float,
+def step_plant(s: Sequence[float], h6: Sequence[float], axes, t: float,
                dt: float) -> list[float]:
-    """One fixed 4th-order step of the 12 states as plain floats; no checks.
+    """One fixed 4th-order step of the 12 states, the input accelerations
+    ``h6`` (from `input_acceleration_scalars`) held over [t, t+dt]; no checks.
 
-    ``axes`` is `_axis_constants(unc, params)`.  The accelerations depend only
-    on the velocities and time (never on the positions), so the classical
-    scheme decouples per axis into a velocity update plus the exactly
-    corresponding position quadrature.
+    ``axes`` is `plant_axes(unc, params)`.  The accelerations depend only on
+    the velocities and time (never on the positions), so the classical scheme
+    decouples per axis into a velocity update plus the exactly corresponding
+    position quadrature: algebraically the same 4th-order step as applying
+    it to the stacked 12-dimensional system.
     """
     tm = t + 0.5 * dt
     te = t + dt
@@ -214,17 +217,3 @@ def _plant_rk4(s: list[float], h6: Sequence[float], axes, t: float,
         out[6 + axis] = v + sixth * (a1 + 2.0 * a2 + 2.0 * a3 + a4)
         out[axis] = s[axis] + dt * v + sq_sixth * (a1 + a2 + a3)
     return out
-
-
-def step_plant(state: np.ndarray, wrench: WrenchInput, unc: UncertaintyModel,
-               params: UavParams, t: float, dt: float) -> np.ndarray:
-    """One fixed 4th-order step with the wrench held constant over [t, t+dt].
-
-    The classical scheme applied per axis (see `_plant_rk4`) is algebraically
-    the same 4th-order step as applying it to the stacked 12-dimensional
-    system.
-    """
-    return np.array(_plant_rk4([float(v) for v in state],
-                               input_acceleration_scalars(wrench, params),
-                               _axis_constants(unc, params), t, dt))
-

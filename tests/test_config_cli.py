@@ -114,6 +114,7 @@ REFUSED_VALUES = [
     ("corrector_substeps", 2.5),
     ("seed", 1.7),
     ("seed", True),
+    ("seed", -1),
     ("ekf.q", True),
     ("ekf.r1", "0.46"),
     ("duration", float("inf")),
@@ -302,11 +303,19 @@ def test_cli_infinite_duration_override_is_config_error(tmp_path, sec6_doc, caps
     assert err.startswith("config error:") and "duration" in err and err.count("\n") == 1
 
 
+# A bad value of the last flag given; the message names that flag.
+FLAG_VALUE_ERRORS = [
+    ["run", "--config", "paper_sec6", "--seed", "-1"],
+    ["sweep", "--config", "paper_sec6", "--param", "eps_o", "--values", "0.5,abc"],
+    ["sweep", "--config", "paper_sec6", "--param", "eps_o", "--values", ","],
+]
+
 USAGE_ERRORS = [
     ["validate", "--config", "paper_sec6", "--out", "x"],
     ["run"],
     ["run", "--config", "paper_sec6", "--seed", "one"],
     ["fly", "--config", "paper_sec6"],
+    *FLAG_VALUE_ERRORS,
 ]
 
 
@@ -317,6 +326,14 @@ def test_cli_usage_error_exits_1_with_one_line(capsys, argv):
     err = capsys.readouterr().err
     assert stop.value.code == 1
     assert err.startswith("corrobs") and "error:" in err and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("argv", FLAG_VALUE_ERRORS,
+                         ids=[" ".join(a) for a in FLAG_VALUE_ERRORS])
+def test_cli_bad_flag_value_names_the_flag(capsys, argv):
+    with pytest.raises(SystemExit):
+        main(argv)
+    assert argv[-2] in capsys.readouterr().err
 
 
 def test_cli_validate_conservative_no_warnings(tmp_path, sec6_doc, capsys):

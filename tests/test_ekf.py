@@ -5,10 +5,15 @@ import math
 import numpy as np
 import pytest
 
-from corrobs import AxisMeasurement, EkfConfig, ekf_init, ekf_predict, ekf_update
+from corrobs import (AxisMeasurement, EkfConfig, ekf_init, ekf_predict, ekf_update,
+                     process_noise)
 from corrobs.ekf import EkfDivergence, EkfState
 
 CFG = EkfConfig(q=0.01, r1=0.25, r2=1e-6, p0=10.0)
+
+
+def predict(s: EkfState, dt: float, cfg: EkfConfig) -> EkfState:
+    return ekf_predict(s, dt, process_noise(cfg.q, dt))
 
 
 def pd(s: EkfState) -> bool:
@@ -23,7 +28,7 @@ def test_init_from_first_measurement():
 
 def test_predict_mean_at_rest():
     s = EkfState(2.0, 0.0, 1.0, 0.0, 1.0)
-    out = ekf_predict(s, 0.5, CFG)
+    out = predict(s, 0.5, CFG)
     assert out.pos == 2.0 and out.vel == 0.0
     # covariance picks up the cross terms of the transition
     assert out.p12 > 0.0
@@ -31,19 +36,19 @@ def test_predict_mean_at_rest():
 
 def test_predict_constant_velocity():
     s = EkfState(0.0, 1.0, 1.0, 0.0, 1.0)
-    out = ekf_predict(s, 1.0, CFG)
+    out = predict(s, 1.0, CFG)
     assert out.pos == 1.0
 
 
 def test_predict_increases_trace():
     s = EkfState(0.0, 0.0, 1.0, 0.0, 1.0)
-    out = ekf_predict(s, 0.1, CFG)
+    out = predict(s, 0.1, CFG)
     assert out.p11 + out.p22 > s.p11 + s.p22
 
 
 def test_predict_validation():
     with pytest.raises(ValueError):
-        ekf_predict(EkfState(0, 0, 1, 0, 1), 0.0, CFG)
+        predict(EkfState(0, 0, 1, 0, 1), 0.0, CFG)
     with pytest.raises(ValueError):
         EkfConfig(q=0.0, r1=1.0, r2=1.0)
 
@@ -73,7 +78,7 @@ def test_update_joseph_form_keeps_pd():
     rng = np.random.default_rng(30)
     s = ekf_init(AxisMeasurement(0.0, 0.0, 0.0), CFG)
     for i in range(5000):
-        s = ekf_predict(s, 0.01, CFG)
+        s = predict(s, 0.01, CFG)
         fresh = i % 100 == 0
         m = AxisMeasurement(float(rng.normal(0, 0.5)), float(rng.normal(0, 0.01)),
                             i * 0.01, fresh)
@@ -93,7 +98,7 @@ def test_covariance_pd_over_many_random_cycles():
         s = ekf_init(AxisMeasurement(float(rng.normal()), float(rng.normal()), 0.0), cfg)
         n = int(rng.integers(1000, 20_000))
         for i in range(n):
-            s = ekf_predict(s, 0.01, cfg)
+            s = predict(s, 0.01, cfg)
             if i % 10 == 0:
                 m = AxisMeasurement(float(rng.normal(0, 1)), float(rng.normal(0, 0.1)),
                                     i * 0.01, i % 100 == 0)
@@ -110,7 +115,7 @@ def test_constant_bias_leaks_into_estimate():
     cfg = EkfConfig(q=1e-4, r1=0.25, r2=1e-6, p0=10.0)
     s = ekf_init(AxisMeasurement(20.0, 0.0, 0.0), cfg)  # first fix already biased
     for i in range(1, 60_001):
-        s = ekf_predict(s, 0.01, cfg)
+        s = predict(s, 0.01, cfg)
         fresh = i % 100 == 0
         s = ekf_update(s, AxisMeasurement(20.0, 0.0, i * 0.01, fresh), cfg)
     assert s.pos > 1.0  # truth is 0; the bias owns the estimate

@@ -8,12 +8,12 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from corrobs import (ControlGains, LargeErrorModel,
+from corrobs import (CircleTrajectory, ControlGains, LargeErrorModel,
                      NoiseMixture, ScenarioConfig,
                      SensorConfig, SimulationDiverged, TraceLog,
                      TrajectorySpec, UavParams, UncertaintyModel,
                      bundled_config_path, convergence_study, decoupling_check,
-                     load_scenario, metrics, observer_ramp_study, run_scenario,
+                     engine, load_scenario, metrics, observer_ramp_study, run_scenario,
                      sweep_parameter, tune_ekf_process_noise)
 from corrobs.engine import SWEEPABLE_PARAMETERS, ideal_tracking_errors
 
@@ -108,6 +108,37 @@ def test_run_scenario_divergence_reports_tick():
     with pytest.raises(SimulationDiverged) as err:
         run_scenario(cfg)
     assert "tick" in str(err.value)
+
+
+# The public steppers the loop must call on every tick (per-run locals bound
+# from these attributes), with their calls per simulated tick.
+LOOP_STEPPERS = {"position_control": 1, "attitude_control": 1, "uncertainty_rescale": 1,
+                 "input_acceleration_scalars": 1, "step_plant": 1, "ekf_predict": 3,
+                 "step_corrector": 6}
+
+
+def test_run_scenario_calls_the_public_steppers(monkeypatch, sec6):
+    calls = dict.fromkeys([*LOOP_STEPPERS, "point"], 0)
+
+    def counting(name, fn):
+        def wrapper(*args):
+            calls[name] += 1
+            return fn(*args)
+        return wrapper
+
+    for name in LOOP_STEPPERS:
+        monkeypatch.setattr(engine, name, counting(name, getattr(engine, name)))
+    monkeypatch.setattr(CircleTrajectory, "point", counting("point", CircleTrajectory.point))
+    cfg = replace(sec6, duration=0.5)
+    n = int(round(cfg.duration / cfg.dt))
+    run_scenario(cfg)
+    # Control runs on the n + 1 logged ticks, the steppers on the n steps
+    # between them; the trajectory also gives the start state.
+    expected = {name: per_tick * n for name, per_tick in LOOP_STEPPERS.items()}
+    for name in ("position_control", "attitude_control", "uncertainty_rescale"):
+        expected[name] += 1
+    expected["point"] = n + 2
+    assert calls == expected
 
 
 def test_scenario_validation():
@@ -271,6 +302,32 @@ def test_sweep_large_error_bound_monotone():
     col = res.column("corrector_max")
     assert all(b >= a - 1e-9 for a, b in zip(col, col[1:]))
     assert col[-1] > col[0] + 5.0
+
+
+@pytest.mark.parametrize("values, pools", [([0.8], []), ([0.9, 0.6], [2])])
+def test_sweep_never_starts_more_workers_than_values(monkeypatch, values, pools):
+    import concurrent.futures
+    made = []
+
+    class RecordingPool:
+        """Stands in for ProcessPoolExecutor: records its size, maps in-process."""
+
+        def __init__(self, max_workers):
+            made.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, tasks):
+            return map(fn, tasks)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
+    res = sweep_parameter(hover_config(duration=1.0), "eps_o", values, settle=0.5, jobs=3)
+    assert made == pools
+    assert [row["eps_o"] for row in res.rows] == values
 
 
 def test_sweep_parallel_matches_serial():

@@ -21,7 +21,8 @@ from hypothesis import strategies as st
 
 from corrobs import (AxisMeasurement, CorrectorParams, CorrectorState, ObserverParams,
                      ObserverState, UavParams, UncertaintyModel, WrenchInput,
-                     step_corrector, step_observer, step_plant)
+                     input_acceleration_scalars, plant_axes, step_corrector,
+                     step_observer, step_plant)
 from corrobs.fractional import relay_step
 
 # ------------------------------------------------------------ references
@@ -194,6 +195,13 @@ def ref_step_plant(state, wrench, unc, params, t, dt):
 # ------------------------------------------------------------ comparison
 
 
+def plant_step(state, wrench, unc, params, t, dt):
+    """`step_plant` driven by a wrench, with its per-run constants worked out."""
+    return np.array(step_plant([float(v) for v in state],
+                               input_acceleration_scalars(wrench, params),
+                               plant_axes(unc, params), t, dt))
+
+
 def outcome(fn, *args):
     """Result as hex floats (signed zeros and NaNs kept), or the error raised."""
     try:
@@ -282,7 +290,7 @@ def test_step_plant_matches_reference(state, wrench, drag, sins, const, t, dt):
                            delta_constant=tuple(const))
     params = UavParams()
     w = WrenchInput(*wrench)
-    out = step_plant(np.array(state), w, unc, params, t, dt)
+    out = plant_step(np.array(state), w, unc, params, t, dt)
     ref = ref_step_plant(np.array(state), w, unc, params, t, dt)
     assume(np.all(np.isfinite(ref)))
     assert out.tobytes() == ref.tobytes()
@@ -297,5 +305,5 @@ def test_step_plant_matches_reference_with_mixed_disturbance():
     state = np.linspace(-1.0, 1.0, 12)
     w = WrenchInput(0.3, -0.2, 19.7, 0.01, 0.0, -0.0)
     for t in (0.0, 0.37, 12.5):
-        out = step_plant(state, w, unc, UavParams(), t, 1e-3)
+        out = plant_step(state, w, unc, UavParams(), t, 1e-3)
         assert out.tobytes() == ref_step_plant(state, w, unc, UavParams(), t, 1e-3).tobytes()

@@ -5,9 +5,9 @@ import math
 import numpy as np
 import pytest
 
-from corrobs import (UavParams, UncertaintyModel, WrenchInput,
-                     dynamics_derivative, sigma, step_plant)
-from corrobs.plant import AXIS_NAMES, input_acceleration_scalars, true_delta
+from corrobs import (UavParams, UncertaintyModel, WrenchInput, dynamics_derivative,
+                     input_acceleration_scalars, plant_axes, sigma, step_plant)
+from corrobs.plant import AXIS_NAMES, true_delta
 
 PARAMS = UavParams()
 NO_UNC = UncertaintyModel()
@@ -34,6 +34,12 @@ def state_with(**kw) -> np.ndarray:
     for name, value in kw.items():
         s[STATE_NAMES.index(name)] = value
     return s
+
+
+def step(state, wrench, unc, params, t, dt) -> np.ndarray:
+    """`step_plant` driven by a wrench, on and to a numpy state."""
+    return np.array(step_plant(state.tolist(), input_acceleration_scalars(wrench, params),
+                               plant_axes(unc, params), t, dt))
 
 
 def test_sigma_zero_at_rest():
@@ -160,7 +166,7 @@ def test_ballistic_closed_form():
     s = state_with(z=10.0)
     dt = 1e-3
     for i in range(1000):
-        s = step_plant(s, ZERO_WRENCH, NO_UNC, PARAMS, i * dt, dt)
+        s = step(s, ZERO_WRENCH, NO_UNC, PARAMS, i * dt, dt)
     assert abs(s[2] - (10.0 - 0.5 * 9.81 * 1.0 ** 2)) < 1e-9
     assert np.allclose(np.delete(s[:6], 2), 0.0, atol=1e-12)
 
@@ -179,7 +185,7 @@ def test_step_plant_matches_classical_stacked_step():
         k3 = dynamics_derivative(s + 0.5 * dt * k2, w, FLIGHT_UNC, PARAMS, t + 0.5 * dt)
         k4 = dynamics_derivative(s + dt * k3, w, FLIGHT_UNC, PARAMS, t + dt)
         ref = s + dt / 6.0 * (k1 + 2 * k2 + 2 * k3 + k4)
-        out = step_plant(s, w, FLIGHT_UNC, PARAMS, t, dt)
+        out = step(s, w, FLIGHT_UNC, PARAMS, t, dt)
         assert np.allclose(out, ref, rtol=1e-12, atol=1e-14)
 
 
