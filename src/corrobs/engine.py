@@ -25,7 +25,7 @@ from .control import (CircleTrajectory, ControlGains, HoverTrajectory,
 from .ekf import (EkfConfig, EkfDivergence, ekf_init, ekf_predict, ekf_update,
                   process_noise)
 from .estimators import (CorrectorParams, CorrectorState, ObserverParams,
-                         ObserverState, _observer_rk4, step_corrector, step_observer)
+                         ObserverState, step_corrector, step_observer)
 from .plant import (AXIS_NAMES, UavParams, UncertaintyModel, WrenchInput,
                     dynamics_derivative, input_acceleration_scalars, plant_axes,
                     step_plant, true_delta)
@@ -200,9 +200,8 @@ def run_scenario(cfg: ScenarioConfig, *, record_controls: bool = False,
     given time.
 
     The loop keeps every state as plain floats and calls the public steppers
-    with constants worked out once per run (the observer bank calls the
-    kernel behind `step_observer`); the outputs of each stage are checked for
-    finiteness once per tick.
+    with constants worked out once per run; the outputs of each stage are
+    checked for finiteness once per tick.
     """
     traj = cfg.trajectory.build()
     params = cfg.uav
@@ -237,35 +236,33 @@ def run_scenario(cfg: ScenarioConfig, *, record_controls: bool = False,
     measure = suite.measure
     point = traj.point
     rescale, position, attitude = uncertainty_rescale, position_control, attitude_control
-    step_corr, input_terms = step_corrector, input_acceleration_scalars
-    plant_step, predict, update = step_plant, ekf_predict, ekf_update
-    correctors = cfg.correctors
+    step_corr, step_obs = step_corrector, step_observer
+    input_terms, plant_step = input_acceleration_scalars, step_plant
+    predict, update = ekf_predict, ekf_update
+    correctors, observers = cfg.correctors, cfg.observers
     dts = (dt,) * 6
-    obs_k = [p._constants for p in cfg.observers]
     axes = plant_axes(cfg.uncertainty, params)
     ekf_cfg = cfg.ekf
     ekf_q = process_noise(ekf_cfg.q, dt)
     gains = cfg.gains
-    axes6 = range(6)
 
     pos0, vel0, _ = point(0.0)
     s = [a + b for a, b in zip(pos0 + vel0, cfg.initial_offset)]
     frame = measure(s, 0)
     if cfg.estimator_init == "truth":
-        corr = [CorrectorState(s[a], s[6 + a]) for a in axes6]
-        o3 = s[6:]                # observer velocity estimates
+        corr = [CorrectorState(s[a], s[6 + a]) for a in range(6)]
+        obs = [ObserverState(s[6 + a], 0.0) for a in range(6)]
     else:
         corr = [CorrectorState(mz.y_o1, mz.y_o2) for mz in frame]
-        o3 = [mz.y_o2 for mz in frame]
-    o4 = [0.0] * 6                # observer uncertainty estimates
+        obs = [ObserverState(mz.y_o2, 0.0) for mz in frame]
     kf = [ekf_init(frame[a], ekf_cfg) for a in range(3)]
 
     for i in range(n_ticks + 1):
         t = i * dt
         if i == pert_tick:
             if target == "observer":
-                o3 = [x + magnitude for x in o3]
-                o4 = [x + magnitude for x in o4]
+                obs = [ObserverState(o.xhat3 + magnitude, o.xhat4 + magnitude)
+                       for o in obs]
             else:
                 corr = [CorrectorState(c.xhat1 + magnitude, c.xhat2 + magnitude)
                         for c in corr]
@@ -276,7 +273,7 @@ def run_scenario(cfg: ScenarioConfig, *, record_controls: bool = False,
         else:
             est_pos = [c.xhat1 for c in corr]
             est_vel = [c.xhat2 for c in corr]
-            dp, da = rescale(o4, params)
+            dp, da = rescale([o.xhat4 for o in obs], params)
             wrench = (position(est_pos, est_vel, dp, tp, gains, params)
                       + attitude(est_pos, est_vel, da, tp, gains, params))
         if not _all_finite(wrench):
@@ -292,8 +289,8 @@ def run_scenario(cfg: ScenarioConfig, *, record_controls: bool = False,
             row[19:25] = [mz.y_o2 for mz in frame]
             row[25:31] = [c.xhat1 for c in corr]
             row[31:37] = [c.xhat2 for c in corr]
-            row[37:43] = o3
-            row[43:49] = o4
+            row[37:43] = [o.xhat3 for o in obs]
+            row[43:49] = [o.xhat4 for o in obs]
             row[49:52] = [k.pos for k in kf]
             row[52:55] = [k.vel for k in kf]
             row[55:61] = wrench
@@ -308,10 +305,10 @@ def run_scenario(cfg: ScenarioConfig, *, record_controls: bool = False,
             corr = list(map(step_corr, corr, frame, correctors, dts))
         except ValueError as exc:
             raise _diverged(i, t, "corrector", exc) from exc
-        for a in axes6:
-            o3[a], o4[a] = _observer_rk4(o3[a], o4[a], frame[a].y_o2, h6[a], obs_k[a], dt)
-        if not (_all_finite(o3) and _all_finite(o4)):
-            raise _diverged(i, t, "observer", "non-finite state")
+        try:
+            obs = list(map(step_obs, obs, [mz.y_o2 for mz in frame], h6, observers, dts))
+        except ValueError as exc:
+            raise _diverged(i, t, "observer", exc) from exc
         s = plant_step(s, h6, axes, t, dt)
         if not _all_finite(s):
             raise _diverged(i + 1, t + dt, "plant", "non-finite state")
@@ -467,6 +464,16 @@ def _noise_free_sensors(cfg: ScenarioConfig, d_const: float) -> SensorConfig:
     )
 
 
+def _descending_eps(eps_values: Sequence[float]) -> list[float]:
+    """The time-scale values of a study as a list; each in (0, 1), strictly descending."""
+    values = list(eps_values)
+    if any(not 0.0 < v < 1.0 for v in values):
+        raise ValueError("eps values must lie in (0, 1)")
+    if any(b >= a for a, b in zip(values, values[1:])):
+        raise ValueError("eps values must be strictly descending")
+    return values
+
+
 def convergence_study(cfg: ScenarioConfig, eps_values: Sequence[float],
                       d_const: float = 20.0, duration: float = 40.0,
                       settle: float = 20.0) -> SweepResult:
@@ -479,11 +486,7 @@ def convergence_study(cfg: ScenarioConfig, eps_values: Sequence[float],
     practice the bias is rejected so completely that every row sits at the
     numerical floor.
     """
-    values = list(eps_values)
-    if any(not 0.0 < v < 1.0 for v in values):
-        raise ValueError("eps values must lie in (0, 1)")
-    if any(b >= a for a, b in zip(values, values[1:])):
-        raise ValueError("eps values must be strictly descending")
+    values = _descending_eps(eps_values)
     base = replace(
         cfg,
         duration=duration,
@@ -518,11 +521,7 @@ def observer_ramp_study(eps_values: Sequence[float], base: ObserverParams | None
     estimate error shrinks as eps_o decreases (error-order property), which
     is measurable here because the ramp keeps a persistent innovation alive.
     """
-    values = list(eps_values)
-    if any(not 0.0 < v < 1.0 for v in values):
-        raise ValueError("eps values must lie in (0, 1)")
-    if any(b >= a for a, b in zip(values, values[1:])):
-        raise ValueError("eps values must be strictly descending")
+    values = _descending_eps(eps_values)
     if base is None:
         base = ObserverParams(20.0, 4.0, 0.6, 1.0 / 1.1)
     n = int(round(duration / dt))

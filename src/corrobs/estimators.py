@@ -91,7 +91,7 @@ class ObserverParams:
 
     @cached_property
     def _constants(self) -> tuple[float, float, float, float]:
-        """(alpha_o, (alpha_o + 1)/2, k4/eps_o, k3/eps_o^2) for the observer kernel."""
+        """(alpha_o, (alpha_o + 1)/2, k4/eps_o, k3/eps_o^2) for `step_observer`."""
         alpha = self.alpha_o
         return (alpha, 0.5 * (alpha + 1.0), self.k4 / self.eps_o,
                 self.k3 / (self.eps_o * self.eps_o))
@@ -110,6 +110,10 @@ _new_corrector_state = partial(tuple.__new__, CorrectorState)
 class ObserverState(NamedTuple):
     xhat3: float  # velocity estimate
     xhat4: float  # lumped uncertainty estimate
+
+
+# ObserverState from an (xhat3, xhat4) pair, the same way.
+_new_observer_state = partial(tuple.__new__, ObserverState)
 
 
 class AxisMeasurement(NamedTuple):
@@ -163,15 +167,20 @@ def step_corrector(state: CorrectorState, meas: AxisMeasurement,
     return _new_corrector_state((x1_out, x2_out))
 
 
-def _observer_rk4(xhat3: float, xhat4: float, y_o2: float, h: float,
-                  k: tuple[float, float, float, float],
-                  dt: float) -> tuple[float, float]:
-    """Classical 4th-order observer step on plain floats; no checks.
+def step_observer(state: ObserverState, y_o2: float, h: float,
+                  p: ObserverParams, dt: float) -> ObserverState:
+    """Advance the observer one fixed step (classical 4th-order scheme).
 
-    ``k`` is `ObserverParams._constants`.  Non-finite inputs give
-    non-finite outputs, so callers check the outputs.
+    The observer's innovation exponent (alpha_o + 1)/2 >= 1/2 keeps the
+    right-hand side tame enough for an explicit stepper at millisecond steps;
+    spurious-offset scales are far below double precision here.
     """
-    alpha, beta, c4, c3 = k
+    if dt <= 0.0:
+        raise ValueError("dt must be positive")
+    xhat3, xhat4 = state
+    if not (isfinite(xhat3) and isfinite(xhat4) and isfinite(y_o2) and isfinite(h)):
+        raise ValueError("non-finite value in observer step input")
+    alpha, beta, c4, c3 = p._constants
     half = 0.5 * dt
     innov = xhat3 - y_o2
     mag = abs(innov)
@@ -189,24 +198,8 @@ def _observer_rk4(xhat3: float, xhat4: float, y_o2: float, h: float,
     mag = abs(innov)
     a4 = xhat4 + dt * b3 - c4 * (copysign(mag ** beta, innov) if innov != 0.0 else 0.0) + h
     b4 = -c3 * (copysign(mag ** alpha, innov) if innov != 0.0 else 0.0)
-    return (xhat3 + dt / 6.0 * (a1 + 2.0 * a2 + 2.0 * a3 + a4),
-            xhat4 + dt / 6.0 * (b1 + 2.0 * b2 + 2.0 * b3 + b4))
-
-
-def step_observer(state: ObserverState, y_o2: float, h: float,
-                  p: ObserverParams, dt: float) -> ObserverState:
-    """Advance the observer one fixed step (classical 4th-order scheme).
-
-    The observer's innovation exponent (alpha_o + 1)/2 >= 1/2 keeps the
-    right-hand side tame enough for an explicit stepper at millisecond steps;
-    spurious-offset scales are far below double precision here.
-    """
-    if dt <= 0.0:
-        raise ValueError("dt must be positive")
-    xhat3, xhat4 = state
-    if not (isfinite(xhat3) and isfinite(xhat4) and isfinite(y_o2) and isfinite(h)):
-        raise ValueError("non-finite value in observer step input")
-    x3_out, x4_out = _observer_rk4(xhat3, xhat4, y_o2, h, p._constants, dt)
+    x3_out = xhat3 + dt / 6.0 * (a1 + 2.0 * a2 + 2.0 * a3 + a4)
+    x4_out = xhat4 + dt / 6.0 * (b1 + 2.0 * b2 + 2.0 * b3 + b4)
     if not (isfinite(x3_out) and isfinite(x4_out)):
         raise ValueError("observer step produced a non-finite state")
-    return ObserverState(x3_out, x4_out)
+    return _new_observer_state((x3_out, x4_out))

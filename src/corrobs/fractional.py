@@ -67,10 +67,13 @@ def relay_step(u: float, forcing: float, c: float, alpha: float,
         except OverflowError:
             ueq = copysign(math.inf, forcing)
 
-    if isfinite(ueq):
+    g1 = forcing - c * (copysign(abs(u) ** alpha, u) if u != 0.0 else 0.0)
+    um = u + 0.5 * h * g1
+    # An equilibrium beyond floating-point range leaves the relay negligible
+    # against the forcing, so the plain midpoint step below is accurate.
+    finite = isfinite(ueq)
+    if finite:
         d = u - ueq
-        g1 = forcing - c * (copysign(abs(u) ** alpha, u) if u != 0.0 else 0.0)
-        um = u + 0.5 * h * g1
         if d == 0.0 or (um - ueq) * d <= 0.0:
             # Relay-dominated: the midpoint already overshoots.  Decay the
             # offset from equilibrium analytically; this lands on ueq exactly
@@ -92,16 +95,8 @@ def relay_step(u: float, forcing: float, c: float, alpha: float,
             integral = copysign(
                 (ad ** (2.0 - alpha) - abs(dend) ** (2.0 - alpha)) / (c * (2.0 - alpha)), d)
             return ueq + dend, integral + ueq * h
-        g2 = forcing - c * (copysign(abs(um) ** alpha, um) if um != 0.0 else 0.0)
-        un = u + h * g2
-        if (un - ueq) * d < 0.0:
-            un = ueq
-        return un, 0.5 * h * (u + un)
-
-    # Equilibrium beyond floating-point range: the relay is negligible
-    # against the forcing, so a plain midpoint step is accurate.
-    g1 = forcing - c * (copysign(abs(u) ** alpha, u) if u != 0.0 else 0.0)
-    um = u + 0.5 * h * g1
     g2 = forcing - c * (copysign(abs(um) ** alpha, um) if um != 0.0 else 0.0)
     un = u + h * g2
+    if finite and (un - ueq) * d < 0.0:
+        un = ueq
     return un, 0.5 * h * (u + un)

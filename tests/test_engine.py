@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from corrobs import (CircleTrajectory, ControlGains, LargeErrorModel,
-                     NoiseMixture, ScenarioConfig,
+                     NoiseMixture, ObserverParams, ScenarioConfig,
                      SensorConfig, SimulationDiverged, TraceLog,
                      TrajectorySpec, UavParams, UncertaintyModel,
                      bundled_config_path, convergence_study, decoupling_check,
@@ -110,11 +110,19 @@ def test_run_scenario_divergence_reports_tick():
     assert "tick" in str(err.value)
 
 
+def test_observer_divergence_names_tick_and_stage(sec6):
+    # Gains this large overflow the observer's first step.
+    cfg = replace(sec6, duration=0.1, observers=(ObserverParams(1e300, 1e300, 0.6, 0.5),) * 6)
+    with pytest.raises(SimulationDiverged, match=r"^divergence at tick 0 \(t=0\.000 s\) in the "
+                       r"observer stage: observer step produced a non-finite state$"):
+        run_scenario(cfg)
+
+
 # The public steppers the loop must call on every tick (per-run locals bound
 # from these attributes), with their calls per simulated tick.
 LOOP_STEPPERS = {"position_control": 1, "attitude_control": 1, "uncertainty_rescale": 1,
                  "input_acceleration_scalars": 1, "step_plant": 1, "ekf_predict": 3,
-                 "step_corrector": 6}
+                 "step_corrector": 6, "step_observer": 6}
 
 
 def test_run_scenario_calls_the_public_steppers(monkeypatch, sec6):
@@ -255,6 +263,19 @@ def test_convergence_study_validates_eps():
         convergence_study(hover_config(), [0.5, 0.9])
     with pytest.raises(ValueError):
         convergence_study(hover_config(), [1.2])
+
+
+@pytest.mark.parametrize("study", [
+    lambda eps: convergence_study(hover_config(), eps),
+    observer_ramp_study,
+], ids=["convergence_study", "observer_ramp_study"])
+@pytest.mark.parametrize("eps, message", [
+    ([0.5, 1.0], r"eps values must lie in \(0, 1\)"),
+    ([0.5, 0.5], "eps values must be strictly descending"),
+])
+def test_studies_refuse_bad_eps_lists(study, eps, message):
+    with pytest.raises(ValueError, match=message):
+        study(eps)
 
 
 def test_observer_ramp_study_monotone():
