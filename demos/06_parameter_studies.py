@@ -25,7 +25,7 @@ cfg = load_scenario(bundled_config_path("paper_sec6"))
 eps = [0.9, 0.7, 0.5, 0.3]
 
 print("corrector time-scale study (constant 20 m bias, no noise):")
-res = convergence_study(cfg, eps, d_const=20.0, duration=30.0, settle=15.0)
+res = convergence_study(cfg, eps, duration=30.0, settle=15.0)
 for row in res.rows:
     print(f"  eps_c = {row['eps_c']:.1f}:  max|e1| = {row['max_e1']:.2e} m, "
           f"max|e2| = {row['max_e2']:.2e} m/s")

@@ -7,12 +7,11 @@ from .estimators import (AxisMeasurement, CorrectorParams, CorrectorState,
                          ObserverParams, ObserverState, step_corrector,
                          step_observer)
 from .fractional import falpha
-from .freq import (DescribingFunctionResult, LinearizedSystem,
-                   ParamValidationReport, corrector_natural_frequency,
-                   describing_function, filtering_advice, linearize_corrector,
-                   linearize_observer, observer_natural_frequency,
-                   omega_coefficient, validate_corrector_params,
-                   validate_observer_params)
+from .freq import (LinearizedSystem, ParamValidationReport,
+                   corrector_natural_frequency, filtering_advice,
+                   linearize_corrector, linearize_observer,
+                   observer_natural_frequency, omega_coefficient,
+                   validate_corrector_params, validate_observer_params)
 from .plant import (UavParams, UncertaintyModel, WrenchInput, dynamics_derivative,
                     input_acceleration_scalars, plant_axes, sigma, step_plant)
 from .sensors import (LargeErrorModel, LargeErrorProcess, NoiseMixture,

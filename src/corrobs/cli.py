@@ -12,6 +12,10 @@ Subcommands:
 Exit codes: 0 success, 1 config error, 2 numerical divergence,
 3 validation failure.  Outputs are deterministic: re-running a subcommand
 with identical inputs rewrites identical bytes.
+
+`validate` prints the selection-rule report of every estimator group, then
+checks the rest of the document as `run` does.  A config error there exits 1
+even when a rule has failed too; a rule failure alone exits 3.
 """
 
 from __future__ import annotations
@@ -25,9 +29,10 @@ from pathlib import Path
 
 from . import freq
 from .config import (BUNDLED_CONFIGS, ConfigError, bundled_config_path,
-                     estimator_values, read_document, scenario_from_dict)
-from .engine import (SWEEPABLE_PARAMETERS, SimulationDiverged, decoupling_check,
-                     metrics, run_scenario, sweep_parameter)
+                     estimator_values, read_document, scenario_from_dict,
+                     scenario_to_dict)
+from .engine import (SWEEPABLE_PARAMETERS, ScenarioConfig, SimulationDiverged,
+                     decoupling_check, metrics, run_scenario, sweep_parameter)
 from .plant import AXIS_NAMES
 
 EXIT_OK = 0
@@ -43,7 +48,7 @@ def _config_path(args) -> Path:
     return path
 
 
-def _with_overrides(args, cfg: "ScenarioConfig") -> "ScenarioConfig":  # noqa: F821
+def _with_overrides(args, cfg: ScenarioConfig) -> ScenarioConfig:
     if getattr(args, "seed", None) is not None:
         cfg = replace(cfg, seed=args.seed)
     if getattr(args, "duration", None) is not None:
@@ -51,7 +56,7 @@ def _with_overrides(args, cfg: "ScenarioConfig") -> "ScenarioConfig":  # noqa: F
     return cfg
 
 
-def _load(args) -> "ScenarioConfig":  # noqa: F821
+def _load(args) -> ScenarioConfig:
     return _with_overrides(args, scenario_from_dict(read_document(_config_path(args))))
 
 
@@ -77,15 +82,13 @@ def cmd_run(args) -> int:
 def cmd_validate(args) -> int:
     # The selection rules report on out-of-range estimator parameters, which
     # the scenario objects refuse, so they read the plain document values.
-    # Only when the rules pass is the whole config built, as `run` builds it.
+    # The whole config is then built as `run` builds it, with the default
+    # parameters standing in for each group a rule refuses.
     doc = read_document(_config_path(args))
     rules = {"corrector": freq.validate_corrector_params,
              "observer": freq.validate_observer_params}
     reports = {section: rules[section.split(".")[0]](**values)
                for section, values in estimator_values(doc).items()}
-    ok = all(rep.stable for rep in reports.values())
-    if ok:
-        _with_overrides(args, scenario_from_dict(doc))
     warned = False
     for section, rep in reports.items():
         warned |= not rep.oscillation_free
@@ -93,7 +96,14 @@ def cmd_validate(args) -> int:
               f"oscillation_free={rep.oscillation_free}")
         for m in rep.messages:
             print(f"  {m}")
-    if not ok:
+    stand_in = estimator_values(scenario_to_dict(ScenarioConfig()))
+    checked = json.loads(json.dumps(doc))
+    for section, rep in reports.items():
+        if not rep.stable:
+            group, axis = section.split(".")
+            checked[group][axis].update(stand_in[section])
+    _with_overrides(args, scenario_from_dict(checked))
+    if not all(rep.stable for rep in reports.values()):
         print("validation FAILED: unstable parameter set")
         return EXIT_VALIDATION
     print("validation passed" + (" (with oscillation warnings)" if warned else ""))

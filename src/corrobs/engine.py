@@ -29,7 +29,7 @@ from .estimators import (CorrectorParams, CorrectorState, ObserverParams,
 from .plant import (AXIS_NAMES, UavParams, UncertaintyModel, WrenchInput,
                     dynamics_derivative, input_acceleration_scalars, plant_axes,
                     step_plant, true_delta)
-from .sensors import SensorConfig, SensorSuite
+from .sensors import LargeErrorModel, NoiseMixture, SensorConfig, SensorSuite
 
 __all__ = [
     "TrajectorySpec", "ScenarioConfig", "TraceLog", "SimulationDiverged",
@@ -82,8 +82,13 @@ def _default_correctors() -> tuple[CorrectorParams, ...]:
     return tuple(CorrectorParams(1.0, 30.0, 0.1, 1.0 / 1.2) for _ in range(6))
 
 
+# The observer of every axis unless a scenario says otherwise, and the base
+# of `observer_ramp_study`.
+_DEFAULT_OBSERVER = ObserverParams(20.0, 4.0, 0.6, 1.0 / 1.1)
+
+
 def _default_observers() -> tuple[ObserverParams, ...]:
-    return tuple(ObserverParams(20.0, 4.0, 0.6, 1.0 / 1.1) for _ in range(6))
+    return (_DEFAULT_OBSERVER,) * 6
 
 
 @dataclass(frozen=True)
@@ -394,16 +399,15 @@ def metrics(trace: TraceLog, settle: float,
 
 def ideal_tracking_errors(params: UavParams, unc: UncertaintyModel,
                           gains: ControlGains, trajectory: TrajectorySpec,
-                          initial_offset: Sequence[float], duration: float,
-                          dt: float = 1e-3, sample_interval: float = 0.01):
+                          initial_offset: Sequence[float], duration: float):
     """Perfect-information closed loop with continuous feedback.
 
     True states replace the estimates and the exact uncertainty forces are
-    cancelled; the control law is re-evaluated at every integrator stage, so
-    the simulated tracking error follows the ideal per-axis dynamics
+    cancelled; the control law is re-evaluated at every stage of a 1 ms RK4
+    step, so the simulated tracking error follows the ideal per-axis dynamics
     e'' = -kp1 e - kp2 e' (ka1/ka2 on the attitude axes) up to integrator
-    accuracy.  Returns (times, errors) with one six-column error row per
-    sample.  Used to verify the control-law algebra against the analytic
+    accuracy.  Returns (times, errors) with one six-column error row every
+    10 ms.  Used to verify the control-law algebra against the analytic
     solution, without the zero-order-hold lag of the discrete loop.
     """
     traj = trajectory.build()
@@ -418,8 +422,9 @@ def ideal_tracking_errors(params: UavParams, unc: UncertaintyModel,
                              *attitude_control(pos, vel, delta[3:], tp, gains, params))
         return dynamics_derivative(s, wrench, unc, params, t)
 
+    dt = 1e-3
     n_ticks = int(round(duration / dt))
-    sample_every = int(round(sample_interval / dt))
+    sample_every = 10
     times = []
     errors = []
     for i in range(n_ticks + 1):
@@ -451,19 +456,6 @@ class SweepResult:
         return all(b <= a + slack for a, b in zip(col, col[1:]))
 
 
-def _noise_free_sensors(cfg: ScenarioConfig, d_const: float) -> SensorConfig:
-    from .sensors import LargeErrorModel, NoiseMixture
-    bound = abs(d_const) if d_const != 0.0 else 0.0
-    return replace(
-        cfg.sensors,
-        dropouts=(),
-        large_error=tuple(LargeErrorModel(constant=d_const, bound=bound)
-                          for _ in range(6)),
-        position_noise=tuple(NoiseMixture() for _ in range(6)),
-        velocity_noise=tuple(NoiseMixture() for _ in range(6)),
-    )
-
-
 def _descending_eps(eps_values: Sequence[float]) -> list[float]:
     """The time-scale values of a study as a list; each in (0, 1), strictly descending."""
     values = list(eps_values)
@@ -475,23 +467,25 @@ def _descending_eps(eps_values: Sequence[float]) -> list[float]:
 
 
 def convergence_study(cfg: ScenarioConfig, eps_values: Sequence[float],
-                      d_const: float = 20.0, duration: float = 40.0,
-                      settle: float = 20.0) -> SweepResult:
+                      duration: float = 40.0, settle: float = 20.0) -> SweepResult:
     """Steady corrector error versus the corrector time-scale parameter.
 
-    Runs the noise-free constant-bias scenario (hover, estimators started at
-    the true state) for each eps_c and reports the steady-state max position
-    and velocity estimate errors.  The error-order bound shrinks with eps_c,
-    so the measured error must be non-increasing as eps_c decreases; in
-    practice the bias is rejected so completely that every row sits at the
-    numerical floor.
+    Runs the noise-free scenario with a constant bias of 20 on every axis
+    (hover, estimators started at the true state) for each eps_c and reports
+    the steady-state max position and velocity estimate errors.  The
+    error-order bound shrinks with eps_c, so the measured error must be
+    non-increasing as eps_c decreases; in practice the bias is rejected so
+    completely that every row sits at the numerical floor.
     """
     values = _descending_eps(eps_values)
     base = replace(
         cfg,
         duration=duration,
         trajectory=TrajectorySpec(kind="hover", altitude=0.0),
-        sensors=_noise_free_sensors(cfg, d_const),
+        sensors=replace(cfg.sensors, dropouts=(),
+                        large_error=(LargeErrorModel(constant=20.0, bound=20.0),) * 6,
+                        position_noise=(NoiseMixture(),) * 6,
+                        velocity_noise=(NoiseMixture(),) * 6),
         estimator_init="truth",
     )
     rows = []
@@ -511,23 +505,22 @@ def convergence_study(cfg: ScenarioConfig, eps_values: Sequence[float],
     return SweepResult("eps_c", values, rows)
 
 
-def observer_ramp_study(eps_values: Sequence[float], base: ObserverParams | None = None,
-                        ramp_rate: float = 0.2, duration: float = 40.0,
+def observer_ramp_study(eps_values: Sequence[float], duration: float = 40.0,
                         settle: float = 20.0, dt: float = 1e-3) -> SweepResult:
     """Steady observer error against a ramp uncertainty, per time-scale value.
 
-    Synthetic single-axis study: sigma(t) = ramp_rate * t, h = 0, clean
-    velocity measurement refreshed every step.  The steady uncertainty-
-    estimate error shrinks as eps_o decreases (error-order property), which
-    is measurable here because the ramp keeps a persistent innovation alive.
+    Synthetic single-axis study of the default observer with its eps_o set to
+    each value: sigma(t) = 0.2 t, h = 0, clean velocity measurement refreshed
+    every step.  The steady uncertainty-estimate error shrinks as eps_o
+    decreases (error-order property), which is measurable here because the
+    ramp keeps a persistent innovation alive.
     """
     values = _descending_eps(eps_values)
-    if base is None:
-        base = ObserverParams(20.0, 4.0, 0.6, 1.0 / 1.1)
+    ramp_rate = 0.2
     n = int(round(duration / dt))
     rows = []
     for eps in values:
-        p = replace(base, eps_o=eps)
+        p = replace(_DEFAULT_OBSERVER, eps_o=eps)
         st = ObserverState(0.0, 0.0)
         worst = 0.0
         for i in range(n):
@@ -551,22 +544,23 @@ class DecouplingReport:
         return self.corrector_unaffected and self.observer_unaffected
 
 
-def decoupling_check(cfg: ScenarioConfig, magnitude: float = 1.0) -> DecouplingReport:
+def decoupling_check(cfg: ScenarioConfig) -> DecouplingReport:
     """Structural independence of the two estimator banks.
 
     The scenario is run once recording the command history, then twice more
-    open loop (commands replayed) with the observer bank perturbed in one run
-    and the corrector bank in the other, halfway through.  Replaying the
-    commands isolates the estimators from the control loop; the corrector
+    open loop (commands replayed) with the observer bank's states offset by 1
+    in one run and the corrector bank's in the other, halfway through.
+    Replaying the commands isolates the estimators from the control loop; the
+    corrector
     trace must be bit-identical under the observer perturbation and vice
     versa, because neither estimator reads the other's state.
     """
     trace_a, controls = run_scenario(cfg, record_controls=True)
     half = cfg.duration / 2.0
     trace_b = run_scenario(cfg, control_replay=controls,
-                           perturb=("observer", half, magnitude))
+                           perturb=("observer", half, 1.0))
     trace_c = run_scenario(cfg, control_replay=controls,
-                           perturb=("corrector", half, magnitude))
+                           perturb=("corrector", half, 1.0))
 
     corr_cols = [f"corr_{a}" for a in AXIS_NAMES] + [f"corr_v{a}" for a in AXIS_NAMES]
     obs_cols = [f"obs_vel_{a}" for a in AXIS_NAMES] + [f"obs_sigma_{a}" for a in AXIS_NAMES]

@@ -126,9 +126,9 @@ class AxisMeasurement(NamedTuple):
 
 
 def step_corrector(state: CorrectorState, meas: AxisMeasurement,
-                   p: CorrectorParams, dt: float,
-                   substeps: int = 2) -> CorrectorState:
-    """Advance the corrector one fixed step with measurements held constant.
+                   p: CorrectorParams, dt: float) -> CorrectorState:
+    """Advance the corrector one fixed step, in two substeps of dt/2, with
+    measurements held constant.
 
     The velocity-channel feedback k2*|.|^alpha_c is relay-like for small
     alpha_c and slaves xhat2 to y_o2 on a time scale far below any practical
@@ -142,8 +142,6 @@ def step_corrector(state: CorrectorState, meas: AxisMeasurement,
     """
     if dt <= 0.0:
         raise ValueError("dt must be positive")
-    if substeps < 1:
-        raise ValueError("substeps must be >= 1")
     xhat1, xhat2 = state
     y1, y2 = meas[0], meas[1]
     if not (isfinite(xhat1) and isfinite(xhat2) and isfinite(y1) and isfinite(y2)):
@@ -152,8 +150,8 @@ def step_corrector(state: CorrectorState, meas: AxisMeasurement,
     eps, inv_eps3, k1, c2, alpha, kappa = p._constants
     u1 = xhat1 - y1
     u2 = xhat2 - y2
-    h = dt / substeps
-    for _ in range(substeps):
+    h = 0.5 * dt
+    for _ in range(2):
         v = eps * u1
         spring = -k1 * (copysign(abs(v) ** kappa, v) if v != 0.0 else 0.0) * inv_eps3
         u2_next, integral = relay_step(u2, spring, c2, alpha, h)

@@ -29,8 +29,7 @@ import numpy as np
 from .estimators import CorrectorParams, ObserverParams
 
 __all__ = [
-    "DescribingFunctionResult", "LinearizedSystem", "ParamValidationReport",
-    "omega_coefficient", "describing_function",
+    "LinearizedSystem", "ParamValidationReport", "omega_coefficient",
     "corrector_natural_frequency", "observer_natural_frequency",
     "linearize_corrector", "linearize_observer",
     "validate_corrector_params", "validate_observer_params",
@@ -39,26 +38,11 @@ __all__ = [
 
 
 @dataclass(frozen=True)
-class DescribingFunctionResult:
-    omega_coeff: float      # Omega(alpha)
-    equivalent_gain: float  # N(A) = Omega(alpha) / A^(1-alpha)
-    amplitude: float
-
-
-@dataclass(frozen=True)
 class LinearizedSystem:
     """Companion-form state matrix of a linearized estimator error system."""
 
     matrix: np.ndarray
     natural_frequency: float
-
-    @property
-    def stiffness(self) -> float:
-        return -float(self.matrix[1, 0])
-
-    @property
-    def damping(self) -> float:
-        return -float(self.matrix[1, 1])
 
     def eigenvalues(self) -> np.ndarray:
         return np.linalg.eigvals(self.matrix)
@@ -82,14 +66,6 @@ def omega_coefficient(alpha: float) -> float:
         raise ValueError(f"alpha must be in (0, 1], got {alpha}")
     return 2.0 / math.sqrt(math.pi) * math.gamma(0.5 * (alpha + 2.0)) \
         / math.gamma(0.5 * (alpha + 3.0))
-
-
-def describing_function(alpha: float, amplitude: float) -> DescribingFunctionResult:
-    """Equivalent gain of |u|^alpha sign(u) at oscillation amplitude A."""
-    if amplitude <= 0.0:
-        raise ValueError("amplitude must be positive")
-    om = omega_coefficient(alpha)
-    return DescribingFunctionResult(om, om / amplitude ** (1.0 - alpha), amplitude)
 
 
 def corrector_natural_frequency(p: CorrectorParams, a_c1: float) -> float:
@@ -233,14 +209,14 @@ def validate_observer_params(k3: float, k4: float, alpha_o: float,
 
 def filtering_advice(params: CorrectorParams | ObserverParams,
                      noise_level: str = "none",
-                     sensing_error_growth: bool = False,
-                     reference_amplitude: float = 1.0) -> list[str]:
+                     sensing_error_growth: bool = False) -> list[str]:
     """Qualitative tuning directions for noise filtering and error rejection.
 
-    ``noise_level`` is one of "none", "low", "moderate", "high".  The
-    time-scale parameter sets the estimator's low-pass bandwidth: with much
-    noise it should increase (and/or the fractional exponent should increase)
-    to narrow the bandwidth.  When the bound on the position-channel sensing
+    ``noise_level`` is one of "none", "low", "moderate", "high".  The natural
+    frequency is quoted at innovation amplitude 1.  The time-scale parameter
+    sets the estimator's low-pass bandwidth: with much noise it should
+    increase (and/or the fractional exponent should increase) to narrow the
+    bandwidth.  When the bound on the position-channel sensing
     error grows, the corrector's k1 and alpha_c should decrease to shrink the
     residual error term k1*L_d^(alpha_c/(2-alpha_c)).
     """
@@ -250,13 +226,13 @@ def filtering_advice(params: CorrectorParams | ObserverParams,
 
     advice = []
     if isinstance(params, CorrectorParams):
-        wn = corrector_natural_frequency(params, reference_amplitude)
+        wn = corrector_natural_frequency(params, 1.0)
         name, eps_name, alpha_name = "corrector", "eps_c", "alpha_c"
     else:
-        wn = observer_natural_frequency(params, reference_amplitude)
+        wn = observer_natural_frequency(params, 1.0)
         name, eps_name, alpha_name = "observer", "eps_o", "alpha_o"
     advice.append(
-        f"{name} natural frequency at amplitude {reference_amplitude:g}: {wn:.4g} rad/s")
+        f"{name} natural frequency at amplitude 1: {wn:.4g} rad/s")
 
     if noise_level in ("moderate", "high"):
         advice.append(

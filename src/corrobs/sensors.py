@@ -160,11 +160,6 @@ class SensorConfig:
             if end <= start:
                 raise ValueError("dropout intervals must satisfy start < end")
 
-    @property
-    def l_d(self) -> tuple[float, ...]:
-        """Recorded sup bound of each axis's large error."""
-        return tuple(m.bound for m in self.large_error)
-
     def in_dropout(self, t: float) -> bool:
         return any(start <= t < end for start, end in self.dropouts)
 

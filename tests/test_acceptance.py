@@ -120,7 +120,7 @@ def test_criterion_04_finite_time_convergence():
 def test_criterion_05_epsilon_monotonicity():
     eps = [0.9, 0.7, 0.5, 0.3]
     cfg = load_scenario(bundled_config_path("paper_sec6"))
-    corr = convergence_study(cfg, eps, d_const=20.0, duration=40.0, settle=20.0)
+    corr = convergence_study(cfg, eps, duration=40.0, settle=20.0)
     assert corr.non_increasing("max_e1", slack=1e-6), corr.rows
     obs = observer_ramp_study(eps, duration=40.0, settle=20.0)
     assert obs.non_increasing("max_e4", slack=1e-4), obs.rows

@@ -215,6 +215,23 @@ def test_cli_run_idempotent(tmp_path, sec6_doc):
     assert first == second
 
 
+# SHA-256 of the files `corrobs run` writes for 2 s of the bundled paper_sec6
+# flight: a change that alters a trace or a metric must update these on purpose.
+RUN_SHA256 = {
+    "trace.csv": "6ec6159a4e496290ed364a6985f86f7870485c801bfe1c729eb47ab2e13cc219",
+    "metrics.json": "792082787b04763f23a737ea9001348963d582f55d641d2ad7569ffda6c2832c",
+}
+
+
+def test_cli_run_output_bytes_are_pinned(tmp_path):
+    out = tmp_path / "out"
+    rc = main(["run", "--config", "paper_sec6", "--duration", "2", "--settle", "1",
+               "--out", str(out)])
+    assert rc == 0
+    for name, digest in RUN_SHA256.items():
+        assert hashlib.sha256((out / name).read_bytes()).hexdigest() == digest, name
+
+
 def test_cli_missing_config_key_exit_code(tmp_path, sec6_doc, capsys):
     doc = json.loads(json.dumps(sec6_doc))
     del doc["uav"]["m"]
@@ -244,6 +261,22 @@ def test_cli_validate_unstable(tmp_path, sec6_doc, capsys):
     path.write_text(json.dumps(doc))
     rc = main(["validate", "--config", str(path)])
     assert rc == 3
+
+
+def test_cli_validate_reports_rules_and_a_config_error_together(tmp_path, sec6_doc,
+                                                                 capsys):
+    # A rule failure and a config error elsewhere: the rule reports print,
+    # the config error is named on one line, and the exit code is run's.
+    doc = _edit(_edit(sec6_doc, "corrector.position.k1", -1.0), "estimator_init", "bogus")
+    cfgp = write_quick(doc, tmp_path, duration=1.0)
+    assert main(["validate", "--config", cfgp]) == 1
+    captured = capsys.readouterr()
+    assert "corrector/position: stable=False" in captured.out
+    assert "k1 must be positive and finite (got -1.0)" in captured.out
+    assert "validation" not in captured.out
+    assert captured.err.startswith("config error:") and captured.err.count("\n") == 1
+    assert "estimator_init" in captured.err
+    assert main(["run", "--config", cfgp, "--out", str(tmp_path / "o")]) == 1
 
 
 def test_cli_validate_unknown_trajectory_kind(tmp_path, sec6_doc, capsys):

@@ -160,12 +160,13 @@ def test_step_corrector_equilibrium_unchanged():
 
 
 def test_step_corrector_matches_fine_reference():
-    # One 1 ms step against a cascade of 1000 one-microsecond steps.
+    # One 1 ms step against a cascade of 500 two-microsecond steps, each of
+    # two one-microsecond substeps.
     m = AxisMeasurement(0.0, 0.0, 0.0)
     coarse = step_corrector(CorrectorState(1.0, 0.0), m, FLIGHT_CORRECTOR, 1e-3)
     fine = CorrectorState(1.0, 0.0)
-    for _ in range(1000):
-        fine = step_corrector(fine, m, FLIGHT_CORRECTOR, 1e-6, substeps=1)
+    for _ in range(500):
+        fine = step_corrector(fine, m, FLIGHT_CORRECTOR, 2e-6)
     assert abs(coarse.xhat1 - fine.xhat1) < 1e-6
     assert abs(coarse.xhat2 - fine.xhat2) < 1e-6
 
@@ -174,8 +175,8 @@ def test_step_corrector_matches_fine_reference_balanced():
     m = AxisMeasurement(0.2, -0.1, 0.0)
     coarse = step_corrector(CorrectorState(1.0, 0.3), m, BALANCED_CORRECTOR, 1e-3)
     fine = CorrectorState(1.0, 0.3)
-    for _ in range(1000):
-        fine = step_corrector(fine, m, BALANCED_CORRECTOR, 1e-6, substeps=1)
+    for _ in range(500):
+        fine = step_corrector(fine, m, BALANCED_CORRECTOR, 2e-6)
     assert abs(coarse.xhat1 - fine.xhat1) < 1e-6
     assert abs(coarse.xhat2 - fine.xhat2) < 1e-6
 
@@ -187,9 +188,9 @@ def test_step_corrector_step_halving_order():
     s0 = CorrectorState(4.0, 2.0)
 
     def halving_gap(dt):
-        one = step_corrector(s0, m, BALANCED_CORRECTOR, dt, substeps=1)
-        two = step_corrector(step_corrector(s0, m, BALANCED_CORRECTOR, dt / 2, substeps=1),
-                             m, BALANCED_CORRECTOR, dt / 2, substeps=1)
+        one = step_corrector(s0, m, BALANCED_CORRECTOR, dt)
+        two = step_corrector(step_corrector(s0, m, BALANCED_CORRECTOR, dt / 2),
+                             m, BALANCED_CORRECTOR, dt / 2)
         return math.hypot(one.xhat1 - two.xhat1, one.xhat2 - two.xhat2)
 
     g1 = halving_gap(2e-3)
@@ -312,7 +313,7 @@ def test_step_corrector_difference_quotient_matches_oracle(p, tol):
     for _ in range(300):
         s = CorrectorState(*rng.uniform(-3, 3, 2))
         m = AxisMeasurement(*rng.uniform(-3, 3, 2), t=0.0)
-        out = step_corrector(s, m, p, h, substeps=1)
+        out = step_corrector(s, m, p, h)
         for new, old, d in zip(out, s, corrector_derivative(s, m, p)):
             assert abs((new - old) / h - d) <= tol * max(1.0, abs(d))
 

@@ -13,8 +13,7 @@ import mpmath
 import numpy as np
 import pytest
 
-from corrobs import (CorrectorParams, ObserverParams,
-                     corrector_natural_frequency, describing_function,
+from corrobs import (CorrectorParams, ObserverParams, corrector_natural_frequency,
                      filtering_advice, linearize_corrector, linearize_observer,
                      observer_natural_frequency, omega_coefficient,
                      validate_corrector_params, validate_observer_params)
@@ -76,13 +75,6 @@ def test_omega_rejects_out_of_range():
             omega_coefficient(a)
 
 
-def test_describing_function_gain():
-    res = describing_function(0.5, 4.0)
-    assert res.equivalent_gain == pytest.approx(res.omega_coeff / 2.0, rel=1e-12)
-    with pytest.raises(ValueError):
-        describing_function(0.5, 0.0)
-
-
 # ------------------------------------------------------ natural frequency
 
 def test_corrector_natural_frequency_example():
@@ -139,9 +131,9 @@ def test_linearize_corrector_near_alpha_one_reduces_to_constant_gains():
     p = CorrectorParams(k1=2.0, k2=3.0, alpha_c=1.0 - 1e-9, eps_c=0.5)
     lin = linearize_corrector(p, 1.0, 1.0)
     eps3 = p.eps_c ** 3
-    assert lin.damping == pytest.approx(p.k2 / eps3, rel=1e-6)
+    assert -lin.matrix[1, 1] == pytest.approx(p.k2 / eps3, rel=1e-6)
     # Stiffness at alpha -> 1 carries one eps factor less than the damping.
-    assert lin.stiffness == pytest.approx(p.k1 / p.eps_c ** 2, rel=1e-6)
+    assert -lin.matrix[1, 0] == pytest.approx(p.k1 / p.eps_c ** 2, rel=1e-6)
 
 
 def test_linearize_corrector_stable_for_flight_params():
@@ -162,8 +154,8 @@ def test_linearize_corrector_frequency_consistency():
 def test_linearize_observer_near_alpha_one():
     p = ObserverParams(k3=9.0, k4=5.0, alpha_o=1.0 - 1e-9, eps_o=0.5)
     lin = linearize_observer(p, 3.0)
-    assert lin.damping == pytest.approx(p.k4 / p.eps_o, rel=1e-6)
-    assert lin.stiffness == pytest.approx(p.k3 / p.eps_o ** 2, rel=1e-6)
+    assert -lin.matrix[1, 1] == pytest.approx(p.k4 / p.eps_o, rel=1e-6)
+    assert -lin.matrix[1, 0] == pytest.approx(p.k3 / p.eps_o ** 2, rel=1e-6)
 
 
 def test_linearize_observer_stable_and_consistent():
@@ -181,7 +173,7 @@ def test_companion_eigenvalues_match_polynomial_roots():
         p = CorrectorParams(float(rng.uniform(0.1, 5)), float(rng.uniform(0.1, 5)),
                             float(rng.uniform(0.05, 0.95)), float(rng.uniform(0.1, 0.9)))
         lin = linearize_corrector(p, 1.0, 1.0)
-        roots = np.roots([1.0, lin.damping, lin.stiffness])
+        roots = np.roots([1.0, -lin.matrix[1, 1], -lin.matrix[1, 0]])
         eig = np.sort_complex(lin.eigenvalues())
         assert np.allclose(np.sort_complex(roots), eig, rtol=1e-9, atol=1e-9)
 

@@ -1,7 +1,13 @@
-"""Every package module uses each name it imports; checked by parsing, not running it.
+"""Checks of the package source made by parsing it, not running it.
 
-A name listed only in ``__all__`` counts as unused: the modules re-export
-nothing they do not call.
+* Every package module uses each name it imports.  A name listed only in
+  ``__all__`` counts as unused: the modules re-export nothing they do not call.
+* Every defaulted parameter of a public function or method is set by some
+  caller outside the tests (the package, the demos or perfbench), by name or
+  by position.  A default that only a test overrides is one value in use and
+  belongs in the function as a constant.  A call counts by the callee's last
+  name (``f(...)``, ``mod.f(...)`` and ``obj.f(...)`` all count for ``f``),
+  so the check may miss an unset default but never reports a set one.
 """
 
 from __future__ import annotations
@@ -11,8 +17,19 @@ from pathlib import Path
 
 import pytest
 
-MODULES = sorted(p for p in (Path(__file__).resolve().parents[1] / "src" / "corrobs").glob("*.py")
-                 if p.name != "__init__.py")
+ROOT = Path(__file__).resolve().parents[1]
+PACKAGE = sorted((ROOT / "src" / "corrobs").glob("*.py"))
+MODULES = [p for p in PACKAGE if p.name != "__init__.py"]
+CALLERS = [*PACKAGE, *sorted((ROOT / "demos").glob("*.py")),
+           *sorted((ROOT / "perfbench").glob("*.py"))]
+
+# Defaulted parameters that no caller outside the tests sets, and why each stays.
+UNSET_DEFAULTS = {
+    "cli.main(argv)": "the console script calls main() without arguments, so argparse "
+                      "reads sys.argv; the tests pass their own",
+    "engine.tune_ekf_process_noise(settle)": "its test runs 4 s scenarios, shorter than "
+                                             "the 20 s default settling time",
+}
 
 
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
@@ -26,3 +43,56 @@ def test_module_imports_are_used(path):
             imported.update(a.asname or a.name for a in node.names)
     used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
     assert not imported - used, f"{path.name} imports names it never uses: {sorted(imported - used)}"
+
+
+def _public_functions(tree: ast.Module):
+    """(qualified name, def node, whether its first parameter is bound) of each
+    public module-level function and public method of a public class."""
+    for node in tree.body:
+        if isinstance(node, ast.FunctionDef) and not node.name.startswith("_"):
+            yield node.name, node, False
+        elif isinstance(node, ast.ClassDef) and not node.name.startswith("_"):
+            for fn in node.body:
+                if isinstance(fn, ast.FunctionDef) and not fn.name.startswith("_"):
+                    static = any(isinstance(d, ast.Name) and d.id == "staticmethod"
+                                 for d in fn.decorator_list)
+                    yield f"{node.name}.{fn.name}", fn, not static
+
+
+def _defaulted(fn: ast.FunctionDef, bound: bool) -> list[tuple[str, int | None]]:
+    """(name, position among the call's positional arguments, or None when
+    keyword-only) of each parameter of ``fn`` that has a default."""
+    args = fn.args
+    positional = (args.posonlyargs + args.args)[int(bound):]
+    first = len(positional) - len(args.defaults)
+    out = [(a.arg, i) for i, a in enumerate(positional) if i >= first]
+    out += [(a.arg, None) for a, d in zip(args.kwonlyargs, args.kw_defaults) if d is not None]
+    return out
+
+
+def _sets(call: ast.Call, name: str, position: int | None) -> bool:
+    if any(k.arg in (name, None) for k in call.keywords):
+        return True
+    if position is None:
+        return False
+    return len(call.args) > position or any(isinstance(a, ast.Starred) for a in call.args)
+
+
+def test_every_default_is_set_outside_the_tests():
+    calls: dict[str, list[ast.Call]] = {}
+    for path in CALLERS:
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.Call):
+                f = node.func
+                name = f.id if isinstance(f, ast.Name) else getattr(f, "attr", None)
+                calls.setdefault(name, []).append(node)
+    unset = []
+    for path in PACKAGE:
+        for qualname, fn, bound in _public_functions(ast.parse(path.read_text())):
+            for param, position in _defaulted(fn, bound):
+                if not any(_sets(c, param, position) for c in calls.get(fn.name, [])):
+                    unset.append(f"{path.stem}.{qualname}({param})")
+    extra = sorted(set(unset) - set(UNSET_DEFAULTS))
+    assert not extra, f"defaults that only the tests set; make each a constant: {extra}"
+    stale = sorted(set(UNSET_DEFAULTS) - set(unset))
+    assert not stale, f"listed exceptions that a caller sets or that are gone: {stale}"

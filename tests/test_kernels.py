@@ -7,8 +7,7 @@ constant recomputed per call, every fractional power through a helper.  The
 kernels must keep the same floating-point operations in the same order, so
 the results are compared bit for bit, signed zeros included, over inputs
 that reach every branch: zero and signed-zero innovations, zero forcing, the
-closed-form relay decay, the overflowing relay equilibrium and one or two
-corrector substeps.
+closed-form relay decay and the overflowing relay equilibrium.
 """
 
 from __future__ import annotations
@@ -80,11 +79,9 @@ def ref_relay_step(u, forcing, c, alpha, h):
     return un, 0.5 * h * (u + un)
 
 
-def ref_step_corrector(state, meas, p, dt, substeps=2):
+def ref_step_corrector(state, meas, p, dt):
     if dt <= 0.0:
         raise ValueError("dt must be positive")
-    if substeps < 1:
-        raise ValueError("substeps must be >= 1")
     xhat1, xhat2 = state
     y1, y2 = meas.y_o1, meas.y_o2
     if not (math.isfinite(xhat1) and math.isfinite(xhat2)
@@ -99,8 +96,8 @@ def ref_step_corrector(state, meas, p, dt, substeps=2):
     kappa = alpha / (2.0 - alpha)
     u1 = xhat1 - y1
     u2 = xhat2 - y2
-    h = dt / substeps
-    for _ in range(substeps):
+    h = dt / 2
+    for _ in range(2):
         spring = -k1 * ref_fp(eps * u1, kappa) * inv_eps3
         u2_next, integral = ref_relay_step(u2, spring, c2, alpha, h)
         u1 += h * y2 + integral
@@ -248,17 +245,17 @@ def test_relay_step_reaches_each_branch():
 @SETTINGS
 @given(x1=values, x2=values, y1=values, y2=values, zero_pos=st.booleans(),
        zero_vel=st.booleans(), k1=gains, k2=gains, alpha=exponents, eps=scales,
-       dt=steps, substeps=st.sampled_from([1, 2]))
+       dt=steps)
 def test_step_corrector_matches_reference(x1, x2, y1, y2, zero_pos, zero_vel, k1, k2,
-                                          alpha, eps, dt, substeps):
+                                          alpha, eps, dt):
     if zero_pos:
         y1 = x1
     if zero_vel:
         y2 = -x2 if x2 == 0.0 else x2
     p = CorrectorParams(k1, k2, alpha, eps)
     state, meas = CorrectorState(x1, x2), AxisMeasurement(y1, y2, 0.0)
-    assert outcome(step_corrector, state, meas, p, dt, substeps) == \
-        outcome(ref_step_corrector, state, meas, p, dt, substeps)
+    assert outcome(step_corrector, state, meas, p, dt) == \
+        outcome(ref_step_corrector, state, meas, p, dt)
 
 
 @SETTINGS

@@ -238,4 +238,4 @@ def test_sensor_config_validation():
     with pytest.raises(ValueError):
         SensorSuite(default_config(), seed=1, dt=0.003)  # periods not multiples
     cfg = default_config()
-    assert cfg.l_d == (0.0,) * 6
+    assert tuple(m.bound for m in cfg.large_error) == (0.0,) * 6
