@@ -32,7 +32,8 @@ from .config import (BUNDLED_CONFIGS, ConfigError, bundled_config_path,
                      estimator_values, read_document, scenario_from_dict,
                      scenario_to_dict)
 from .engine import (SWEEPABLE_PARAMETERS, ScenarioConfig, SimulationDiverged,
-                     decoupling_check, metrics, run_scenario, sweep_parameter)
+                     decoupling_check, metrics, run_scenario, sweep_parameter,
+                     write_csv)
 from .plant import AXIS_NAMES
 
 EXIT_OK = 0
@@ -49,10 +50,15 @@ def _config_path(args) -> Path:
 
 
 def _with_overrides(args, cfg: ScenarioConfig) -> ScenarioConfig:
-    if getattr(args, "seed", None) is not None:
-        cfg = replace(cfg, seed=args.seed)
-    if getattr(args, "duration", None) is not None:
-        cfg = replace(cfg, duration=args.duration)
+    """``cfg`` with the ``--seed`` and ``--duration`` given; a value the
+    scenario refuses is a ConfigError naming its flag."""
+    for name in ("seed", "duration"):
+        value = getattr(args, name)
+        if value is not None:
+            try:
+                cfg = replace(cfg, **{name: value})
+            except ValueError as exc:
+                raise ConfigError(f"--{name} {value}: {exc}") from exc
     return cfg
 
 
@@ -150,11 +156,8 @@ def cmd_sweep(args) -> int:
                              jobs=args.jobs)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    keys = list(result.rows[0].keys())
-    lines = [",".join(keys)]
-    for row in result.rows:
-        lines.append(",".join("%.17g" % row[k] for k in keys))
-    (out / "sweep.csv").write_text("\n".join(lines) + "\n")
+    keys = list(result.rows[0])
+    write_csv(out / "sweep.csv", keys, [[row[k] for k in keys] for row in result.rows])
     print(f"wrote {out / 'sweep.csv'} ({len(result.rows)} rows)")
     return EXIT_OK
 

@@ -29,7 +29,8 @@ from .estimators import (CorrectorParams, CorrectorState, ObserverParams,
 from .plant import (AXIS_NAMES, UavParams, UncertaintyModel, WrenchInput,
                     dynamics_derivative, input_acceleration_scalars, plant_axes,
                     step_plant, true_delta)
-from .sensors import LargeErrorModel, NoiseMixture, SensorConfig, SensorSuite
+from .sensors import (LargeErrorModel, NoiseMixture, SensorConfig, SensorSuite,
+                      whole_multiple)
 
 __all__ = [
     "TrajectorySpec", "ScenarioConfig", "TraceLog", "SimulationDiverged",
@@ -114,14 +115,10 @@ class ScenarioConfig:
                 raise ValueError(f"{name} must be positive and finite")
         if self.seed < 0:
             raise ValueError(f"seed must be a non-negative integer, not {self.seed}")
-        if self.dt > min(self.sensors.position_period, self.sensors.velocity_period):
-            raise ValueError("dt must not exceed the fastest sensor period")
-        n = self.sample_interval / self.dt
-        if abs(n - round(n)) > 1e-9 or round(n) < 1:
-            raise ValueError("sample_interval must be a whole multiple of dt")
-        m = self.duration / self.sample_interval
-        if abs(m - round(m)) > 1e-6 or round(m) < 1:
-            raise ValueError("duration must be a whole multiple of sample_interval")
+        for name in ("position_period", "velocity_period"):
+            whole_multiple(f"sensors.{name}", getattr(self.sensors, name), "dt", self.dt)
+        whole_multiple("sample_interval", self.sample_interval, "dt", self.dt)
+        whole_multiple("duration", self.duration, "sample_interval", self.sample_interval)
         if len(self.correctors) != 6 or len(self.observers) != 6:
             raise ValueError("six corrector and six observer parameter sets required")
         if self.estimator_init not in ("first_measurement", "truth"):
@@ -130,28 +127,41 @@ class ScenarioConfig:
             raise ValueError("initial_offset needs 12 components")
 
 
-def _trace_columns() -> tuple[str, ...]:
-    cols = ["time"]
-    cols += [f"true_{a}" for a in AXIS_NAMES]
-    cols += [f"true_v{a}" for a in AXIS_NAMES]
-    cols += [f"meas_y1_{a}" for a in AXIS_NAMES]
-    cols += [f"meas_y2_{a}" for a in AXIS_NAMES]
-    cols += [f"corr_{a}" for a in AXIS_NAMES]
-    cols += [f"corr_v{a}" for a in AXIS_NAMES]
-    cols += [f"obs_vel_{a}" for a in AXIS_NAMES]
-    cols += [f"obs_sigma_{a}" for a in AXIS_NAMES]
-    cols += [f"ekf_{a}" for a in AXIS_NAMES[:3]]
-    cols += [f"ekf_v{a}" for a in AXIS_NAMES[:3]]
-    cols += [f"u_{a}" for a in AXIS_NAMES]
-    cols += [f"des_{a}" for a in AXIS_NAMES]
-    return tuple(cols)
+# The trace row's column groups, in order: (column-name prefix, axes).  The
+# row starts with the time; `trace_row` below builds one in this order.
+TRACE_GROUPS = (
+    ("true_", AXIS_NAMES), ("true_v", AXIS_NAMES),
+    ("meas_y1_", AXIS_NAMES), ("meas_y2_", AXIS_NAMES),
+    ("corr_", AXIS_NAMES), ("corr_v", AXIS_NAMES),
+    ("obs_vel_", AXIS_NAMES), ("obs_sigma_", AXIS_NAMES),
+    ("ekf_", AXIS_NAMES[:3]), ("ekf_v", AXIS_NAMES[:3]),
+    ("u_", AXIS_NAMES), ("des_", AXIS_NAMES),
+)
+
+
+def trace_row(t, s, frame, corr, obs, kf, wrench, des) -> list[float]:
+    """One trace row: the time, the 12 true states, the six axes' held
+    measurements, corrector and observer states, the three EKF means, the
+    wrench and the desired pose, in the order of `TRACE_GROUPS`."""
+    y1, y2, _, _ = zip(*frame)
+    x1, x2 = zip(*corr)
+    x3, x4 = zip(*obs)
+    pos, vel, *_ = zip(*kf)
+    return [t, *s, *y1, *y2, *x1, *x2, *x3, *x4, *pos, *vel, *wrench, *des]
+
+
+def write_csv(path, columns: Sequence[str], data) -> None:
+    """``data`` rows under a header line of ``columns``, comma-separated, each
+    value as ``%.17g``, which reads back to the same float64."""
+    np.savetxt(path, data, fmt="%.17g", delimiter=",", header=",".join(columns),
+               comments="")
 
 
 @dataclass
 class TraceLog:
     """Uniformly sampled record of one scenario run."""
 
-    COLUMNS = _trace_columns()
+    COLUMNS = ("time",) + tuple(prefix + a for prefix, axes in TRACE_GROUPS for a in axes)
 
     data: np.ndarray
 
@@ -174,9 +184,7 @@ class TraceLog:
         return self.data[:, idx]
 
     def to_csv(self, path) -> None:
-        header = ",".join(self.COLUMNS)
-        np.savetxt(path, self.data, fmt="%.17g", delimiter=",", header=header,
-                   comments="")
+        write_csv(path, self.COLUMNS, self.data)
 
     @classmethod
     def from_csv(cls, path) -> "TraceLog":
@@ -212,8 +220,6 @@ def run_scenario(cfg: ScenarioConfig, *, record_controls: bool = False,
     params = cfg.uav
     dt = cfg.dt
     n_ticks = int(round(cfg.duration / dt))
-    if abs(n_ticks * dt - cfg.duration) > 1e-6:
-        raise ValueError("duration must be a whole multiple of dt")
     sample_every = int(round(cfg.sample_interval / dt))
     suite = SensorSuite(cfg.sensors, cfg.seed, dt)
     vel_every = suite.velocity_every
@@ -244,6 +250,7 @@ def run_scenario(cfg: ScenarioConfig, *, record_controls: bool = False,
     step_corr, step_obs = step_corrector, step_observer
     input_terms, plant_step = input_acceleration_scalars, step_plant
     predict, update = ekf_predict, ekf_update
+    row_of = trace_row
     correctors, observers = cfg.correctors, cfg.observers
     dts = (dt,) * 6
     axes = plant_axes(cfg.uncertainty, params)
@@ -287,19 +294,7 @@ def run_scenario(cfg: ScenarioConfig, *, record_controls: bool = False,
             controls[i] = wrench
 
         if i % sample_every == 0:
-            row = rows[row_i]
-            row[0] = t
-            row[1:13] = s
-            row[13:19] = [mz.y_o1 for mz in frame]
-            row[19:25] = [mz.y_o2 for mz in frame]
-            row[25:31] = [c.xhat1 for c in corr]
-            row[31:37] = [c.xhat2 for c in corr]
-            row[37:43] = [o.xhat3 for o in obs]
-            row[43:49] = [o.xhat4 for o in obs]
-            row[49:52] = [k.pos for k in kf]
-            row[52:55] = [k.vel for k in kf]
-            row[55:61] = wrench
-            row[61:67] = tp[0]
+            rows[row_i] = row_of(t, s, frame, corr, obs, kf, wrench, tp[0])
             row_i += 1
 
         if i == n_ticks:
@@ -386,10 +381,9 @@ def metrics(trace: TraceLog, settle: float,
 
     if scenario is not None:
         unc, uav = scenario.uncertainty, scenario.uav
-        scales = (uav.m,) * 3 + uav.inertias
-        for a, name in enumerate(AXIS_NAMES):
+        dp, da = uncertainty_rescale([trace.column(f"obs_sigma_{a}") for a in AXIS_NAMES], uav)
+        for a, (name, delta_hat) in enumerate(zip(AXIS_NAMES, dp + da)):
             delta_true = true_delta(a, trace.column(f"true_v{name}"), t, unc, uav)
-            delta_hat = scales[a] * trace.column(f"obs_sigma_{name}")
             err = np.abs(delta_hat - delta_true)
             mx, rms = _window_stats(err, mask)
             peak = float(np.max(np.abs(delta_true[mask])))
@@ -565,38 +559,24 @@ def decoupling_check(cfg: ScenarioConfig) -> DecouplingReport:
     corr_cols = [f"corr_{a}" for a in AXIS_NAMES] + [f"corr_v{a}" for a in AXIS_NAMES]
     obs_cols = [f"obs_vel_{a}" for a in AXIS_NAMES] + [f"obs_sigma_{a}" for a in AXIS_NAMES]
 
-    first = ""
-    corr_ok = bool(np.array_equal(trace_a.columns(corr_cols), trace_b.columns(corr_cols)))
-    obs_ok = bool(np.array_equal(trace_a.columns(obs_cols), trace_c.columns(obs_cols)))
-    if not corr_ok:
-        diff = np.argwhere(trace_a.columns(corr_cols) != trace_b.columns(corr_cols))
-        r, c = diff[0]
-        first = f"corrector trace diverges at t={trace_a.time[r]:.3f} s, column {corr_cols[c]}"
-    elif not obs_ok:
-        diff = np.argwhere(trace_a.columns(obs_cols) != trace_c.columns(obs_cols))
-        r, c = diff[0]
-        first = f"observer trace diverges at t={trace_a.time[r]:.3f} s, column {obs_cols[c]}"
-    return DecouplingReport(corr_ok, obs_ok, first)
+    first, ok = "", {}
+    for bank, cols, other in (("corrector", corr_cols, trace_b),
+                              ("observer", obs_cols, trace_c)):
+        diff = np.argwhere(trace_a.columns(cols) != other.columns(cols))
+        ok[bank] = not len(diff)
+        if len(diff) and not first:
+            r, c = diff[0]
+            first = f"{bank} trace diverges at t={trace_a.time[r]:.3f} s, column {cols[c]}"
+    return DecouplingReport(ok["corrector"], ok["observer"], first)
 
 
-def _set_all_correctors(cfg: ScenarioConfig, **kw) -> ScenarioConfig:
-    return replace(cfg, correctors=tuple(replace(c, **kw) for c in cfg.correctors))
+def _set_all(obj, per_axis: str, **kw):
+    """``obj`` with the fields ``kw`` set on every entry of its tuple ``per_axis``."""
+    return replace(obj, **{per_axis: tuple(replace(p, **kw) for p in getattr(obj, per_axis))})
 
 
-def _set_all_observers(cfg: ScenarioConfig, **kw) -> ScenarioConfig:
-    return replace(cfg, observers=tuple(replace(o, **kw) for o in cfg.observers))
-
-
-def _set_position_noise(cfg: ScenarioConfig, std: float) -> ScenarioConfig:
-    sensors = replace(cfg.sensors, position_noise=tuple(
-        replace(n, gaussian_std=std) for n in cfg.sensors.position_noise))
-    return replace(cfg, sensors=sensors)
-
-
-def _set_velocity_noise(cfg: ScenarioConfig, std: float) -> ScenarioConfig:
-    sensors = replace(cfg.sensors, velocity_noise=tuple(
-        replace(n, gaussian_std=std) for n in cfg.sensors.velocity_noise))
-    return replace(cfg, sensors=sensors)
+def _set_noise_std(cfg: ScenarioConfig, channel: str, std: float) -> ScenarioConfig:
+    return replace(cfg, sensors=_set_all(cfg.sensors, channel, gaussian_std=std))
 
 
 def _set_l_d(cfg: ScenarioConfig, l_d: float) -> ScenarioConfig:
@@ -613,16 +593,16 @@ def _set_l_d(cfg: ScenarioConfig, l_d: float) -> ScenarioConfig:
 
 
 SWEEPABLE_PARAMETERS = {
-    "eps_c": lambda cfg, v: _set_all_correctors(cfg, eps_c=v),
-    "alpha_c": lambda cfg, v: _set_all_correctors(cfg, alpha_c=v),
-    "k1": lambda cfg, v: _set_all_correctors(cfg, k1=v),
-    "k2": lambda cfg, v: _set_all_correctors(cfg, k2=v),
-    "eps_o": lambda cfg, v: _set_all_observers(cfg, eps_o=v),
-    "alpha_o": lambda cfg, v: _set_all_observers(cfg, alpha_o=v),
-    "k3": lambda cfg, v: _set_all_observers(cfg, k3=v),
-    "k4": lambda cfg, v: _set_all_observers(cfg, k4=v),
-    "noise_pos_std": _set_position_noise,
-    "noise_vel_std": _set_velocity_noise,
+    "eps_c": lambda cfg, v: _set_all(cfg, "correctors", eps_c=v),
+    "alpha_c": lambda cfg, v: _set_all(cfg, "correctors", alpha_c=v),
+    "k1": lambda cfg, v: _set_all(cfg, "correctors", k1=v),
+    "k2": lambda cfg, v: _set_all(cfg, "correctors", k2=v),
+    "eps_o": lambda cfg, v: _set_all(cfg, "observers", eps_o=v),
+    "alpha_o": lambda cfg, v: _set_all(cfg, "observers", alpha_o=v),
+    "k3": lambda cfg, v: _set_all(cfg, "observers", k3=v),
+    "k4": lambda cfg, v: _set_all(cfg, "observers", k4=v),
+    "noise_pos_std": lambda cfg, v: _set_noise_std(cfg, "position_noise", v),
+    "noise_vel_std": lambda cfg, v: _set_noise_std(cfg, "velocity_noise", v),
     "L_d": _set_l_d,
 }
 
@@ -636,9 +616,8 @@ def _sweep_one(args) -> dict:
         row[f"corrector_max_{axis}"] = summary["corrector"][axis]["max"]
         row[f"corrector_rms_{axis}"] = summary["corrector"][axis]["rms"]
         row[f"ekf_rms_{axis}"] = summary["ekf"][axis]["rms"]
-    row["corrector_max"] = max(row[f"corrector_max_{a}"] for a in AXIS_NAMES[:3])
-    row["corrector_rms"] = max(row[f"corrector_rms_{a}"] for a in AXIS_NAMES[:3])
-    row["ekf_rms"] = max(row[f"ekf_rms_{a}"] for a in AXIS_NAMES[:3])
+    for key in ("corrector_max", "corrector_rms", "ekf_rms"):
+        row[key] = max(row[f"{key}_{a}"] for a in AXIS_NAMES[:3])
     return row
 
 

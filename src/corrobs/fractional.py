@@ -49,8 +49,10 @@ def relay_step(u: float, forcing: float, c: float, alpha: float,
     relay term balances the forcing) monotonically and never crosses it; for
     ``forcing = 0`` it lands exactly on u = 0 in finite time.  The integrator
     preserves both facts: an explicit midpoint step is used while the flow is
-    well resolved, and as soon as a stage would overshoot the equilibrium the
-    remainder of the step is resolved with the closed-form fractional decay
+    well resolved.  When the midpoint would overshoot the equilibrium, or
+    when ``forcing = 0`` and the step is long against the relay's time scale
+    (``h c alpha |u|^(alpha-1) > 1/2``, where the midpoint barely moves), the
+    step is resolved with the closed-form fractional decay
 
         |u(t) - ueq|^(1-alpha) = |u0 - ueq|^(1-alpha) - c (1-alpha) t.
 
@@ -74,10 +76,12 @@ def relay_step(u: float, forcing: float, c: float, alpha: float,
     finite = isfinite(ueq)
     if finite:
         d = u - ueq
-        if d == 0.0 or (um - ueq) * d <= 0.0:
-            # Relay-dominated: the midpoint already overshoots.  Decay the
-            # offset from equilibrium analytically; this lands on ueq exactly
-            # once the finite reaching time has elapsed.
+        if d == 0.0 or (um - ueq) * d <= 0.0 or (
+                forcing == 0.0 and h * alpha * abs(g1) > 0.5 * abs(d)):
+            # Relay-dominated: the midpoint overshoots, or the step is stiff
+            # (with no forcing, h alpha |g1| / |u| is h c alpha |u|^(alpha-1)).
+            # Decay the offset from equilibrium analytically; this lands on
+            # ueq exactly once the finite reaching time has elapsed.
             ad = abs(d)
             if ad == 0.0:
                 return ueq, ueq * h

@@ -29,8 +29,19 @@ from .estimators import AxisMeasurement
 
 __all__ = [
     "NoiseMixture", "LargeErrorModel", "LargeErrorProcess",
-    "SensorConfig", "SensorSuite", "sample_noise",
+    "SensorConfig", "SensorSuite", "sample_noise", "whole_multiple",
 ]
+
+
+def whole_multiple(name: str, value: float, unit: str, step: float) -> int:
+    """How many ``step``s (called ``unit``) make ``value`` (called ``name``):
+    a whole number of at least 1, to 1e-9 of itself, or ValueError.  The one
+    rule for every interval that the fixed-step clock counts in ticks."""
+    n = value / step
+    k = round(n)
+    if k < 1 or abs(n - k) > 1e-9 * k:
+        raise ValueError(f"{name} must be a whole multiple of {unit}")
+    return k
 
 
 @dataclass(frozen=True)
@@ -175,8 +186,8 @@ class SensorSuite:
     def __init__(self, cfg: SensorConfig, seed: int, dt: float):
         self.cfg = cfg
         self.dt = dt
-        self.position_every = self._ticks(cfg.position_period, dt, "position_period")
-        self.velocity_every = self._ticks(cfg.velocity_period, dt, "velocity_period")
+        self.position_every = whole_multiple("position_period", cfg.position_period, "dt", dt)
+        self.velocity_every = whole_multiple("velocity_period", cfg.velocity_period, "dt", dt)
         self._pos_rngs = [self._stream(seed, axis, 0) for axis in range(6)]
         self._vel_rngs = [self._stream(seed, axis, 1) for axis in range(6)]
         self._err = [LargeErrorProcess(cfg.large_error[axis], self._stream(seed, axis, 2))
@@ -184,13 +195,6 @@ class SensorSuite:
         self._held_y1 = [0.0] * 6
         self._held_y2 = [0.0] * 6
         self._started = False
-
-    @staticmethod
-    def _ticks(period: float, dt: float, name: str) -> int:
-        n = period / dt
-        if abs(n - round(n)) > 1e-9 or round(n) < 1:
-            raise ValueError(f"{name} must be a whole multiple of dt")
-        return int(round(n))
 
     @staticmethod
     def _stream(seed: int, axis: int, channel: int) -> np.random.Generator:

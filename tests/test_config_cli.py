@@ -232,6 +232,44 @@ def test_cli_run_output_bytes_are_pinned(tmp_path):
         assert hashlib.sha256((out / name).read_bytes()).hexdigest() == digest, name
 
 
+# SHA-256 of the sweep.csv `corrobs sweep` writes for two 1 s runs of the
+# bundled paper_sec6 flight.
+SWEEP_SHA256 = "e7eb32f2f096bbb7e55b3891a5c8d18d6b7cb2c5cece90d4b88977a83fa8057f"
+
+
+def test_cli_sweep_output_bytes_are_pinned(tmp_path):
+    out = tmp_path / "out"
+    rc = main(["sweep", "--config", "paper_sec6", "--duration", "1", "--settle", "0.5",
+               "--param", "eps_o", "--values", "0.9,0.5", "--out", str(out)])
+    assert rc == 0
+    assert hashlib.sha256((out / "sweep.csv").read_bytes()).hexdigest() == SWEEP_SHA256
+
+
+# An override value the scenario or the parser refuses; the one-line message
+# names the flag.
+OVERRIDE_ERRORS = [("--duration", "0.015"), ("--duration", "0"), ("--seed", "-1")]
+
+
+@pytest.mark.parametrize("flag, value", OVERRIDE_ERRORS)
+def test_cli_bad_override_names_its_flag(tmp_path, capsys, flag, value):
+    out = tmp_path / "o"
+    try:
+        rc = main(["run", "--config", "paper_sec6", "--out", str(out), flag, value])
+    except SystemExit as stop:      # the parser's own check of --seed
+        rc = stop.code
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert flag in err and err.count("\n") == 1
+    assert not out.exists()
+
+
+def test_cli_duration_override_off_the_sample_grid_names_the_flag(capsys):
+    rc = main(["validate", "--config", "paper_sec6", "--duration", "0.015"])
+    assert rc == 1
+    assert capsys.readouterr().err == ("config error: --duration 0.015: duration must be "
+                                       "a whole multiple of sample_interval\n")
+
+
 def test_cli_missing_config_key_exit_code(tmp_path, sec6_doc, capsys):
     doc = json.loads(json.dumps(sec6_doc))
     del doc["uav"]["m"]

@@ -8,14 +8,16 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from corrobs import (CircleTrajectory, ControlGains, LargeErrorModel,
-                     NoiseMixture, ObserverParams, ScenarioConfig,
+from corrobs import (AxisMeasurement, CircleTrajectory, ControlGains,
+                     CorrectorState, EkfState, LargeErrorModel, NoiseMixture,
+                     ObserverParams, ObserverState, ScenarioConfig,
                      SensorConfig, SimulationDiverged, TraceLog,
                      TrajectorySpec, UavParams, UncertaintyModel,
                      bundled_config_path, convergence_study, decoupling_check,
                      engine, load_scenario, metrics, observer_ramp_study, run_scenario,
                      sweep_parameter, tune_ekf_process_noise)
 from corrobs.engine import SWEEPABLE_PARAMETERS, ideal_tracking_errors
+from corrobs.plant import AXIS_NAMES
 
 
 def quiet_sensors(d_pos=0.0, noise=False) -> SensorConfig:
@@ -101,6 +103,41 @@ def test_csv_round_trip(tmp_path):
     assert (tmp_path / "again.csv").read_bytes() == path.read_bytes()
 
 
+def test_trace_row_follows_the_column_layout():
+    # Every input value is distinct, so each column must pick its own.
+    s = [float(i) for i in range(12)]
+    frame = [AxisMeasurement(100.0 + a, 110.0 + a, 0.5, True) for a in range(6)]
+    corr = [CorrectorState(200.0 + a, 210.0 + a) for a in range(6)]
+    obs = [ObserverState(300.0 + a, 310.0 + a) for a in range(6)]
+    kf = [EkfState(400.0 + a, 410.0 + a, 1.0, 0.0, 1.0) for a in range(3)]
+    wrench = [500.0 + a for a in range(6)]
+    des = [600.0 + a for a in range(6)]
+    row = dict(zip(TraceLog.COLUMNS,
+                   engine.trace_row(0.5, s, frame, corr, obs, kf, wrench, des), strict=True))
+    assert row["time"] == 0.5
+    for a, n in enumerate(AXIS_NAMES):
+        assert (row[f"true_{n}"], row[f"true_v{n}"]) == (s[a], s[6 + a])
+        assert (row[f"meas_y1_{n}"], row[f"meas_y2_{n}"]) == frame[a][:2]
+        assert (row[f"corr_{n}"], row[f"corr_v{n}"]) == corr[a]
+        assert (row[f"obs_vel_{n}"], row[f"obs_sigma_{n}"]) == obs[a]
+        assert (row[f"u_{n}"], row[f"des_{n}"]) == (wrench[a], des[a])
+    for a, n in enumerate(AXIS_NAMES[:3]):
+        assert (row[f"ekf_{n}"], row[f"ekf_v{n}"]) == kf[a][:2]
+
+
+def test_run_scenario_logs_each_row_through_trace_row(monkeypatch, sec6):
+    rows = []
+
+    def recording(*args):
+        rows.append(trace_row(*args))
+        return rows[-1]
+
+    trace_row = engine.trace_row
+    monkeypatch.setattr(engine, "trace_row", recording)
+    trace = run_scenario(replace(sec6, duration=0.5))
+    assert np.array_equal(trace.data, np.array(rows))
+
+
 def test_run_scenario_divergence_reports_tick():
     # An absurd constant disturbance overflows the state quickly.
     unc = UncertaintyModel(delta_constant=(1e308, 0, 0, 0, 0, 0))
@@ -160,6 +197,19 @@ def test_scenario_validation():
         hover_config(estimator_init="guess")
     with pytest.raises(ValueError):
         hover_config(initial_offset=(1.0,))
+
+
+def test_duration_off_a_whole_multiple_is_refused_at_build(sec6):
+    # 2.00000075 sample intervals: once built, and then refused by the run.
+    with pytest.raises(ValueError,
+                       match="^duration must be a whole multiple of sample_interval$"):
+        replace(sec6, sample_interval=2.0, duration=4.0000015)
+
+
+def test_sensor_period_off_a_whole_multiple_of_dt_is_refused_at_build(sec6):
+    with pytest.raises(ValueError,
+                       match="^sensors.position_period must be a whole multiple of dt$"):
+        replace(sec6, dt=0.003)
 
 
 @pytest.mark.parametrize("value", [math.inf, math.nan, 0.0, -0.01])

@@ -27,8 +27,6 @@ CALLERS = [*PACKAGE, *sorted((ROOT / "demos").glob("*.py")),
 UNSET_DEFAULTS = {
     "cli.main(argv)": "the console script calls main() without arguments, so argparse "
                       "reads sys.argv; the tests pass their own",
-    "engine.tune_ekf_process_noise(settle)": "its test runs 4 s scenarios, shorter than "
-                                             "the 20 s default settling time",
 }
 
 

@@ -49,7 +49,8 @@ def ref_relay_step(u, forcing, c, alpha, h):
         d = u - ueq
         g1 = forcing - c * ref_fp(u, alpha)
         um = u + 0.5 * h * g1
-        if d == 0.0 or (um - ueq) * d <= 0.0:
+        if d == 0.0 or (um - ueq) * d <= 0.0 or (
+                forcing == 0.0 and h * alpha * abs(g1) > 0.5 * abs(d)):
             ad = abs(d)
             if ad == 0.0:
                 return ueq, ueq * h
@@ -232,11 +233,13 @@ def test_relay_step_matches_reference(u, forcing, c, alpha, h):
 
 
 def test_relay_step_reaches_each_branch():
-    # Closed-form landing, partial decay, linear relay, midpoint step and an
-    # equilibrium beyond float range; each must match the reference exactly.
+    # Closed-form landing, partial decay, linear relay, midpoint step, an
+    # equilibrium beyond float range and a stiff unforced step; each must
+    # match the reference exactly.
     cases = [(0.5, 0.0, 30.0, 0.1, 1e-3), (0.5, 0.0, 1.0, 0.5, 1e-3),
              (0.5, 0.2, 3.0, 1.0, 1e-3), (1e-9, 0.0, 1e-3, 0.5, 1e-3),
-             (1e3, 1e3, 1e-12, 0.01, 1e-3), (-0.0, 0.0, 2.0, 0.5, 1e-3)]
+             (1e3, 1e3, 1e-12, 0.01, 1e-3), (-0.0, 0.0, 2.0, 0.5, 1e-3),
+             (1.0, 0.0, 1.0, 0.976, 2.0)]
     for args in cases:
         assert outcome(relay_step, *args) == outcome(ref_relay_step, *args)
     assert not math.isfinite(ref_relay_equilibrium(1e3, 1e-12, 0.01))
