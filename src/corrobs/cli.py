@@ -9,9 +9,11 @@ Subcommands:
     compare-ekf     corrector versus EKF error report, comparison.json
     decouple-check  structural estimator-independence check
 
-Exit codes: 0 success, 1 config error, 2 numerical divergence,
-3 validation failure.  Outputs are deterministic: re-running a subcommand
-with identical inputs rewrites identical bytes.
+Exit codes: 0 success; 1 a usage error, or a config error (a refused
+document value, flag value or scenario) on one line naming its key or flag;
+2 numerical divergence; 3 validation failure.  Any other error is a fault of
+the program and ends in a traceback.  Outputs are deterministic: re-running a
+subcommand with identical inputs rewrites identical bytes.
 
 `validate` prints the selection-rule report of every estimator group, then
 checks the rest of the document as `run` does.  A config error there exits 1
@@ -28,12 +30,11 @@ from dataclasses import replace
 from pathlib import Path
 
 from . import freq
-from .config import (BUNDLED_CONFIGS, ConfigError, bundled_config_path,
-                     estimator_values, read_document, scenario_from_dict,
-                     scenario_to_dict)
-from .engine import (SWEEPABLE_PARAMETERS, ScenarioConfig, SimulationDiverged,
-                     decoupling_check, metrics, run_scenario, sweep_parameter,
-                     write_csv)
+from .config import (BUNDLED_CONFIGS, bundled_config_path, estimator_values,
+                     read_document, scenario_from_dict, scenario_to_dict)
+from .engine import (SWEEPABLE_PARAMETERS, ConfigError, ScenarioConfig,
+                     SimulationDiverged, decoupling_check, metrics, run_scenario,
+                     sweep_parameter, write_csv)
 from .plant import AXIS_NAMES
 
 EXIT_OK = 0
@@ -75,9 +76,9 @@ def cmd_run(args) -> int:
     cfg = _load(args)
     out = Path(args.out)
     trace = run_scenario(cfg)
+    summary = metrics(trace, settle=min(args.settle, cfg.duration / 2.0), scenario=cfg)
     out.mkdir(parents=True, exist_ok=True)
     trace.to_csv(out / "trace.csv")
-    summary = metrics(trace, settle=min(args.settle, cfg.duration / 2.0), scenario=cfg)
     _write_json(out / "metrics.json", summary)
     worst = max(summary["corrector"][a]["max"] for a in AXIS_NAMES[:3])
     print(f"wrote {out / 'trace.csv'} and {out / 'metrics.json'}")
@@ -116,30 +117,34 @@ def cmd_validate(args) -> int:
     return EXIT_OK
 
 
+def _eigenvalues(lin: freq.LinearizedSystem, label: str, amplitude: float) -> dict:
+    """The eigenvalue entries of an estimator's linearization; one that
+    overflows at the ``--amplitude`` given is a ConfigError naming the flag."""
+    if not all(map(math.isfinite, lin.matrix.flat)):
+        raise ConfigError(f"--amplitude {amplitude}: the linearized {label} overflows")
+    eig = lin.eigenvalues()
+    return {"eigenvalues_real": [float(e.real) for e in eig],
+            "eigenvalues_imag": [float(e.imag) for e in eig]}
+
+
 def cmd_analyze(args) -> int:
     cfg = _load(args)
     out = Path(args.out)
-    doc: dict = {"amplitude": args.amplitude, "estimators": {}}
-    for label, p in (("corrector_position", cfg.correctors[0]),
-                     ("corrector_attitude", cfg.correctors[3])):
-        lin = freq.linearize_corrector(p, args.amplitude, args.amplitude)
+    amp = args.amplitude
+    doc: dict = {"amplitude": amp, "estimators": {}}
+    for group, axis in (("position", 0), ("attitude", 3)):
+        p, label = cfg.correctors[axis], f"corrector_{group}"
         doc["estimators"][label] = {
             "omega_coeff_position_term": freq.omega_coefficient(p.kappa),
             "omega_coeff_velocity_term": freq.omega_coefficient(p.alpha_c),
-            "natural_frequency": freq.corrector_natural_frequency(p, args.amplitude),
-            "eigenvalues_real": [float(e.real) for e in lin.eigenvalues()],
-            "eigenvalues_imag": [float(e.imag) for e in lin.eigenvalues()],
-        }
-    for label, p in (("observer_position", cfg.observers[0]),
-                     ("observer_attitude", cfg.observers[3])):
-        lin = freq.linearize_observer(p, args.amplitude)
+            "natural_frequency": freq.corrector_natural_frequency(p, amp),
+            **_eigenvalues(freq.linearize_corrector(p, amp, amp), label, amp)}
+        p, label = cfg.observers[axis], f"observer_{group}"
         doc["estimators"][label] = {
             "omega_coeff_innovation_term": freq.omega_coefficient(0.5 * (1 + p.alpha_o)),
             "omega_coeff_uncertainty_term": freq.omega_coefficient(p.alpha_o),
-            "natural_frequency": freq.observer_natural_frequency(p, args.amplitude),
-            "eigenvalues_real": [float(e.real) for e in lin.eigenvalues()],
-            "eigenvalues_imag": [float(e.imag) for e in lin.eigenvalues()],
-        }
+            "natural_frequency": freq.observer_natural_frequency(p, amp),
+            **_eigenvalues(freq.linearize_observer(p, amp), label, amp)}
     _write_json(out / "analysis.json", doc)
     print(f"wrote {out / 'analysis.json'}")
     return EXIT_OK
@@ -147,10 +152,6 @@ def cmd_analyze(args) -> int:
 
 def cmd_sweep(args) -> int:
     cfg = _load(args)
-    if args.param not in SWEEPABLE_PARAMETERS:
-        print(f"unknown sweep parameter '{args.param}'; sweepable: "
-              f"{', '.join(sorted(SWEEPABLE_PARAMETERS))}", file=sys.stderr)
-        return EXIT_CONFIG
     result = sweep_parameter(cfg, args.param, args.values,
                              settle=min(args.settle, cfg.duration / 2.0),
                              jobs=args.jobs)
@@ -206,13 +207,13 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_CONFIG, f"{self.prog}: error: {message}\n")
 
 
-def _number_arg(ok, requirement: str, convert=float):
-    """An argparse type: the number ``convert`` reads from a flag's text, if
-    ``ok`` holds for it."""
+def _number_arg(ok, requirement: str):
+    """An argparse type: the float a flag's text reads as, if ``ok`` holds
+    for it."""
 
-    def parse(text: str):
+    def parse(text: str) -> float:
         try:
-            value = convert(text)
+            value = float(text)
         except ValueError:
             value = math.nan
         if not ok(value):
@@ -246,8 +247,7 @@ def build_parser() -> argparse.ArgumentParser:
                             + ", ".join(BUNDLED_CONFIGS))
         if needs_out:
             p.add_argument("--out", default="out", help="output directory")
-        p.add_argument("--seed", default=None, help="seed override",
-                       type=_number_arg(lambda v: v >= 0, "a non-negative integer", int))
+        p.add_argument("--seed", type=int, default=None, help="seed override")
         p.add_argument("--duration", type=float, default=None,
                        help="duration override, seconds")
         p.add_argument("--settle", type=_number_arg(lambda v: v >= 0.0, "a number >= 0"),
@@ -298,9 +298,6 @@ def main(argv=None) -> int:
     except SimulationDiverged as exc:
         print(f"simulation diverged: {exc}", file=sys.stderr)
         return EXIT_DIVERGED
-    except ValueError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
 
 
 if __name__ == "__main__":

@@ -29,7 +29,7 @@ from importlib import resources
 from pathlib import Path
 from typing import Any, get_args, get_type_hints
 
-from .engine import ScenarioConfig
+from .engine import ConfigError, ScenarioConfig
 from .plant import AXIS_NAMES
 
 __all__ = ["ConfigError", "load_scenario", "read_document", "scenario_from_dict",
@@ -37,10 +37,6 @@ __all__ = ["ConfigError", "load_scenario", "read_document", "scenario_from_dict"
            "bundled_config_path", "BUNDLED_CONFIGS"]
 
 BUNDLED_CONFIGS = ("paper_sec6", "paper_fig5", "noise_only")
-
-
-class ConfigError(ValueError):
-    """Malformed scenario document; the message names the offending key."""
 
 
 # Keys a document must give although the dataclass has a default (dotted
@@ -169,11 +165,15 @@ def _fields(cls: type, node: dict, path: str, required: bool = False) -> dict:
 
 
 def _build(cls: type, node: dict, path: str, required: bool = False):
+    """The ``cls`` that section ``node`` describes.  A refusal whose message
+    opens with a field name names that field's dotted key."""
     kwargs = _fields(cls, node, path, required)
     try:
         return cls(**kwargs)
     except ValueError as exc:
-        raise ConfigError(f"{path}: {exc}" if path else str(exc)) from exc
+        msg = str(exc)
+        sep = "." if msg.split(" ", 1)[0] in kwargs else ": "
+        raise ConfigError(f"{path}{sep}{msg}" if path else msg) from exc
 
 
 def _document(obj: Any, where: str) -> dict:

@@ -47,12 +47,11 @@ class CircleTrajectory:
 
     def __init__(self, radius: float, speed: float, altitude: float,
                  climb_time: float, start_x: float = 0.0, start_y: float = 0.0):
-        if min(radius, speed, altitude, climb_time) <= 0:
-            raise ValueError("radius, speed, altitude and climb_time must be positive")
-        self.radius = radius
-        self.speed = speed
-        self.altitude = altitude
-        self.climb_time = climb_time
+        self.radius, self.speed, self.altitude, self.climb_time = (
+            radius, speed, altitude, climb_time)
+        for name in ("radius", "speed", "altitude", "climb_time"):
+            if not getattr(self, name) > 0:
+                raise ValueError(f"{name} must be positive, not {getattr(self, name)}")
         self.start = (start_x, start_y)
         self.omega = speed / radius
         self.center = (start_x - radius, start_y)

@@ -33,12 +33,17 @@ from .sensors import (LargeErrorModel, NoiseMixture, SensorConfig, SensorSuite,
                       whole_multiple)
 
 __all__ = [
-    "TrajectorySpec", "ScenarioConfig", "TraceLog", "SimulationDiverged",
+    "TrajectorySpec", "ScenarioConfig", "TraceLog", "ConfigError", "SimulationDiverged",
     "run_scenario", "metrics", "SweepResult", "convergence_study",
     "observer_ramp_study", "decoupling_check", "DecouplingReport",
     "sweep_parameter", "SWEEPABLE_PARAMETERS", "tune_ekf_process_noise",
     "ideal_tracking_errors",
 ]
+
+
+class ConfigError(ValueError):
+    """A scenario, document or option the user gave is refused; the message
+    names the offending key or flag."""
 
 
 class SimulationDiverged(RuntimeError):
@@ -69,8 +74,9 @@ class TrajectorySpec:
 
     def __post_init__(self):
         if self.kind not in TRAJECTORY_KINDS:
-            raise ValueError(f"unknown trajectory kind: {self.kind!r} (trajectory.kind "
-                             f"must be one of: {', '.join(TRAJECTORY_KINDS)})")
+            raise ValueError(f"kind must be one of: {', '.join(TRAJECTORY_KINDS)}; "
+                             f"not {self.kind!r}")
+        self.build()    # a trajectory that cannot be built is refused here
 
     def build(self):
         if self.kind == "circle":
@@ -331,10 +337,13 @@ def run_scenario(cfg: ScenarioConfig, *, record_controls: bool = False,
     return trace
 
 
-def _window_stats(err: np.ndarray, mask: np.ndarray) -> tuple[float, float]:
+def _window_stats(err: np.ndarray, window: tuple[np.ndarray, str]) -> tuple[float, float]:
+    """Max and RMS of ``err`` over a (row mask, description) window of
+    `metrics`; a window with no trace sample is a ConfigError."""
+    mask, where = window
     seg = err[mask]
     if seg.size == 0:
-        raise ValueError("empty metrics window")
+        raise ConfigError(f"no trace sample in the {where}")
     return float(np.max(seg)), float(np.sqrt(np.mean(seg * seg)))
 
 
@@ -347,27 +356,29 @@ def metrics(trace: TraceLog, settle: float,
     and, when the scenario is supplied, the rescaled observer outputs against
     the true uncertainty forces/torques.  The drift ratio compares the
     maximum corrector error over the late window (after 10% of the duration)
-    against the early reference window.
+    against the early reference window.  A window that holds no trace sample,
+    as when ``settle`` is not before the end of the trace, is a ConfigError.
     """
     t = trace.time
     duration = float(t[-1])
-    if settle >= duration:
-        raise ValueError("settling time must be smaller than the trace duration")
-    mask = t >= settle
+
+    def window(name: str, start: float, end: float = math.inf):
+        return ((t >= start) & (t < end),
+                f"{name} window [{start:g}, {end:g}) s of the {duration:g} s trace")
+
+    ref_end = max(0.1 * duration, settle + 0.1 * (duration - settle))
+    steady = window("steady-state", settle)
+    reference, late = window("drift reference", settle, ref_end), window("drift late", ref_end)
 
     out: dict = {"settle": settle, "duration": duration,
                  "corrector": {}, "ekf": {}, "observer": {}, "drift": {}}
 
-    ref_end = max(0.1 * duration, settle + 0.1 * (duration - settle))
-    ref_mask = (t >= settle) & (t < ref_end)
-    late_mask = t >= ref_end
-
     for a, name in enumerate(AXIS_NAMES):
         err = np.abs(trace.column(f"corr_{name}") - trace.column(f"true_{name}"))
-        mx, rms = _window_stats(err, mask)
+        mx, rms = _window_stats(err, steady)
         out["corrector"][name] = {"max": mx, "rms": rms}
-        ref_max = float(np.max(err[ref_mask]))
-        late_max = float(np.max(err[late_mask]))
+        ref_max = _window_stats(err, reference)[0]
+        late_max = _window_stats(err, late)[0]
         out["drift"][name] = {
             "reference_max": ref_max,
             "late_max": late_max,
@@ -376,7 +387,7 @@ def metrics(trace: TraceLog, settle: float,
 
     for a, name in enumerate(AXIS_NAMES[:3]):
         err = np.abs(trace.column(f"ekf_{name}") - trace.column(f"true_{name}"))
-        mx, rms = _window_stats(err, mask)
+        mx, rms = _window_stats(err, steady)
         out["ekf"][name] = {"max": mx, "rms": rms}
 
     if scenario is not None:
@@ -385,8 +396,8 @@ def metrics(trace: TraceLog, settle: float,
         for a, (name, delta_hat) in enumerate(zip(AXIS_NAMES, dp + da)):
             delta_true = true_delta(a, trace.column(f"true_v{name}"), t, unc, uav)
             err = np.abs(delta_hat - delta_true)
-            mx, rms = _window_stats(err, mask)
-            peak = float(np.max(np.abs(delta_true[mask])))
+            mx, rms = _window_stats(err, steady)
+            peak = float(np.max(np.abs(delta_true[steady[0]])))
             out["observer"][name] = {"max": mx, "rms": rms, "true_peak": peak}
     return out
 
@@ -632,11 +643,16 @@ def sweep_parameter(cfg: ScenarioConfig, name: str, values: Sequence[float],
     """
     if name not in SWEEPABLE_PARAMETERS:
         known = ", ".join(sorted(SWEEPABLE_PARAMETERS))
-        raise ValueError(f"unknown sweep parameter '{name}'; sweepable: {known}")
+        raise ConfigError(f"unknown sweep parameter '{name}'; sweepable: {known}")
     if jobs < 1:
-        raise ValueError(f"jobs must be at least 1, not {jobs}")
+        raise ConfigError(f"jobs must be at least 1, not {jobs}")
     set_value = SWEEPABLE_PARAMETERS[name]
-    tasks = [(set_value(cfg, v), name, v, settle) for v in values]
+    tasks = []
+    for v in values:
+        try:
+            tasks.append((set_value(cfg, v), name, v, settle))
+        except ValueError as exc:
+            raise ConfigError(f"{name}={v}: {exc}") from exc
     workers = min(jobs, len(tasks))
     if workers > 1:
         from concurrent.futures import ProcessPoolExecutor

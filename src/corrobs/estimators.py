@@ -29,7 +29,7 @@ over the step (zero-order hold).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from functools import cached_property, partial
 from math import copysign, isfinite
 from typing import NamedTuple
@@ -38,8 +38,31 @@ from .fractional import relay_step
 
 __all__ = [
     "CorrectorParams", "CorrectorState", "ObserverParams", "ObserverState",
-    "AxisMeasurement", "step_corrector", "step_observer",
+    "AxisMeasurement", "step_corrector", "step_observer", "parameter_faults",
 ]
+
+
+def parameter_faults(**values: float) -> list[str]:
+    """Every stability-range rule that the estimator parameters ``values``
+    (by field name) break, one message each: a gain (k1 ... k4) must be
+    positive and finite, a fractional exponent (alpha_*) and a time-scale
+    (eps_*) must lie in (0, 1).  The parameter classes refuse a set with a
+    fault, and `freq.validate_corrector_params` and
+    `freq.validate_observer_params` report every fault."""
+    faults = []
+    for name, v in values.items():
+        if name.startswith("k"):
+            if not (isfinite(v) and v > 0):
+                faults.append(f"{name} must be positive and finite (got {v})")
+        elif not 0.0 < v < 1.0:
+            faults.append(f"{name} must be in (0, 1) (got {v})")
+    return faults
+
+
+def _refuse_faults(params) -> None:
+    faults = parameter_faults(**{f.name: getattr(params, f.name) for f in fields(params)})
+    if faults:
+        raise ValueError("; ".join(faults))
 
 
 @dataclass(frozen=True)
@@ -52,12 +75,7 @@ class CorrectorParams:
     eps_c: float
 
     def __post_init__(self):
-        if not (self.k1 > 0 and self.k2 > 0):
-            raise ValueError("corrector gains k1, k2 must be positive")
-        if not 0.0 < self.alpha_c < 1.0:
-            raise ValueError("alpha_c must be in (0, 1)")
-        if not 0.0 < self.eps_c < 1.0:
-            raise ValueError("eps_c must be in (0, 1)")
+        _refuse_faults(self)
 
     @property
     def kappa(self) -> float:
@@ -82,12 +100,7 @@ class ObserverParams:
     eps_o: float
 
     def __post_init__(self):
-        if not (self.k3 > 0 and self.k4 > 0):
-            raise ValueError("observer gains k3, k4 must be positive")
-        if not 0.0 < self.alpha_o < 1.0:
-            raise ValueError("alpha_o must be in (0, 1)")
-        if not 0.0 < self.eps_o < 1.0:
-            raise ValueError("eps_o must be in (0, 1)")
+        _refuse_faults(self)
 
     @cached_property
     def _constants(self) -> tuple[float, float, float, float]:

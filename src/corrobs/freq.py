@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .estimators import CorrectorParams, ObserverParams
+from .estimators import CorrectorParams, ObserverParams, parameter_faults
 
 __all__ = [
     "LinearizedSystem", "ParamValidationReport", "omega_coefficient",
@@ -143,21 +143,8 @@ def validate_corrector_params(k1: float, k2: float, alpha_c: float,
     Hurwitz.  Oscillations are avoided when additionally
     k2^2 >= 4 * eps_c^(4 alpha_c) * k1.
     """
-    msgs = []
-    stable = True
-    if not (math.isfinite(k1) and k1 > 0):
-        stable = False
-        msgs.append(f"k1 must be positive and finite (got {k1})")
-    if not (math.isfinite(k2) and k2 > 0):
-        stable = False
-        msgs.append(f"k2 must be positive and finite (got {k2})")
-    if not 0.0 < alpha_c < 1.0:
-        stable = False
-        msgs.append(f"alpha_c must be in (0, 1) (got {alpha_c})")
-    if not 0.0 < eps_c < 1.0:
-        stable = False
-        msgs.append(f"eps_c must be in (0, 1) (got {eps_c})")
-
+    msgs = parameter_faults(k1=k1, k2=k2, alpha_c=alpha_c, eps_c=eps_c)
+    stable = not msgs
     oscillation_free = False
     if stable:
         lhs = k2 * k2
@@ -180,21 +167,8 @@ def validate_observer_params(k3: float, k4: float, alpha_o: float,
     s^2 + k4 s + k3 is then Hurwitz.  Oscillations are avoided when
     additionally k4^2 >= 4 k3.
     """
-    msgs = []
-    stable = True
-    if not (math.isfinite(k3) and k3 > 0):
-        stable = False
-        msgs.append(f"k3 must be positive and finite (got {k3})")
-    if not (math.isfinite(k4) and k4 > 0):
-        stable = False
-        msgs.append(f"k4 must be positive and finite (got {k4})")
-    if not 0.0 < alpha_o < 1.0:
-        stable = False
-        msgs.append(f"alpha_o must be in (0, 1) (got {alpha_o})")
-    if not 0.0 < eps_o < 1.0:
-        stable = False
-        msgs.append(f"eps_o must be in (0, 1) (got {eps_o})")
-
+    msgs = parameter_faults(k3=k3, k4=k4, alpha_o=alpha_o, eps_o=eps_o)
+    stable = not msgs
     oscillation_free = False
     if stable:
         oscillation_free = k4 * k4 >= 4.0 * k3

@@ -8,8 +8,9 @@ from dataclasses import replace
 
 import pytest
 
-from corrobs import (ConfigError, bundled_config_path, load_scenario,
-                     save_scenario, scenario_from_dict, scenario_to_dict)
+from corrobs import (ConfigError, DecouplingReport, bundled_config_path,
+                     load_scenario, save_scenario, scenario_from_dict,
+                     scenario_to_dict)
 from corrobs.cli import main
 from corrobs.config import BUNDLED_CONFIGS
 
@@ -245,18 +246,14 @@ def test_cli_sweep_output_bytes_are_pinned(tmp_path):
     assert hashlib.sha256((out / "sweep.csv").read_bytes()).hexdigest() == SWEEP_SHA256
 
 
-# An override value the scenario or the parser refuses; the one-line message
-# names the flag.
+# An override value the scenario refuses; the one-line message names the flag.
 OVERRIDE_ERRORS = [("--duration", "0.015"), ("--duration", "0"), ("--seed", "-1")]
 
 
 @pytest.mark.parametrize("flag, value", OVERRIDE_ERRORS)
 def test_cli_bad_override_names_its_flag(tmp_path, capsys, flag, value):
     out = tmp_path / "o"
-    try:
-        rc = main(["run", "--config", "paper_sec6", "--out", str(out), flag, value])
-    except SystemExit as stop:      # the parser's own check of --seed
-        rc = stop.code
+    rc = main(["run", "--config", "paper_sec6", "--out", str(out), flag, value])
     err = capsys.readouterr().err
     assert rc == 1
     assert flag in err and err.count("\n") == 1
@@ -349,6 +346,7 @@ RUN_REFUSES = [
     ("trajectory.kind", "spiral"),
     ("sample_intervall", 0.01),
     ("uav.b", 0.002923),
+    ("trajectory.radius", 0.0),
 ]
 
 
@@ -376,7 +374,6 @@ def test_cli_infinite_duration_override_is_config_error(tmp_path, sec6_doc, caps
 
 # A bad value of the last flag given; the message names that flag.
 FLAG_VALUE_ERRORS = [
-    ["run", "--config", "paper_sec6", "--seed", "-1"],
     ["sweep", "--config", "paper_sec6", "--param", "eps_o", "--values", "0.5,abc"],
     ["sweep", "--config", "paper_sec6", "--param", "eps_o", "--values", ","],
 ]
@@ -445,6 +442,17 @@ def test_cli_analyze_bad_amplitude(tmp_path, capsys):
         assert stop.value.code == 1, amplitude
         assert "error: argument --amplitude" in err and err.count("\n") == 1
     assert not (tmp_path / "analysis.json").exists()
+
+
+def test_cli_analyze_overflowing_linearization_names_the_flag(tmp_path, sec6_doc, capsys):
+    # k3 = 1e300 at amplitude 1e-300 makes the observer stiffness overflow.
+    cfgp = write_quick(_edit(sec6_doc, "observer.position.k3", 1e300), tmp_path)
+    rc = main(["analyze", "--config", cfgp, "--out", str(tmp_path / "o"),
+               "--amplitude", "1e-300"])
+    assert rc == 1
+    assert capsys.readouterr().err == ("config error: --amplitude 1e-300: the linearized "
+                                       "observer_position overflows\n")
+    assert not (tmp_path / "o").exists()
 
 
 @pytest.mark.parametrize("settle", ["nan", "-1"])
@@ -569,6 +577,63 @@ def test_cli_decouple_check(tmp_path, sec6_doc):
     cfgp = write_quick(sec6_doc, tmp_path)
     rc = main(["decouple-check", "--config", cfgp])
     assert rc == 0
+
+
+@pytest.mark.parametrize("command", ["run", "compare-ekf"])
+def test_cli_trace_too_short_for_the_metrics_writes_nothing(tmp_path, capsys, command):
+    # At 0.05 s the drift reference window [0.025, 0.0275) holds no 10 ms
+    # sample; at 0.02 s every window holds one.
+    out = tmp_path / "o"
+    rc = main([command, "--config", "paper_sec6", "--duration", "0.05", "--out", str(out)])
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert err == ("config error: no trace sample in the drift reference window "
+                   "[0.025, 0.0275) s of the 0.05 s trace\n")
+    assert not out.exists()
+    assert main([command, "--config", "paper_sec6", "--duration", "0.02",
+                 "--out", str(tmp_path / "ok")]) == 0
+
+
+def test_cli_lets_an_internal_error_through(tmp_path, monkeypatch):
+    # Only a ConfigError exits 1: any other error is a fault of the program
+    # and ends in its traceback, not in a `config error` line.
+    def boom(cfg):
+        raise ValueError("boom")
+
+    monkeypatch.setattr("corrobs.cli.run_scenario", boom)
+    with pytest.raises(ValueError, match="boom"):
+        main(["run", "--config", "paper_sec6", "--out", str(tmp_path / "o")])
+
+
+# The (subcommand, exit code) pairs that no other test reaches: the scenario
+# edit, the extra flags, and how the one stderr line starts ("" for no line).
+# Exit 3 comes from a coupled report put in place of `decoupling_check`.
+EXIT_CODES = [
+    ("sweep", 2, ("ekf.q", 1e300), ["--param", "eps_o", "--values", "0.5"],
+     "simulation diverged: divergence at tick 0"),
+    ("compare-ekf", 1, None, ["--duration", "0.05"],
+     "config error: no trace sample in the drift reference window"),
+    ("compare-ekf", 2, ("ekf.q", 1e300), [], "simulation diverged: divergence at tick 0"),
+    ("decouple-check", 1, ("trajectory.radius", 0.0), [],
+     "config error: trajectory.radius must be positive"),
+    ("decouple-check", 2, ("ekf.q", 1e300), [], "simulation diverged: divergence at tick 0"),
+    ("decouple-check", 3, None, [], ""),
+]
+
+
+@pytest.mark.parametrize("command, code, edit, flags, err_start", EXIT_CODES,
+                         ids=[f"{c} {k}" for c, k, *_ in EXIT_CODES])
+def test_cli_exit_code_table(tmp_path, sec6_doc, capsys, monkeypatch,
+                             command, code, edit, flags, err_start):
+    cfgp = write_quick(_edit(sec6_doc, *edit) if edit else sec6_doc, tmp_path, duration=1.0)
+    if code == 3:
+        coupled = DecouplingReport(True, False, "observer trace diverges at t=0.500 s")
+        monkeypatch.setattr("corrobs.cli.decoupling_check", lambda cfg: coupled)
+    out = [] if command == "decouple-check" else ["--out", str(tmp_path / "o")]
+    assert main([command, "--config", cfgp, *out, *flags]) == code
+    err = capsys.readouterr().err
+    assert err.startswith(err_start) and err.count("\n") == (1 if err_start else 0)
+    assert not (tmp_path / "o").exists()
 
 
 def test_cli_entry_point_runs():

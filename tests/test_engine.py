@@ -8,7 +8,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from corrobs import (AxisMeasurement, CircleTrajectory, ControlGains,
+from corrobs import (AxisMeasurement, CircleTrajectory, ConfigError, ControlGains,
                      CorrectorState, EkfState, LargeErrorModel, NoiseMixture,
                      ObserverParams, ObserverState, ScenarioConfig,
                      SensorConfig, SimulationDiverged, TraceLog,
@@ -347,10 +347,36 @@ def test_tune_ekf_process_noise_returns_grid_in_order_and_argmin():
 # ------------------------------------------------------------------ sweep
 
 def test_sweep_unknown_parameter():
-    with pytest.raises(ValueError) as err:
+    with pytest.raises(ConfigError) as err:
         sweep_parameter(hover_config(), "bogus", [1.0])
     for name in SWEEPABLE_PARAMETERS:
         assert name in str(err.value)
+
+
+def test_sweep_refusals_are_config_errors_naming_the_value():
+    cfg = hover_config(duration=1.0)
+    with pytest.raises(ConfigError, match="jobs"):
+        sweep_parameter(cfg, "eps_o", [0.5], jobs=0)
+    with pytest.raises(ConfigError) as err:
+        sweep_parameter(cfg, "eps_c", [0.5, 1.5], settle=0.5)
+    assert str(err.value) == "eps_c=1.5: eps_c must be in (0, 1) (got 1.5)"
+
+
+def test_metrics_window_without_a_sample_is_a_config_error():
+    # Rows 0.01 s apart: the drift reference window [0.025, 0.0275) holds none.
+    trace = run_scenario(hover_config(duration=0.05))
+    with pytest.raises(ConfigError) as err:
+        metrics(trace, settle=0.025)
+    assert str(err.value) == ("no trace sample in the drift reference window "
+                              "[0.025, 0.0275) s of the 0.05 s trace")
+    with pytest.raises(ConfigError, match="steady-state window"):
+        metrics(trace, settle=0.06)
+
+
+@pytest.mark.parametrize("field", ["radius", "speed", "altitude", "climb_time"])
+def test_circle_trajectory_spec_is_refused_at_build_naming_its_field(field):
+    with pytest.raises(ValueError, match=f"^{field} must be positive, not 0"):
+        TrajectorySpec(**{field: 0.0})
 
 
 def test_sweep_single_value():

@@ -16,7 +16,8 @@ import pytest
 
 from corrobs import (AxisMeasurement, CorrectorParams, CorrectorState,
                      ObserverParams, ObserverState, falpha, step_corrector,
-                     step_observer)
+                     step_observer, validate_corrector_params,
+                     validate_observer_params)
 
 FLIGHT_CORRECTOR = CorrectorParams(k1=1.0, k2=30.0, alpha_c=0.1, eps_c=1 / 1.2)
 FLIGHT_OBSERVER = ObserverParams(k3=20.0, k4=4.0, alpha_o=0.6, eps_o=1 / 1.1)
@@ -353,3 +354,18 @@ def test_observer_params_validation():
         ObserverParams(0.0, 4.0, 0.6, 0.9)
     with pytest.raises(ValueError):
         ObserverParams(20.0, 4.0, 0.6, 1.2)
+
+
+@pytest.mark.parametrize("cls, validate, values", [
+    (CorrectorParams, validate_corrector_params, (math.inf, -2.0, 0.1, 1.5)),
+    (CorrectorParams, validate_corrector_params, (1.0, math.nan, 1.0, 0.8)),
+    (ObserverParams, validate_observer_params, (0.0, 4.0, -0.6, 0.9)),
+])
+def test_params_refuse_with_every_fault_the_rules_report(cls, validate, values):
+    # One rule list: the class refuses what the selection rules call
+    # unstable, naming every fault in the rule report's words.
+    report = validate(*values)
+    assert not report.stable and len(report.messages) >= 2
+    with pytest.raises(ValueError) as err:
+        cls(*values)
+    assert str(err.value) == "; ".join(report.messages)
