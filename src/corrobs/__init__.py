@@ -12,8 +12,8 @@ from .freq import (LinearizedSystem, ParamValidationReport,
                    linearize_corrector, linearize_observer,
                    observer_natural_frequency, omega_coefficient,
                    validate_corrector_params, validate_observer_params)
-from .plant import (UavParams, UncertaintyModel, WrenchInput, dynamics_derivative,
-                    input_acceleration_scalars, plant_axes, sigma, step_plant)
+from .plant import (UavParams, UncertaintyModel, WrenchInput,
+                    input_acceleration_scalars, plant_axes, step_plant)
 from .sensors import (LargeErrorModel, LargeErrorProcess, NoiseMixture,
                       SensorConfig, SensorSuite, sample_noise)
 from .control import (CircleTrajectory, ControlGains, HoverTrajectory,
@@ -22,9 +22,8 @@ from .ekf import (EkfConfig, EkfState, ekf_init, ekf_predict, ekf_update,
                   process_noise)
 from .engine import (DecouplingReport, ScenarioConfig, SimulationDiverged,
                      SweepResult, TraceLog, TrajectorySpec, convergence_study,
-                     decoupling_check, ideal_tracking_errors, metrics,
-                     observer_ramp_study, run_scenario, sweep_parameter,
-                     tune_ekf_process_noise)
+                     decoupling_check, metrics, observer_ramp_study,
+                     run_scenario, sweep_parameter, tune_ekf_process_noise)
 from .config import (ConfigError, bundled_config_path, load_scenario,
                      save_scenario, scenario_from_dict, scenario_to_dict)
 

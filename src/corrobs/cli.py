@@ -51,10 +51,10 @@ def _config_path(args) -> Path:
 
 
 def _with_overrides(args, cfg: ScenarioConfig) -> ScenarioConfig:
-    """``cfg`` with the ``--seed`` and ``--duration`` given; a value the
-    scenario refuses is a ConfigError naming its flag."""
+    """``cfg`` with the ``--seed`` and ``--duration`` the subcommand takes; a
+    value the scenario refuses is a ConfigError naming its flag."""
     for name in ("seed", "duration"):
-        value = getattr(args, name)
+        value = getattr(args, name, None)
         if value is not None:
             try:
                 cfg = replace(cfg, **{name: value})
@@ -67,6 +67,11 @@ def _load(args) -> ScenarioConfig:
     return _with_overrides(args, scenario_from_dict(read_document(_config_path(args))))
 
 
+def _settle(args, cfg: ScenarioConfig) -> float:
+    """The ``--settle`` time, at most half the scenario's duration."""
+    return min(args.settle, cfg.duration / 2.0)
+
+
 def _write_json(path: Path, doc: dict) -> None:
     path.parent.mkdir(parents=True, exist_ok=True)
     path.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
@@ -76,7 +81,7 @@ def cmd_run(args) -> int:
     cfg = _load(args)
     out = Path(args.out)
     trace = run_scenario(cfg)
-    summary = metrics(trace, settle=min(args.settle, cfg.duration / 2.0), scenario=cfg)
+    summary = metrics(trace, settle=_settle(args, cfg), scenario=cfg)
     out.mkdir(parents=True, exist_ok=True)
     trace.to_csv(out / "trace.csv")
     _write_json(out / "metrics.json", summary)
@@ -152,8 +157,7 @@ def cmd_analyze(args) -> int:
 
 def cmd_sweep(args) -> int:
     cfg = _load(args)
-    result = sweep_parameter(cfg, args.param, args.values,
-                             settle=min(args.settle, cfg.duration / 2.0),
+    result = sweep_parameter(cfg, args.param, args.values, settle=_settle(args, cfg),
                              jobs=args.jobs)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -166,7 +170,7 @@ def cmd_sweep(args) -> int:
 def cmd_compare_ekf(args) -> int:
     cfg = _load(args)
     trace = run_scenario(cfg)
-    summary = metrics(trace, settle=min(args.settle, cfg.duration / 2.0), scenario=cfg)
+    summary = metrics(trace, settle=_settle(args, cfg), scenario=cfg)
     doc: dict = {"per_axis": {}, "settle": summary["settle"]}
     ratios = []
     for a in AXIS_NAMES[:3]:
@@ -240,51 +244,42 @@ def build_parser() -> argparse.ArgumentParser:
         description="Decoupled signal correction and uncertainty observation "
                     "for large-error sensing; quadrotor simulation front end.")
     sub = parser.add_subparsers(dest="command", required=True)
+    flags = {
+        "--out": dict(default="out", help="output directory"),
+        "--seed": dict(type=int, default=None, help="seed override"),
+        "--duration": dict(type=float, default=None, help="duration override, seconds"),
+        "--settle": dict(type=_number_arg(lambda v: v >= 0.0, "a number >= 0"),
+                         default=20.0, help="settling time before steady-state metrics"),
+    }
 
-    def common(p, needs_out=True):
+    def subcommand(name, func, summary, *names):
+        """A subcommand that takes ``--config`` and the flags ``names``."""
+        p = sub.add_parser(name, help=summary)
         p.add_argument("--config", required=True,
                        help="scenario document path, or a bundled name: "
                             + ", ".join(BUNDLED_CONFIGS))
-        if needs_out:
-            p.add_argument("--out", default="out", help="output directory")
-        p.add_argument("--seed", type=int, default=None, help="seed override")
-        p.add_argument("--duration", type=float, default=None,
-                       help="duration override, seconds")
-        p.add_argument("--settle", type=_number_arg(lambda v: v >= 0.0, "a number >= 0"),
-                       default=20.0,
-                       help="settling time before steady-state metrics")
+        for flag in names:
+            p.add_argument(flag, **flags[flag])
+        p.set_defaults(func=func)
+        return p
 
-    p = sub.add_parser("run", help="simulate and write trace + metrics")
-    common(p)
-    p.set_defaults(func=cmd_run)
-
-    p = sub.add_parser("validate", help="check parameter selection rules")
-    common(p, needs_out=False)
-    p.set_defaults(func=cmd_validate)
-
-    p = sub.add_parser("analyze", help="describing-function analysis")
-    common(p)
+    run_flags = ("--out", "--seed", "--duration", "--settle")
+    subcommand("run", cmd_run, "simulate and write trace + metrics", *run_flags)
+    subcommand("validate", cmd_validate, "check parameter selection rules",
+               "--seed", "--duration")
+    p = subcommand("analyze", cmd_analyze, "describing-function analysis", "--out")
     p.add_argument("--amplitude", default=1.0,
                    type=_number_arg(lambda v: 0.0 < v < math.inf, "positive and finite"),
                    help="innovation oscillation amplitude")
-    p.set_defaults(func=cmd_analyze)
-
-    p = sub.add_parser("sweep", help="parameter sweep")
-    common(p)
+    p = subcommand("sweep", cmd_sweep, "parameter sweep", *run_flags)
     p.add_argument("--param", required=True,
                    help="one of: " + ", ".join(sorted(SWEEPABLE_PARAMETERS)))
     p.add_argument("--values", required=True, type=_values_arg,
                    help="comma-separated values")
     p.add_argument("--jobs", type=int, default=1, help="parallel scenario runs")
-    p.set_defaults(func=cmd_sweep)
-
-    p = sub.add_parser("compare-ekf", help="corrector vs EKF error report")
-    common(p)
-    p.set_defaults(func=cmd_compare_ekf)
-
-    p = sub.add_parser("decouple-check", help="estimator independence check")
-    common(p, needs_out=False)
-    p.set_defaults(func=cmd_decouple_check)
+    subcommand("compare-ekf", cmd_compare_ekf, "corrector vs EKF error report", *run_flags)
+    subcommand("decouple-check", cmd_decouple_check, "estimator independence check",
+               "--seed", "--duration")
     return parser
 
 

@@ -52,6 +52,12 @@ class CircleTrajectory:
         for name in ("radius", "speed", "altitude", "climb_time"):
             if not getattr(self, name) > 0:
                 raise ValueError(f"{name} must be positive, not {getattr(self, name)}")
+        try:
+            self._climb_time_sq = climb_time ** 2
+        except OverflowError:
+            self._climb_time_sq = math.inf
+        if not 0.0 < self._climb_time_sq < math.inf:
+            raise ValueError(f"climb_time must have a finite nonzero square, not {climb_time}")
         self.start = (start_x, start_y)
         self.omega = speed / radius
         self.center = (start_x - radius, start_y)
@@ -66,7 +72,7 @@ class CircleTrajectory:
             s = t / self.climb_time
             blend = s ** 3 * (10.0 + s * (-15.0 + 6.0 * s))
             dblend = s * s * (30.0 + s * (-60.0 + 30.0 * s)) / self.climb_time
-            ddblend = s * (60.0 + s * (-180.0 + 120.0 * s)) / self.climb_time ** 2
+            ddblend = s * (60.0 + s * (-180.0 + 120.0 * s)) / self._climb_time_sq
             pos[0], pos[1], pos[2] = x0, y0, self.altitude * blend
             vel[2] = self.altitude * dblend
             acc[2] = self.altitude * ddblend

@@ -26,9 +26,8 @@ from .ekf import (EkfConfig, EkfDivergence, ekf_init, ekf_predict, ekf_update,
                   process_noise)
 from .estimators import (CorrectorParams, CorrectorState, ObserverParams,
                          ObserverState, step_corrector, step_observer)
-from .plant import (AXIS_NAMES, UavParams, UncertaintyModel, WrenchInput,
-                    dynamics_derivative, input_acceleration_scalars, plant_axes,
-                    step_plant, true_delta)
+from .plant import (AXIS_NAMES, UavParams, UncertaintyModel,
+                    input_acceleration_scalars, plant_axes, step_plant, true_delta)
 from .sensors import (LargeErrorModel, NoiseMixture, SensorConfig, SensorSuite,
                       whole_multiple)
 
@@ -37,7 +36,6 @@ __all__ = [
     "run_scenario", "metrics", "SweepResult", "convergence_study",
     "observer_ramp_study", "decoupling_check", "DecouplingReport",
     "sweep_parameter", "SWEEPABLE_PARAMETERS", "tune_ekf_process_noise",
-    "ideal_tracking_errors",
 ]
 
 
@@ -197,10 +195,9 @@ class TraceLog:
         return cls(np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2))
 
 
-def run_scenario(cfg: ScenarioConfig, *, record_controls: bool = False,
-                 control_replay: np.ndarray | None = None,
-                 perturb: tuple[str, float, float] | None = None):
-    """Run one closed-loop scenario; returns a TraceLog.
+def run_scenario(cfg: ScenarioConfig, *, control_replay: np.ndarray | None = None,
+                 perturb: tuple[str, float, float] | None = None) -> TraceLog:
+    """Run one scenario and return its TraceLog: the package's one closed loop.
 
     Tick 0 senses the start state and starts the estimators and the EKF on
     it (from the first measurement or, with ``estimator_init="truth"``, from
@@ -210,10 +207,10 @@ def run_scenario(cfg: ScenarioConfig, *, record_controls: bool = False,
     the EKF, and senses the next tick, where the EKF absorbs the measurement
     when the velocity channel is fresh.
 
-    With ``record_controls`` the per-tick wrench history is returned as a
-    second value; passing it back as ``control_replay`` re-runs the scenario
-    open loop (plant and observers driven by the recorded commands instead of
-    the live estimates), which is what the decoupling check uses.  ``perturb``
+    ``control_replay`` holds one wrench per tick, as the ``u_`` columns of a
+    trace sampled every ``dt`` do; with it the scenario runs open loop (plant
+    and observers driven by the recorded commands instead of the live
+    estimates), which is what the decoupling check uses.  ``perturb``
     is (target, time, magnitude): the named estimator bank's states are offset
     by the magnitude once, at the first tick after tick 0 at or after the
     given time.
@@ -245,7 +242,6 @@ def run_scenario(cfg: ScenarioConfig, *, record_controls: bool = False,
     n_rows = n_ticks // sample_every + 1
     rows = np.empty((n_rows, len(TraceLog.COLUMNS)))
     row_i = 0
-    controls = np.empty((n_ticks + 1, 6)) if record_controls else None
 
     # Per-run constants, and locals for the per-tick calls.  The steppers are
     # looked up here, on each run, so that a wrapper set on this module's
@@ -296,8 +292,6 @@ def run_scenario(cfg: ScenarioConfig, *, record_controls: bool = False,
                       + attitude(est_pos, est_vel, da, tp, gains, params))
         if not _all_finite(wrench):
             raise _diverged(i, t, "control", "non-finite wrench")
-        if controls is not None:
-            controls[i] = wrench
 
         if i % sample_every == 0:
             rows[row_i] = row_of(t, s, frame, corr, obs, kf, wrench, tp[0])
@@ -331,10 +325,7 @@ def run_scenario(cfg: ScenarioConfig, *, record_controls: bool = False,
             except EkfDivergence as exc:
                 raise _diverged(nxt, nxt * dt, "ekf", exc) from exc
 
-    trace = TraceLog(rows)
-    if record_controls:
-        return trace, controls
-    return trace
+    return TraceLog(rows)
 
 
 def _window_stats(err: np.ndarray, window: tuple[np.ndarray, str]) -> tuple[float, float]:
@@ -400,51 +391,6 @@ def metrics(trace: TraceLog, settle: float,
             peak = float(np.max(np.abs(delta_true[steady[0]])))
             out["observer"][name] = {"max": mx, "rms": rms, "true_peak": peak}
     return out
-
-
-def ideal_tracking_errors(params: UavParams, unc: UncertaintyModel,
-                          gains: ControlGains, trajectory: TrajectorySpec,
-                          initial_offset: Sequence[float], duration: float):
-    """Perfect-information closed loop with continuous feedback.
-
-    True states replace the estimates and the exact uncertainty forces are
-    cancelled; the control law is re-evaluated at every stage of a 1 ms RK4
-    step, so the simulated tracking error follows the ideal per-axis dynamics
-    e'' = -kp1 e - kp2 e' (ka1/ka2 on the attitude axes) up to integrator
-    accuracy.  Returns (times, errors) with one six-column error row every
-    10 ms.  Used to verify the control-law algebra against the analytic
-    solution, without the zero-order-hold lag of the discrete loop.
-    """
-    traj = trajectory.build()
-    pos0, vel0, _ = traj.point(0.0)
-    state = np.array(pos0 + vel0) + np.asarray(initial_offset, dtype=float)
-
-    def deriv(s: np.ndarray, t: float) -> np.ndarray:
-        tp = traj.point(t)
-        pos, vel = s[:6].tolist(), s[6:].tolist()
-        delta = [true_delta(a, vel[a], t, unc, params) for a in range(6)]
-        wrench = WrenchInput(*position_control(pos, vel, delta[:3], tp, gains, params),
-                             *attitude_control(pos, vel, delta[3:], tp, gains, params))
-        return dynamics_derivative(s, wrench, unc, params, t)
-
-    dt = 1e-3
-    n_ticks = int(round(duration / dt))
-    sample_every = 10
-    times = []
-    errors = []
-    for i in range(n_ticks + 1):
-        t = i * dt
-        if i % sample_every == 0:
-            times.append(t)
-            errors.append(state[:6] - traj.point(t)[0])
-        if i == n_ticks:
-            break
-        k1 = deriv(state, t)
-        k2 = deriv(state + 0.5 * dt * k1, t + 0.5 * dt)
-        k3 = deriv(state + 0.5 * dt * k2, t + 0.5 * dt)
-        k4 = deriv(state + dt * k3, t + dt)
-        state = state + dt / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-    return np.array(times), np.array(errors)
 
 
 @dataclass
@@ -552,15 +498,20 @@ class DecouplingReport:
 def decoupling_check(cfg: ScenarioConfig) -> DecouplingReport:
     """Structural independence of the two estimator banks.
 
-    The scenario is run once recording the command history, then twice more
-    open loop (commands replayed) with the observer bank's states offset by 1
-    in one run and the corrector bank's in the other, halfway through.
-    Replaying the commands isolates the estimators from the control loop; the
-    corrector
-    trace must be bit-identical under the observer perturbation and vice
-    versa, because neither estimator reads the other's state.
+    The scenario is run once with a trace row every tick, whose ``u_``
+    columns are the command history, then twice more open loop (commands
+    replayed) with the observer bank's states offset by 1 in one run and the
+    corrector bank's in the other, halfway through.  Replaying the commands
+    isolates the estimators from the control loop; the corrector trace must
+    be bit-identical under the observer perturbation and vice versa, because
+    neither estimator reads the other's state.  The replayed runs keep the
+    scenario's sample interval and are compared with the recorded run's rows
+    at the same ticks.
     """
-    trace_a, controls = run_scenario(cfg, record_controls=True)
+    recorded = run_scenario(replace(cfg, sample_interval=cfg.dt))
+    controls = recorded.columns([f"u_{a}" for a in AXIS_NAMES])
+    every = whole_multiple("sample_interval", cfg.sample_interval, "dt", cfg.dt)
+    trace_a = TraceLog(recorded.data[::every])
     half = cfg.duration / 2.0
     trace_b = run_scenario(cfg, control_replay=controls,
                            perturb=("observer", half, 1.0))

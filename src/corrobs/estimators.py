@@ -65,6 +65,14 @@ def _refuse_faults(params) -> None:
         raise ValueError("; ".join(faults))
 
 
+def _usable(name: str, formula: str, value: float) -> float:
+    """``value``, the stepper constant ``formula``, if it is finite and not 0
+    (a tiny eps cubed underflows); otherwise a ValueError naming ``name``."""
+    if value == 0.0 or not isfinite(value):
+        raise ValueError(f"{name} gives {formula} = {value}; it must be finite and nonzero")
+    return value
+
+
 @dataclass(frozen=True)
 class CorrectorParams:
     """Gains, fractional exponent and time-scale of the signal corrector."""
@@ -76,6 +84,7 @@ class CorrectorParams:
 
     def __post_init__(self):
         _refuse_faults(self)
+        self._constants    # worked out here, so that an unusable set is refused
 
     @property
     def kappa(self) -> float:
@@ -86,8 +95,9 @@ class CorrectorParams:
     def _constants(self) -> tuple[float, float, float, float, float, float]:
         """(eps_c, 1/eps_c^3, k1, k2/eps_c^3, alpha_c, kappa) for `step_corrector`."""
         eps = self.eps_c
-        inv_eps3 = 1.0 / (eps * eps * eps)
-        return eps, inv_eps3, self.k1, self.k2 * inv_eps3, self.alpha_c, self.kappa
+        inv_eps3 = 1.0 / _usable("eps_c", "eps_c^3", eps * eps * eps)
+        return (eps, _usable("eps_c", "1/eps_c^3", inv_eps3), self.k1,
+                _usable("k2", "k2/eps_c^3", self.k2 * inv_eps3), self.alpha_c, self.kappa)
 
 
 @dataclass(frozen=True)
@@ -101,13 +111,15 @@ class ObserverParams:
 
     def __post_init__(self):
         _refuse_faults(self)
+        self._constants    # worked out here, so that an unusable set is refused
 
     @cached_property
     def _constants(self) -> tuple[float, float, float, float]:
         """(alpha_o, (alpha_o + 1)/2, k4/eps_o, k3/eps_o^2) for `step_observer`."""
         alpha = self.alpha_o
-        return (alpha, 0.5 * (alpha + 1.0), self.k4 / self.eps_o,
-                self.k3 / (self.eps_o * self.eps_o))
+        eps2 = _usable("eps_o", "eps_o^2", self.eps_o * self.eps_o)
+        return (alpha, 0.5 * (alpha + 1.0), _usable("k4", "k4/eps_o", self.k4 / self.eps_o),
+                _usable("k3", "k3/eps_o^2", self.k3 / eps2))
 
 
 class CorrectorState(NamedTuple):

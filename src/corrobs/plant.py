@@ -6,9 +6,10 @@ with yaw psi, pitch theta, roll phi.  Each axis obeys
     xdd_i = h_i(t) + sigma_i(t)
 
 where h_i is the known input (wrench component over mass or inertia, minus
-gravity on the vertical axis) and sigma_i lumps drag and unmodelled
-disturbances.  The plant is driven directly by the six-component wrench;
-rotor-level thrust allocation is out of scope.
+gravity on the vertical axis; `input_acceleration_scalars`) and sigma_i lumps
+drag and unmodelled disturbances (`true_delta` over the mass or inertia).
+`step_plant` is the one integrator of the model.  The plant is driven directly
+by the six-component wrench; rotor-level thrust allocation is out of scope.
 """
 
 from __future__ import annotations
@@ -21,9 +22,8 @@ from typing import Callable, NamedTuple, Sequence
 import numpy as np
 
 __all__ = [
-    "UavParams", "WrenchInput", "UncertaintyModel", "AXIS_NAMES", "sigma",
-    "true_delta", "input_acceleration_scalars", "dynamics_derivative", "plant_axes",
-    "step_plant",
+    "UavParams", "WrenchInput", "UncertaintyModel", "AXIS_NAMES", "true_delta",
+    "input_acceleration_scalars", "plant_axes", "step_plant",
 ]
 
 AXIS_NAMES = ("x", "y", "z", "psi", "theta", "phi")
@@ -128,14 +128,6 @@ def true_delta(axis: int, vel: float | np.ndarray, t: float | np.ndarray,
     return -lever * unc.drag[axis] * vel + delta
 
 
-def sigma(axis: int, state: Sequence[float], t: float, unc: UncertaintyModel,
-          params: UavParams) -> float:
-    """Lumped uncertainty acceleration sigma_i on one axis (0-based index):
-    `true_delta` over the mass or inertia."""
-    inv = _axis_scale(axis, params)[0]
-    return inv * true_delta(axis, state[6 + axis], t, unc, params)
-
-
 def input_acceleration_scalars(wrench: WrenchInput,
                                params: UavParams) -> tuple[float, ...]:
     """Known input terms h_i: wrench over mass/inertia, gravity on the z axis."""
@@ -148,24 +140,6 @@ def input_acceleration_scalars(wrench: WrenchInput,
         u_theta / params.J_theta,
         u_phi / params.J_phi,
     )
-
-
-def dynamics_derivative(state: np.ndarray, wrench: WrenchInput,
-                        unc: UncertaintyModel, params: UavParams,
-                        t: float) -> np.ndarray:
-    """Time derivative of the 12-component state: xdd_i = h_i + sigma_i.
-
-    The reference form of the model; `step_plant` integrates the same
-    accelerations with the per-axis factors multiplied out.
-    """
-    state = np.asarray(state, dtype=float)
-    if not np.all(np.isfinite(state)):
-        raise ValueError("non-finite plant state")
-    h = input_acceleration_scalars(wrench, params)
-    deriv = np.empty(12)
-    deriv[:6] = state[6:]
-    deriv[6:] = [h[i] + sigma(i, state, t, unc, params) for i in range(6)]
-    return deriv
 
 
 def plant_axes(unc: UncertaintyModel, params: UavParams):
@@ -185,10 +159,12 @@ def plant_axes(unc: UncertaintyModel, params: UavParams):
 
 def step_plant(s: Sequence[float], h6: Sequence[float], axes, t: float,
                dt: float) -> list[float]:
-    """One fixed 4th-order step of the 12 states, the input accelerations
-    ``h6`` (from `input_acceleration_scalars`) held over [t, t+dt]; no checks.
+    """One fixed 4th-order step of the 12 states, xdd_i = h_i + sigma_i, with
+    the input accelerations ``h6`` (from `input_acceleration_scalars`) held
+    over [t, t+dt]; no checks.
 
-    ``axes`` is `plant_axes(unc, params)`.  The accelerations depend only on
+    ``axes`` is `plant_axes(unc, params)`, which gives sigma_i per axis as a
+    drag coefficient and a disturbance.  The accelerations depend only on
     the velocities and time (never on the positions), so the classical scheme
     decouples per axis into a velocity update plus the exactly corresponding
     position quadrature: algebraically the same 4th-order step as applying

@@ -20,8 +20,9 @@ from corrobs import (AxisMeasurement, ControlGains, CorrectorParams,
                      load_scenario, metrics, observer_ramp_study,
                      omega_coefficient, run_scenario, step_corrector,
                      validate_corrector_params, validate_observer_params)
-from corrobs.engine import TrajectorySpec, ideal_tracking_errors
+from corrobs.engine import TrajectorySpec
 from corrobs.freq import corrector_natural_frequency, observer_natural_frequency
+from oracles import ideal_tracking_errors
 
 POSITION_AXES = ("x", "y", "z")
 

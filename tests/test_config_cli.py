@@ -347,6 +347,10 @@ RUN_REFUSES = [
     ("sample_intervall", 0.01),
     ("uav.b", 0.002923),
     ("trajectory.radius", 0.0),
+    ("trajectory.climb_time", 1e300),
+    ("trajectory.climb_time", 1e-200),
+    ("corrector.attitude.eps_c", 1e-200),
+    ("observer.position.eps_o", 1e-200),
 ]
 
 
@@ -383,6 +387,11 @@ USAGE_ERRORS = [
     ["run"],
     ["run", "--config", "paper_sec6", "--seed", "one"],
     ["fly", "--config", "paper_sec6"],
+    ["validate", "--config", "paper_sec6", "--settle", "5"],
+    ["analyze", "--config", "paper_sec6", "--duration", "2"],
+    ["analyze", "--config", "paper_sec6", "--seed", "2"],
+    ["analyze", "--config", "paper_sec6", "--settle", "5"],
+    ["decouple-check", "--config", "paper_sec6", "--settle", "5"],
     *FLAG_VALUE_ERRORS,
 ]
 
@@ -490,7 +499,7 @@ def test_cli_sweep_jobs_below_one_is_config_error(tmp_path, sec6_doc, capsys, jo
 
 
 @pytest.mark.parametrize("param, value", [("noise_pos_std", "nan"), ("noise_pos_std", "inf"),
-                                          ("L_d", "nan")])
+                                          ("L_d", "nan"), ("eps_c", "1e-300")])
 def test_cli_sweep_non_finite_value_is_config_error(tmp_path, sec6_doc, capsys, param, value):
     cfgp = write_quick(sec6_doc, tmp_path)
     out = tmp_path / "o"
@@ -614,6 +623,8 @@ EXIT_CODES = [
     ("compare-ekf", 1, None, ["--duration", "0.05"],
      "config error: no trace sample in the drift reference window"),
     ("compare-ekf", 2, ("ekf.q", 1e300), [], "simulation diverged: divergence at tick 0"),
+    ("analyze", 1, ("corrector.attitude.eps_c", 1e-200), [],
+     "config error: corrector.attitude.eps_c gives eps_c^3 = 0.0"),
     ("decouple-check", 1, ("trajectory.radius", 0.0), [],
      "config error: trajectory.radius must be positive"),
     ("decouple-check", 2, ("ekf.q", 1e300), [], "simulation diverged: divergence at tick 0"),

@@ -16,8 +16,9 @@ from corrobs import (AxisMeasurement, CircleTrajectory, ConfigError, ControlGain
                      bundled_config_path, convergence_study, decoupling_check,
                      engine, load_scenario, metrics, observer_ramp_study, run_scenario,
                      sweep_parameter, tune_ekf_process_noise)
-from corrobs.engine import SWEEPABLE_PARAMETERS, ideal_tracking_errors
+from corrobs.engine import SWEEPABLE_PARAMETERS
 from corrobs.plant import AXIS_NAMES
+from oracles import ideal_tracking_errors
 
 
 def quiet_sensors(d_pos=0.0, noise=False) -> SensorConfig:
@@ -248,8 +249,9 @@ def test_decoupling_check_passes():
 
 def test_decoupling_zero_magnitude_reflexive():
     # An offset of 0 leaves both banks, and so the whole trace, as they were.
-    cfg = hover_config(duration=1.0)
-    trace, controls = run_scenario(cfg, record_controls=True)
+    cfg = hover_config(duration=1.0, sample_interval=1e-3)
+    trace = run_scenario(cfg)
+    controls = trace.columns([f"u_{a}" for a in AXIS_NAMES])
     for target in ("observer", "corrector"):
         again = run_scenario(cfg, control_replay=controls, perturb=(target, 0.5, 0.0))
         assert np.array_equal(again.data, trace.data)
@@ -519,9 +521,12 @@ def test_golden_trace_loop_branches(sec6, key, change):
 
 
 def test_golden_trace_record_and_replay(sec6):
+    # A trace sampled every tick records the commands in its u_ columns; its
+    # every 10th row is the trace at the scenario's own 10 ms interval.
     cfg = replace(sec6, duration=1.0)
-    trace, controls = run_scenario(cfg, record_controls=True)
-    assert _digest(trace.data) == GOLDEN["init_truth"]
+    trace = run_scenario(replace(cfg, sample_interval=cfg.dt))
+    controls = trace.columns([f"u_{a}" for a in AXIS_NAMES])
+    assert _digest(trace.data[::10]) == GOLDEN["init_truth"]
     assert _digest(controls) == GOLDEN["record_controls"]
     for target in ("observer", "corrector"):
         replayed = run_scenario(cfg, control_replay=controls,

@@ -8,6 +8,9 @@
   belongs in the function as a constant.  A call counts by the callee's last
   name (``f(...)``, ``mod.f(...)`` and ``obj.f(...)`` all count for ``f``),
   so the check may miss an unset default but never reports a set one.
+* Every name in a module's ``__all__`` is referred to, as a name or an
+  attribute, somewhere outside the tests.  A public name only tests use is
+  deleted, or moved into the tests as an oracle.
 """
 
 from __future__ import annotations
@@ -27,6 +30,12 @@ CALLERS = [*PACKAGE, *sorted((ROOT / "demos").glob("*.py")),
 UNSET_DEFAULTS = {
     "cli.main(argv)": "the console script calls main() without arguments, so argparse "
                       "reads sys.argv; the tests pass their own",
+}
+
+# Public names that nothing outside the tests refers to, and why each stays.
+UNREFERENCED_PUBLIC = {
+    "fractional.falpha": "the odd power the steppers inline, and criterion 9's subject",
+    "config.save_scenario": "the inverse of load_scenario, kept for the round-trip promise",
 }
 
 
@@ -94,3 +103,28 @@ def test_every_default_is_set_outside_the_tests():
     assert not extra, f"defaults that only the tests set; make each a constant: {extra}"
     stale = sorted(set(UNSET_DEFAULTS) - set(unset))
     assert not stale, f"listed exceptions that a caller sets or that are gone: {stale}"
+
+
+def _exported(tree: ast.Module) -> list[str]:
+    """The names in a module's ``__all__``."""
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+                isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets):
+            return list(ast.literal_eval(node.value))
+    return []
+
+
+def test_every_public_name_is_referred_to_outside_the_tests():
+    referred = set()
+    for path in CALLERS:
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.Name):
+                referred.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                referred.add(node.attr)
+    unreferred = [f"{path.stem}.{name}" for path in MODULES
+                  for name in _exported(ast.parse(path.read_text())) if name not in referred]
+    extra = sorted(set(unreferred) - set(UNREFERENCED_PUBLIC))
+    assert not extra, f"public names only the tests use; delete or move each: {extra}"
+    stale = sorted(set(UNREFERENCED_PUBLIC) - set(unreferred))
+    assert not stale, f"listed exceptions that are referred to or gone: {stale}"

@@ -5,9 +5,10 @@ import math
 import numpy as np
 import pytest
 
-from corrobs import (UavParams, UncertaintyModel, WrenchInput, dynamics_derivative,
-                     input_acceleration_scalars, plant_axes, sigma, step_plant)
+from corrobs import (UavParams, UncertaintyModel, WrenchInput,
+                     input_acceleration_scalars, plant_axes, step_plant)
 from corrobs.plant import AXIS_NAMES, true_delta
+from oracles import dynamics_derivative
 
 PARAMS = UavParams()
 NO_UNC = UncertaintyModel()
@@ -42,58 +43,66 @@ def step(state, wrench, unc, params, t, dt) -> np.ndarray:
                                plant_axes(unc, params), t, dt))
 
 
+# sigma_i, the uncertainty acceleration of axis i, is `true_delta` over the
+# mass or inertia; `plant_axes` holds its factors for `step_plant`.
+
 def test_sigma_zero_at_rest():
-    s = state_with()
     for axis in range(6):
-        assert sigma(axis, s, 0.0, NO_UNC, PARAMS) == 0.0
+        assert true_delta(axis, 0.0, 0.0, NO_UNC, PARAMS) == 0.0
 
 
 def test_sigma_drag_scaling():
-    s = state_with(vx=1.0)
     unc = UncertaintyModel(drag=(0.01, 0.0, 0.0, 0.0, 0.0, 0.0))
-    assert sigma(0, s, 0.0, unc, PARAMS) == pytest.approx(-0.01 / 2.01, rel=1e-12)
+    assert true_delta(0, 1.0, 0.0, unc, PARAMS) == -0.01
+    assert plant_axes(unc, PARAMS)[0][1] == pytest.approx(0.01 / 2.01, rel=1e-12)
 
 
 def test_sigma_flight_disturbance_at_zero():
     # Delta_x(0) = 0.3 sin 0 + 0.2 cos 0 = 0.2
-    s = state_with(vx=0.5)
-    val = sigma(0, s, 0.0, FLIGHT_UNC, PARAMS)
-    assert val == pytest.approx((0.2 - 0.01 * 0.5) / 2.01, rel=1e-9)
+    val = true_delta(0, 0.5, 0.0, FLIGHT_UNC, PARAMS)
+    assert val == pytest.approx(0.2 - 0.01 * 0.5, rel=1e-9)
 
 
 def test_sigma_arm_length_lever_on_pitch_roll_only():
-    s = state_with(vpsi=1.0, vtheta=1.0, vphi=1.0)
     unc = UncertaintyModel(drag=(0, 0, 0, 0.012, 0.012, 0.012))
-    assert sigma(3, s, 0.0, unc, PARAMS) == pytest.approx(-0.012 / 2.5, rel=1e-12)
-    assert sigma(4, s, 0.0, unc, PARAMS) == pytest.approx(-0.2 * 0.012 / 1.25, rel=1e-12)
-    assert sigma(5, s, 0.0, unc, PARAMS) == pytest.approx(-0.2 * 0.012 / 1.25, rel=1e-12)
+    assert true_delta(3, 1.0, 0.0, unc, PARAMS) == pytest.approx(-0.012, rel=1e-12)
+    assert true_delta(4, 1.0, 0.0, unc, PARAMS) == pytest.approx(-0.2 * 0.012, rel=1e-12)
+    assert true_delta(5, 1.0, 0.0, unc, PARAMS) == pytest.approx(-0.2 * 0.012, rel=1e-12)
+    drag = [axis[1] for axis in plant_axes(unc, PARAMS)[3:]]
+    assert drag == pytest.approx([0.012 / 2.5, 0.2 * 0.012 / 1.25, 0.2 * 0.012 / 1.25],
+                                 rel=1e-12)
 
 
 def test_sigma_structural_decoupling():
+    # Each axis of a plant step reads only its own position and velocity.
     rng = np.random.default_rng(10)
     for axis in range(6):
         base = rng.uniform(-3, 3, 12)
         other = base.copy()
         for j in range(6):
             if j != axis:
-                other[6 + j] = rng.uniform(-3, 3)
-        a = sigma(axis, base, 1.7, FLIGHT_UNC, PARAMS)
-        b = sigma(axis, other, 1.7, FLIGHT_UNC, PARAMS)
-        assert a == b
+                other[j], other[6 + j] = rng.uniform(-3, 3, 2)
+        a = step(base, ZERO_WRENCH, FLIGHT_UNC, PARAMS, 1.7, 1e-3)
+        b = step(other, ZERO_WRENCH, FLIGHT_UNC, PARAMS, 1.7, 1e-3)
+        assert (a[axis], a[6 + axis]) == (b[axis], b[6 + axis])
 
 
 def test_sigma_axis_range():
     with pytest.raises(ValueError):
-        sigma(6, state_with(), 0.0, NO_UNC, PARAMS)
+        true_delta(6, 0.0, 0.0, NO_UNC, PARAMS)
 
 
 def test_true_delta_matches_sigma_scaling():
+    # The acceleration `plant_axes` gives `step_plant` is `true_delta` over
+    # the mass or inertia.
     rng = np.random.default_rng(11)
     s = rng.uniform(-2, 2, 12)
     scales = (PARAMS.m,) * 3 + PARAMS.inertias
-    for axis in range(6):
-        assert true_delta(axis, s[6 + axis], 0.4, FLIGHT_UNC, PARAMS) == pytest.approx(
-            scales[axis] * sigma(axis, s, 0.4, FLIGHT_UNC, PARAMS), rel=1e-12)
+    for axis, (inv, cdrag, fn, dconst) in enumerate(plant_axes(FLIGHT_UNC, PARAMS)):
+        v = s[6 + axis]
+        accel = -cdrag * v + (inv * fn(0.4) if fn is not None else dconst)
+        assert true_delta(axis, v, 0.4, FLIGHT_UNC, PARAMS) == pytest.approx(
+            scales[axis] * accel, rel=1e-12)
 
 
 # Drag on every axis, so the pitch/roll lever applies; sinusoids on x, z and
@@ -124,8 +133,8 @@ def test_true_delta_column_matches_scalar_calls():
 def test_dynamics_hover_trim():
     s = state_with()
     w = WrenchInput(0.0, 0.0, PARAMS.m * PARAMS.g, 0.0, 0.0, 0.0)
-    deriv = dynamics_derivative(s, w, NO_UNC, PARAMS, 0.0)
-    assert np.allclose(deriv, 0.0, atol=1e-12)
+    assert np.allclose(input_acceleration_scalars(w, PARAMS), 0.0, atol=1e-12)
+    assert np.allclose(step(s, w, NO_UNC, PARAMS, 0.0, 1e-3), 0.0, atol=1e-12)
 
 
 def test_hover_thrust_values():
@@ -135,30 +144,18 @@ def test_hover_thrust_values():
                            (UavParams(m=1.0, g=1.0), 1.0),
                            (UavParams(m=2.0, g=1.0), 2.0)):
         w = WrenchInput(0.0, 0.0, thrust, 0.0, 0.0, 0.0)
-        deriv = dynamics_derivative(state_with(), w, NO_UNC, params, 0.0)
-        assert np.allclose(deriv, 0.0, atol=1e-12)
+        assert np.allclose(input_acceleration_scalars(w, params), 0.0, atol=1e-12)
         w = WrenchInput(0.0, 0.0, 2.0 * thrust, 0.0, 0.0, 0.0)
-        deriv = dynamics_derivative(state_with(), w, NO_UNC, params, 0.0)
-        assert deriv[8] == pytest.approx(params.g, rel=1e-12)
+        assert input_acceleration_scalars(w, params)[2] == pytest.approx(params.g, rel=1e-12)
 
 
 def test_dynamics_free_fall():
-    deriv = dynamics_derivative(state_with(), ZERO_WRENCH, NO_UNC, PARAMS, 0.0)
-    assert deriv[8] == -9.81
-    assert np.allclose(np.delete(deriv, 8), 0.0)
+    assert input_acceleration_scalars(ZERO_WRENCH, PARAMS) == (0.0, 0.0, -9.81, 0.0, 0.0, 0.0)
 
 
 def test_dynamics_unit_torque():
     w = WrenchInput(0.0, 0.0, 0.0, 0.0, 1.25, 0.0)
-    deriv = dynamics_derivative(state_with(), w, NO_UNC, PARAMS, 0.0)
-    assert deriv[10] == 1.0
-
-
-def test_dynamics_rejects_nonfinite():
-    s = state_with()
-    s[0] = math.nan
-    with pytest.raises(ValueError):
-        dynamics_derivative(s, ZERO_WRENCH, NO_UNC, PARAMS, 0.0)
+    assert input_acceleration_scalars(w, PARAMS)[4] == 1.0
 
 
 def test_ballistic_closed_form():
