@@ -39,10 +39,9 @@ print(f"  non-increasing: {res.non_increasing('max_e4', slack=1e-4)}")
 
 print("\nsensing-error-bound sweep (estimators initialized from the first fix):")
 quiet = SensorConfig(
-    large_error=(LargeErrorModel(constant=5.0, bound=5.0),) * 3
-    + (LargeErrorModel(),) * 3,
-    position_noise=(NoiseMixture(),) * 6,
-    velocity_noise=(NoiseMixture(),) * 6,
+    large_error=(LargeErrorModel(constant=5.0, bound=5.0), LargeErrorModel()),
+    position_noise=(NoiseMixture(),) * 2,
+    velocity_noise=(NoiseMixture(),) * 2,
 )
 sweep_cfg = replace(cfg, duration=4.0, sensors=quiet,
                     trajectory=TrajectorySpec(kind="hover", altitude=0.0),

@@ -137,19 +137,19 @@ def cmd_analyze(args) -> int:
     out = Path(args.out)
     amp = args.amplitude
     doc: dict = {"amplitude": amp, "estimators": {}}
-    for group, axis in (("position", 0), ("attitude", 3)):
-        p, label = cfg.correctors[axis], f"corrector_{group}"
+    for group, c, o in zip(("position", "attitude"), cfg.correctors, cfg.observers):
+        label = f"corrector_{group}"
         doc["estimators"][label] = {
-            "omega_coeff_position_term": freq.omega_coefficient(p.kappa),
-            "omega_coeff_velocity_term": freq.omega_coefficient(p.alpha_c),
-            "natural_frequency": freq.corrector_natural_frequency(p, amp),
-            **_eigenvalues(freq.linearize_corrector(p, amp, amp), label, amp)}
-        p, label = cfg.observers[axis], f"observer_{group}"
+            "omega_coeff_position_term": freq.omega_coefficient(c.kappa),
+            "omega_coeff_velocity_term": freq.omega_coefficient(c.alpha_c),
+            "natural_frequency": freq.corrector_natural_frequency(c, amp),
+            **_eigenvalues(freq.linearize_corrector(c, amp, amp), label, amp)}
+        label = f"observer_{group}"
         doc["estimators"][label] = {
-            "omega_coeff_innovation_term": freq.omega_coefficient(0.5 * (1 + p.alpha_o)),
-            "omega_coeff_uncertainty_term": freq.omega_coefficient(p.alpha_o),
-            "natural_frequency": freq.observer_natural_frequency(p, amp),
-            **_eigenvalues(freq.linearize_observer(p, amp), label, amp)}
+            "omega_coeff_innovation_term": freq.omega_coefficient(0.5 * (1 + o.alpha_o)),
+            "omega_coeff_uncertainty_term": freq.omega_coefficient(o.alpha_o),
+            "natural_frequency": freq.observer_natural_frequency(o, amp),
+            **_eigenvalues(freq.linearize_observer(o, amp), label, amp)}
     _write_json(out / "analysis.json", doc)
     print(f"wrote {out / 'analysis.json'}")
     return EXIT_OK

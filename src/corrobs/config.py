@@ -14,9 +14,10 @@ trajectory, seed).  Three reference documents ship with the package:
 A document is the scenario dataclasses written out: each section holds the
 fields of the dataclass it builds under their field names, and a key left
 out takes the field's default (the README lists the sections).  The tables
-below hold only what the dataclasses cannot say.  Loading refuses a value
-of the wrong type and a key that saving would not write back, naming the
-dotted key.
+below hold only what the dataclasses cannot say.  A field held under several
+keys holds one entry per key: a (position group, attitude group) pair under
+two, one entry per axis under six.  Loading refuses a value of the wrong
+type and a key that saving would not write back, naming the dotted key.
 """
 
 from __future__ import annotations
@@ -45,9 +46,9 @@ _REQUIRED = frozenset({"duration", "seed", "uav", "control"})
 
 # The document keys of each field not held under its own name (field names
 # are unique across the scenario dataclasses), relative to the section of the
-# dataclass that owns the field.  Two keys hold a per-axis field once for the
-# position group (x, y, z) and once for the attitude group (psi, theta, phi);
-# six keys hold it once per axis.
+# dataclass that owns the field; the field's i-th entry is held under the
+# i-th key.  Two keys hold a pair: the position group (x, y, z), then the
+# attitude group (psi, theta, phi).  Six keys hold one entry per axis.
 _KEYS = {
     "gains": ("control",),
     "correctors": ("corrector.position", "corrector.attitude"),
@@ -59,22 +60,6 @@ _KEYS = {
     "delta_sinusoids": tuple(f"delta.{a}.sinusoids" for a in AXIS_NAMES),
     "delta_constant": tuple(f"delta.{a}.constant" for a in AXIS_NAMES),
 }
-
-
-def _group_values(values: tuple, name: str) -> tuple[Any, Any]:
-    """The position-group and attitude-group entries of a per-axis tuple.
-
-    A document holds one value per group, so a tuple whose axes differ within
-    a group cannot be written without loss and is refused.
-    """
-    for first in (0, 3):
-        for i in (first + 1, first + 2):
-            if values[i] != values[first]:
-                raise ConfigError(
-                    f"cannot save {name}[{i}] (axis {AXIS_NAMES[i]}): it differs from "
-                    f"{name}[{first}] (axis {AXIS_NAMES[first]}), and a scenario "
-                    "document holds one value per position/attitude group")
-    return values[0], values[3]
 
 
 # The resolved field types of a scenario dataclass; resolving them is most
@@ -158,9 +143,7 @@ def _fields(cls: type, node: dict, path: str, required: bool = False) -> dict:
                 raise ConfigError(f"missing config key: {where}")
             else:
                 parts.append(f.default if len(keys) == 1 else f.default[i])
-        # a group's value goes to each of its three axes
-        kwargs[f.name] = parts[0] if len(keys) == 1 else tuple(
-            p for p in parts for _ in range(6 // len(keys)))
+        kwargs[f.name] = parts[0] if len(keys) == 1 else tuple(parts)
     return kwargs
 
 
@@ -176,22 +159,18 @@ def _build(cls: type, node: dict, path: str, required: bool = False):
         raise ConfigError(f"{path}{sep}{msg}" if path else msg) from exc
 
 
-def _document(obj: Any, where: str) -> dict:
-    """The document section of dataclass instance ``obj``, whose attribute
-    path from the ScenarioConfig is ``where`` (for errors)."""
+def _document(obj: Any) -> dict:
+    """The document section of dataclass instance ``obj``."""
     out: dict = {}
     for f in fields(obj):
         value = getattr(obj, f.name)
-        name = _join(where, f.name)
         keys = _KEYS.get(f.name, (f.name,))
-        parts = ((value,) if len(keys) == 1 else
-                 _group_values(value, name) if len(keys) == 2 else value)
-        for key, part in zip(keys, parts):
+        for key, part in zip(keys, (value,) if len(keys) == 1 else value):
             *outer, last = key.split(".")
             node = out
             for k in outer:
                 node = node.setdefault(k, {})
-            node[last] = _document(part, name) if is_dataclass(part) else _plain(part)
+            node[last] = _document(part) if is_dataclass(part) else _plain(part)
     return out
 
 
@@ -224,13 +203,8 @@ def scenario_from_dict(doc: dict) -> ScenarioConfig:
 
 
 def scenario_to_dict(cfg: ScenarioConfig) -> dict:
-    """The scenario document of ``cfg``; ``scenario_from_dict`` inverts it exactly.
-
-    Raises ``ConfigError`` naming the field and axis when ``cfg`` holds what
-    a document cannot: per-axis models that differ within the position or
-    attitude group.
-    """
-    return _document(cfg, "")
+    """The scenario document of ``cfg``; ``scenario_from_dict`` inverts it exactly."""
+    return _document(cfg)
 
 
 def estimator_values(doc: dict) -> dict[str, dict[str, float]]:

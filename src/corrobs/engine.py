@@ -26,8 +26,9 @@ from .ekf import (EkfConfig, EkfDivergence, ekf_init, ekf_predict, ekf_update,
                   process_noise)
 from .estimators import (CorrectorParams, CorrectorState, ObserverParams,
                          ObserverState, step_corrector, step_observer)
-from .plant import (AXIS_NAMES, UavParams, UncertaintyModel,
-                    input_acceleration_scalars, plant_axes, step_plant, true_delta)
+from .plant import (AXIS_NAMES, UavParams, UncertaintyModel, check_pair,
+                    input_acceleration_scalars, per_axis, plant_axes, step_plant,
+                    true_delta)
 from .sensors import (LargeErrorModel, NoiseMixture, SensorConfig, SensorSuite,
                       whole_multiple)
 
@@ -83,17 +84,11 @@ class TrajectorySpec:
         return HoverTrajectory(self.start_x, self.start_y, self.altitude)
 
 
-def _default_correctors() -> tuple[CorrectorParams, ...]:
-    return tuple(CorrectorParams(1.0, 30.0, 0.1, 1.0 / 1.2) for _ in range(6))
-
-
-# The observer of every axis unless a scenario says otherwise, and the base
+# The observer of both groups unless a scenario says otherwise, and the base
 # of `observer_ramp_study`.
 _DEFAULT_OBSERVER = ObserverParams(20.0, 4.0, 0.6, 1.0 / 1.1)
 
-
-def _default_observers() -> tuple[ObserverParams, ...]:
-    return (_DEFAULT_OBSERVER,) * 6
+MAX_TICKS = 10**9    # per run: 1000 times the 1000 s flight of criterion 3
 
 
 @dataclass(frozen=True)
@@ -106,8 +101,10 @@ class ScenarioConfig:
     uncertainty: UncertaintyModel = field(default_factory=UncertaintyModel)
     sensors: SensorConfig = field(default_factory=SensorConfig)
     gains: ControlGains = field(default_factory=ControlGains)
-    correctors: tuple[CorrectorParams, ...] = field(default_factory=_default_correctors)
-    observers: tuple[ObserverParams, ...] = field(default_factory=_default_observers)
+    # (position group, attitude group) pairs, as the scenario document holds them
+    correctors: tuple[CorrectorParams, CorrectorParams] = (
+        CorrectorParams(1.0, 30.0, 0.1, 1.0 / 1.2),) * 2
+    observers: tuple[ObserverParams, ObserverParams] = (_DEFAULT_OBSERVER,) * 2
     ekf: EkfConfig = field(default_factory=lambda: EkfConfig(q=1e-4, r1=0.25, r2=1e-6))
     trajectory: TrajectorySpec = field(default_factory=TrajectorySpec)
     estimator_init: str = "first_measurement"   # or "truth"
@@ -117,14 +114,17 @@ class ScenarioConfig:
         for name in ("duration", "dt", "sample_interval"):
             if not 0 < getattr(self, name) < math.inf:
                 raise ValueError(f"{name} must be positive and finite")
+        if self.duration / self.dt > MAX_TICKS:
+            raise ValueError(f"duration / dt must be at most {MAX_TICKS} ticks, "
+                             f"not {self.duration / self.dt:.3g}")
         if self.seed < 0:
             raise ValueError(f"seed must be a non-negative integer, not {self.seed}")
         for name in ("position_period", "velocity_period"):
             whole_multiple(f"sensors.{name}", getattr(self.sensors, name), "dt", self.dt)
         whole_multiple("sample_interval", self.sample_interval, "dt", self.dt)
         whole_multiple("duration", self.duration, "sample_interval", self.sample_interval)
-        if len(self.correctors) != 6 or len(self.observers) != 6:
-            raise ValueError("six corrector and six observer parameter sets required")
+        for name in ("correctors", "observers"):
+            check_pair(name, getattr(self, name))
         if self.estimator_init not in ("first_measurement", "truth"):
             raise ValueError("estimator_init must be 'first_measurement' or 'truth'")
         if len(self.initial_offset) != 12:
@@ -195,8 +195,11 @@ class TraceLog:
         return cls(np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2))
 
 
+_PERTURB_AT, _PERTURB_OFFSET = 0.5, 1.0    # share of the duration; state offset
+
+
 def run_scenario(cfg: ScenarioConfig, *, control_replay: np.ndarray | None = None,
-                 perturb: tuple[str, float, float] | None = None) -> TraceLog:
+                 perturb: str | None = None) -> TraceLog:
     """Run one scenario and return its TraceLog: the package's one closed loop.
 
     Tick 0 senses the start state and starts the estimators and the EKF on
@@ -211,9 +214,9 @@ def run_scenario(cfg: ScenarioConfig, *, control_replay: np.ndarray | None = Non
     trace sampled every ``dt`` do; with it the scenario runs open loop (plant
     and observers driven by the recorded commands instead of the live
     estimates), which is what the decoupling check uses.  ``perturb``
-    is (target, time, magnitude): the named estimator bank's states are offset
-    by the magnitude once, at the first tick after tick 0 at or after the
-    given time.
+    names an estimator bank, ``"corrector"`` or ``"observer"``: its states
+    are offset by 1 once, at the first tick after tick 0 at or after half the
+    duration.
 
     The loop keeps every state as plain floats and calls the public steppers
     with constants worked out once per run; the outputs of each stage are
@@ -229,9 +232,9 @@ def run_scenario(cfg: ScenarioConfig, *, control_replay: np.ndarray | None = Non
 
     pert_tick = -1                # no tick is perturbed
     if perturb is not None:
-        target, when, magnitude = perturb
-        if target not in ("corrector", "observer"):
-            raise ValueError(f"unknown perturbation target: {target}")
+        if perturb not in ("corrector", "observer"):
+            raise ValueError(f"unknown perturbation target: {perturb}")
+        when = _PERTURB_AT * cfg.duration
         pert_tick = next((i for i in range(1, n_ticks + 1) if i * dt >= when), -1)
     replay = None
     if control_replay is not None:
@@ -253,7 +256,7 @@ def run_scenario(cfg: ScenarioConfig, *, control_replay: np.ndarray | None = Non
     input_terms, plant_step = input_acceleration_scalars, step_plant
     predict, update = ekf_predict, ekf_update
     row_of = trace_row
-    correctors, observers = cfg.correctors, cfg.observers
+    correctors, observers = per_axis(cfg.correctors), per_axis(cfg.observers)
     dts = (dt,) * 6
     axes = plant_axes(cfg.uncertainty, params)
     ekf_cfg = cfg.ekf
@@ -274,11 +277,11 @@ def run_scenario(cfg: ScenarioConfig, *, control_replay: np.ndarray | None = Non
     for i in range(n_ticks + 1):
         t = i * dt
         if i == pert_tick:
-            if target == "observer":
-                obs = [ObserverState(o.xhat3 + magnitude, o.xhat4 + magnitude)
+            if perturb == "observer":
+                obs = [ObserverState(o.xhat3 + _PERTURB_OFFSET, o.xhat4 + _PERTURB_OFFSET)
                        for o in obs]
             else:
-                corr = [CorrectorState(c.xhat1 + magnitude, c.xhat2 + magnitude)
+                corr = [CorrectorState(c.xhat1 + _PERTURB_OFFSET, c.xhat2 + _PERTURB_OFFSET)
                         for c in corr]
 
         tp = point(t)
@@ -330,12 +333,17 @@ def run_scenario(cfg: ScenarioConfig, *, control_replay: np.ndarray | None = Non
 
 def _window_stats(err: np.ndarray, window: tuple[np.ndarray, str]) -> tuple[float, float]:
     """Max and RMS of ``err`` over a (row mask, description) window of
-    `metrics`; a window with no trace sample is a ConfigError."""
+    `metrics`; a window with no trace sample is a ConfigError.  A finite
+    ``err`` has a finite RMS."""
     mask, where = window
     seg = err[mask]
     if seg.size == 0:
         raise ConfigError(f"no trace sample in the {where}")
-    return float(np.max(seg)), float(np.sqrt(np.mean(seg * seg)))
+    peak = float(np.max(seg))
+    if 1e100 < peak < math.inf:     # the squares could overflow: scale them
+        scaled = seg / peak
+        return peak, peak * float(np.sqrt(np.mean(scaled * scaled)))
+    return peak, float(np.sqrt(np.mean(seg * seg)))
 
 
 def metrics(trace: TraceLog, settle: float,
@@ -434,9 +442,9 @@ def convergence_study(cfg: ScenarioConfig, eps_values: Sequence[float],
         duration=duration,
         trajectory=TrajectorySpec(kind="hover", altitude=0.0),
         sensors=replace(cfg.sensors, dropouts=(),
-                        large_error=(LargeErrorModel(constant=20.0, bound=20.0),) * 6,
-                        position_noise=(NoiseMixture(),) * 6,
-                        velocity_noise=(NoiseMixture(),) * 6),
+                        large_error=(LargeErrorModel(constant=20.0, bound=20.0),) * 2,
+                        position_noise=(NoiseMixture(),) * 2,
+                        velocity_noise=(NoiseMixture(),) * 2),
         estimator_init="truth",
     )
     rows = []
@@ -500,9 +508,9 @@ def decoupling_check(cfg: ScenarioConfig) -> DecouplingReport:
 
     The scenario is run once with a trace row every tick, whose ``u_``
     columns are the command history, then twice more open loop (commands
-    replayed) with the observer bank's states offset by 1 in one run and the
-    corrector bank's in the other, halfway through.  Replaying the commands
-    isolates the estimators from the control loop; the corrector trace must
+    replayed) with the observer bank's states perturbed in one run and the
+    corrector bank's in the other.  Replaying the commands isolates the
+    estimators from the control loop; the corrector trace must
     be bit-identical under the observer perturbation and vice versa, because
     neither estimator reads the other's state.  The replayed runs keep the
     scenario's sample interval and are compared with the recorded run's rows
@@ -512,11 +520,8 @@ def decoupling_check(cfg: ScenarioConfig) -> DecouplingReport:
     controls = recorded.columns([f"u_{a}" for a in AXIS_NAMES])
     every = whole_multiple("sample_interval", cfg.sample_interval, "dt", cfg.dt)
     trace_a = TraceLog(recorded.data[::every])
-    half = cfg.duration / 2.0
-    trace_b = run_scenario(cfg, control_replay=controls,
-                           perturb=("observer", half, 1.0))
-    trace_c = run_scenario(cfg, control_replay=controls,
-                           perturb=("corrector", half, 1.0))
+    trace_b = run_scenario(cfg, control_replay=controls, perturb="observer")
+    trace_c = run_scenario(cfg, control_replay=controls, perturb="corrector")
 
     corr_cols = [f"corr_{a}" for a in AXIS_NAMES] + [f"corr_v{a}" for a in AXIS_NAMES]
     obs_cols = [f"obs_vel_{a}" for a in AXIS_NAMES] + [f"obs_sigma_{a}" for a in AXIS_NAMES]
@@ -532,9 +537,9 @@ def decoupling_check(cfg: ScenarioConfig) -> DecouplingReport:
     return DecouplingReport(ok["corrector"], ok["observer"], first)
 
 
-def _set_all(obj, per_axis: str, **kw):
-    """``obj`` with the fields ``kw`` set on every entry of its tuple ``per_axis``."""
-    return replace(obj, **{per_axis: tuple(replace(p, **kw) for p in getattr(obj, per_axis))})
+def _set_all(obj, pair: str, **kw):
+    """``obj`` with the fields ``kw`` set on both entries of its field ``pair``."""
+    return replace(obj, **{pair: tuple(replace(p, **kw) for p in getattr(obj, pair))})
 
 
 def _set_noise_std(cfg: ScenarioConfig, channel: str, std: float) -> ScenarioConfig:
@@ -542,16 +547,11 @@ def _set_noise_std(cfg: ScenarioConfig, channel: str, std: float) -> ScenarioCon
 
 
 def _set_l_d(cfg: ScenarioConfig, l_d: float) -> ScenarioConfig:
-    # Scale the position-axis bias to the requested bound; headroom for the
+    # Scale the position group's bias to the requested bound; headroom for the
     # walk and sinusoids is preserved proportionally.
-    models = []
-    for a, m in enumerate(cfg.sensors.large_error):
-        if a < 3:
-            models.append(replace(m, constant=l_d, bound=max(l_d * 1.25, l_d + 1.0)))
-        else:
-            models.append(m)
-    sensors = replace(cfg.sensors, large_error=tuple(models))
-    return replace(cfg, sensors=sensors)
+    position, attitude = cfg.sensors.large_error
+    position = replace(position, constant=l_d, bound=max(l_d * 1.25, l_d + 1.0))
+    return replace(cfg, sensors=replace(cfg.sensors, large_error=(position, attitude)))
 
 
 SWEEPABLE_PARAMETERS = {

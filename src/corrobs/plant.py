@@ -22,11 +22,25 @@ from typing import Callable, NamedTuple, Sequence
 import numpy as np
 
 __all__ = [
-    "UavParams", "WrenchInput", "UncertaintyModel", "AXIS_NAMES", "true_delta",
-    "input_acceleration_scalars", "plant_axes", "step_plant",
+    "UavParams", "WrenchInput", "UncertaintyModel", "AXIS_NAMES", "check_pair",
+    "per_axis", "true_delta", "input_acceleration_scalars", "plant_axes", "step_plant",
 ]
 
 AXIS_NAMES = ("x", "y", "z", "psi", "theta", "phi")
+
+
+def check_pair(name: str, pair: tuple) -> None:
+    """Refuse field ``name`` unless it is a (position group, attitude group) pair."""
+    if len(pair) != 2:
+        raise ValueError(f"{name} must hold 2 entries, (position group, attitude group), "
+                         f"not {len(pair)}")
+
+
+def per_axis(pair: tuple) -> tuple:
+    """The six per-axis entries of a (position group, attitude group) pair:
+    the first for x, y, z and the second for psi, theta, phi."""
+    position, attitude = pair
+    return (position,) * 3 + (attitude,) * 3
 
 
 @dataclass(frozen=True)

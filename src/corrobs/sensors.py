@@ -11,9 +11,11 @@ bounded random walk, folded back into [-bound, bound].  Noise is a
 Gaussian/uniform/impulse mixture, which gives the heavy-tailed, distinctly
 non-Gaussian statistics the estimators are supposed to survive.
 
-Every channel draws from its own seeded stream (derived from the master seed
-by axis and channel index), so traces are reproducible and reseeding one
-axis leaves the others untouched.
+The error and noise models are set per group: one for x, y, z, one for psi,
+theta, phi.  Every channel draws from its own seeded stream (derived from the
+master seed by axis and channel index), so traces are reproducible, the axes
+of a group draw different noise, and changing one group's models leaves the
+other group's draws untouched.
 """
 
 from __future__ import annotations
@@ -26,6 +28,7 @@ from typing import Sequence
 import numpy as np
 
 from .estimators import AxisMeasurement
+from .plant import check_pair, per_axis
 
 __all__ = [
     "NoiseMixture", "LargeErrorModel", "LargeErrorProcess",
@@ -148,25 +151,26 @@ _new_axis_measurement = partial(tuple.__new__, AxisMeasurement)
 
 @dataclass(frozen=True)
 class SensorConfig:
-    """Rates, dropout schedule and per-axis error/noise models.
+    """Rates, dropout schedule and the error/noise models of each group.
 
     ``dropouts`` lists [start, end) intervals during which the position
     channel is stale (the last valid value is held and flagged not fresh).
+    ``large_error``, ``position_noise`` and ``velocity_noise`` are
+    (position group, attitude group) pairs.
     """
 
     position_period: float = 1.0
     velocity_period: float = 0.01
     dropouts: tuple[tuple[float, float], ...] = ()
-    large_error: tuple[LargeErrorModel, ...] = tuple(LargeErrorModel() for _ in range(6))
-    position_noise: tuple[NoiseMixture, ...] = tuple(NoiseMixture() for _ in range(6))
-    velocity_noise: tuple[NoiseMixture, ...] = tuple(NoiseMixture() for _ in range(6))
+    large_error: tuple[LargeErrorModel, LargeErrorModel] = (LargeErrorModel(),) * 2
+    position_noise: tuple[NoiseMixture, NoiseMixture] = (NoiseMixture(),) * 2
+    velocity_noise: tuple[NoiseMixture, NoiseMixture] = (NoiseMixture(),) * 2
 
     def __post_init__(self):
         if self.position_period <= 0 or self.velocity_period <= 0:
             raise ValueError("sensor update periods must be positive")
         for name in ("large_error", "position_noise", "velocity_noise"):
-            if len(getattr(self, name)) != 6:
-                raise ValueError(f"SensorConfig.{name} needs one entry per axis")
+            check_pair(name, getattr(self, name))
         for start, end in self.dropouts:
             if end <= start:
                 raise ValueError("dropout intervals must satisfy start < end")
@@ -188,10 +192,12 @@ class SensorSuite:
         self.dt = dt
         self.position_every = whole_multiple("position_period", cfg.position_period, "dt", dt)
         self.velocity_every = whole_multiple("velocity_period", cfg.velocity_period, "dt", dt)
+        self._pos_noise = per_axis(cfg.position_noise)
+        self._vel_noise = per_axis(cfg.velocity_noise)
         self._pos_rngs = [self._stream(seed, axis, 0) for axis in range(6)]
         self._vel_rngs = [self._stream(seed, axis, 1) for axis in range(6)]
-        self._err = [LargeErrorProcess(cfg.large_error[axis], self._stream(seed, axis, 2))
-                     for axis in range(6)]
+        self._err = [LargeErrorProcess(model, self._stream(seed, axis, 2))
+                     for axis, model in enumerate(per_axis(cfg.large_error))]
         self._held_y1 = [0.0] * 6
         self._held_y2 = [0.0] * 6
         self._started = False
@@ -219,10 +225,10 @@ class SensorSuite:
             for axis in range(6):
                 if fresh:
                     d = self._err[axis].value(t)
-                    n1 = sample_noise(self.cfg.position_noise[axis], self._pos_rngs[axis])
+                    n1 = sample_noise(self._pos_noise[axis], self._pos_rngs[axis])
                     self._held_y1[axis] = float(state[axis]) + d + n1
                 if vel_due:
-                    n2 = sample_noise(self.cfg.velocity_noise[axis], self._vel_rngs[axis])
+                    n2 = sample_noise(self._vel_noise[axis], self._vel_rngs[axis])
                     self._held_y2[axis] = float(state[6 + axis]) + n2
         return tuple([_new_axis_measurement((y1, y2, t, fresh))
                       for y1, y2 in zip(self._held_y1, self._held_y2)])

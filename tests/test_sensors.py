@@ -125,9 +125,9 @@ def default_config(**kw) -> SensorConfig:
         position_period=1.0,
         velocity_period=0.01,
         dropouts=(),
-        large_error=tuple(LargeErrorModel() for _ in range(6)),
-        position_noise=tuple(NoiseMixture() for _ in range(6)),
-        velocity_noise=tuple(NoiseMixture() for _ in range(6)),
+        large_error=(LargeErrorModel(),) * 2,
+        position_noise=(NoiseMixture(),) * 2,
+        velocity_noise=(NoiseMixture(),) * 2,
     )
     base.update(kw)
     return SensorConfig(**base)
@@ -186,21 +186,20 @@ def test_measure_fresh_flag_schedule():
 
 
 def test_measure_large_error_applied_to_position_channel():
-    models = tuple(LargeErrorModel(constant=20.0, bound=25.0) if a == 0
-                   else LargeErrorModel() for a in range(6))
+    # The position group's model biases x, y and z; attitude stays clean.
+    models = (LargeErrorModel(constant=20.0, bound=25.0), LargeErrorModel())
     suite = SensorSuite(default_config(large_error=models), seed=1, dt=1e-3)
     state = np.zeros(12)
     frame = suite.measure(state, 0)
-    assert frame[0].y_o1 == 20.0
-    assert frame[1].y_o1 == 0.0
-    assert frame[0].y_o2 == 0.0
+    assert [m.y_o1 for m in frame] == [20.0] * 3 + [0.0] * 3
+    assert all(m.y_o2 == 0.0 for m in frame)
 
 
 def test_measure_deterministic():
     cfg = default_config(
-        position_noise=tuple(NoiseMixture(0.5, 0.3, 0.02, 3.0) for _ in range(6)),
-        velocity_noise=tuple(NoiseMixture(0.001, 0.0005, 0.002, 0.02) for _ in range(6)),
-        large_error=tuple(LargeErrorModel(20.0, (), 0.05, 1.0, 25.0) for _ in range(6)),
+        position_noise=(NoiseMixture(0.5, 0.3, 0.02, 3.0),) * 2,
+        velocity_noise=(NoiseMixture(0.001, 0.0005, 0.002, 0.02),) * 2,
+        large_error=(LargeErrorModel(20.0, (), 0.05, 1.0, 25.0),) * 2,
     )
     a = SensorSuite(cfg, seed=77, dt=1e-3)
     b = SensorSuite(cfg, seed=77, dt=1e-3)
@@ -212,20 +211,24 @@ def test_measure_deterministic():
 
 
 def test_measure_axis_streams_independent():
-    # Changing one axis's error model must not perturb the other axes' draws.
-    noisy = tuple(NoiseMixture(0.5, 0.0, 0.0, 0.0) for _ in range(6))
-    cfg_a = default_config(position_noise=noisy)
-    models = (LargeErrorModel(5.0, (), 0.5, 0.001, 9.0),) + tuple(
-        LargeErrorModel() for _ in range(5))
-    cfg_b = default_config(position_noise=noisy, large_error=models)
+    # Changing the attitude group's models must not perturb the position
+    # axes' draws, and the axes of one group, under one noise model, draw
+    # from streams of their own.
+    noisy = (NoiseMixture(0.5, 0.0, 0.0, 0.0),) * 2
+    cfg_a = default_config(position_noise=noisy, velocity_noise=noisy)
+    cfg_b = default_config(
+        position_noise=(noisy[0], NoiseMixture(0.1, 0.2, 0.3, 4.0)),
+        velocity_noise=(noisy[0], NoiseMixture(0.0, 0.1, 0.0, 0.0)),
+        large_error=(LargeErrorModel(), LargeErrorModel(5.0, (), 0.5, 0.001, 9.0)))
     a = SensorSuite(cfg_a, seed=5, dt=1e-3)
     b = SensorSuite(cfg_b, seed=5, dt=1e-3)
     state = np.zeros(12)
     for i in range(5000):
         fa = a.measure(state, i)
         fb = b.measure(state, i)
-        for axis in range(1, 6):
-            assert fa[axis] == fb[axis]
+        assert fa[:3] == fb[:3]
+        assert fa[3:] != fb[3:]
+        assert len({m.y_o1 for m in fa[:3]}) == len({m.y_o2 for m in fa[:3]}) == 3
 
 
 def test_sensor_config_validation():
@@ -238,4 +241,4 @@ def test_sensor_config_validation():
     with pytest.raises(ValueError):
         SensorSuite(default_config(), seed=1, dt=0.003)  # periods not multiples
     cfg = default_config()
-    assert tuple(m.bound for m in cfg.large_error) == (0.0,) * 6
+    assert tuple(m.bound for m in cfg.large_error) == (0.0,) * 2
