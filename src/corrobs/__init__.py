@@ -12,8 +12,8 @@ from .freq import (LinearizedSystem, ParamValidationReport,
                    linearize_corrector, linearize_observer,
                    observer_natural_frequency, omega_coefficient,
                    validate_corrector_params, validate_observer_params)
-from .plant import (UavParams, UncertaintyModel, WrenchInput,
-                    input_acceleration_scalars, plant_axes, step_plant)
+from .plant import (UavParams, UncertaintyModel, input_acceleration_scalars,
+                    plant_axes, step_plant)
 from .sensors import (LargeErrorModel, LargeErrorProcess, NoiseMixture,
                       SensorConfig, SensorSuite, sample_noise)
 from .control import (CircleTrajectory, ControlGains, HoverTrajectory,

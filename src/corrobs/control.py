@@ -128,13 +128,13 @@ def attitude_control(pos, vel, delta_a, tp, gains: ControlGains,
                      params: UavParams) -> list[float]:
     """The torques (u_psi, u_theta, u_phi) from axes 3-5 of the estimates and ``tp``."""
     tp_pos, tp_vel, tp_acc = tp
-    inert, ka1, ka2 = params.inertias, gains.ka1, gains.ka2
+    inert, ka1, ka2 = params.axis_inertia, gains.ka1, gains.ka2
     u = [0.0, 0.0, 0.0]
     for i in range(3):
         e = pos[3 + i] - tp_pos[3 + i]
         ed = vel[3 + i] - tp_vel[3 + i]
-        xi = -inert[i] * tp_acc[3 + i]
-        u[i] = -xi - delta_a[i] - inert[i] * (ka1 * e + ka2 * ed)
+        xi = -inert[3 + i] * tp_acc[3 + i]
+        u[i] = -xi - delta_a[i] - inert[3 + i] * (ka1 * e + ka2 * ed)
     return u
 
 
@@ -145,6 +145,6 @@ def uncertainty_rescale(sigma_hat, params: UavParams) -> tuple[list[float], list
     cancel delta_p and delta_a (force/torque units), which differ by the mass
     and the inertias.
     """
-    m, inert = params.m, params.inertias
-    return ([m * sigma_hat[0], m * sigma_hat[1], m * sigma_hat[2]],
-            [inert[0] * sigma_hat[3], inert[1] * sigma_hat[4], inert[2] * sigma_hat[5]])
+    s_x, s_y, s_z, s_psi, s_theta, s_phi = params.axis_inertia
+    return ([s_x * sigma_hat[0], s_y * sigma_hat[1], s_z * sigma_hat[2]],
+            [s_psi * sigma_hat[3], s_theta * sigma_hat[4], s_phi * sigma_hat[5]])

@@ -89,6 +89,9 @@ class TrajectorySpec:
 _DEFAULT_OBSERVER = ObserverParams(20.0, 4.0, 0.6, 1.0 / 1.1)
 
 MAX_TICKS = 10**9    # per run: 1000 times the 1000 s flight of criterion 3
+# Trace rows per run, each of 67 float64s (about 5 GiB at the cap): 100 times
+# criterion 3's trace and 10 times a 1000 s `decoupling_check` recording.
+MAX_ROWS = 10**7
 
 
 @dataclass(frozen=True)
@@ -117,6 +120,9 @@ class ScenarioConfig:
         if self.duration / self.dt > MAX_TICKS:
             raise ValueError(f"duration / dt must be at most {MAX_TICKS} ticks, "
                              f"not {self.duration / self.dt:.3g}")
+        if self.duration / self.sample_interval + 1 > MAX_ROWS:
+            raise ValueError(f"duration / sample_interval + 1 must be at most {MAX_ROWS} "
+                             f"trace rows, not {self.duration / self.sample_interval + 1:.3g}")
         if self.seed < 0:
             raise ValueError(f"seed must be a non-negative integer, not {self.seed}")
         for name in ("position_period", "velocity_period"):
@@ -403,7 +409,6 @@ def metrics(trace: TraceLog, settle: float,
 
 @dataclass
 class SweepResult:
-    parameter: str
     values: list
     rows: list[dict]
 
@@ -461,7 +466,7 @@ def convergence_study(cfg: ScenarioConfig, eps_values: Sequence[float],
             float(np.max(np.abs(trace.column(f"corr_v{n}") - trace.column(f"true_v{n}"))[mask]))
             for n in AXIS_NAMES[:3])
         rows.append({"eps_c": eps, "max_e1": pos_err, "max_e2": vel_err})
-    return SweepResult("eps_c", values, rows)
+    return SweepResult(values, rows)
 
 
 def observer_ramp_study(eps_values: Sequence[float], duration: float = 40.0,
@@ -489,7 +494,7 @@ def observer_ramp_study(eps_values: Sequence[float], duration: float = 40.0,
             if t >= settle:
                 worst = max(worst, abs(st.xhat4 - ramp_rate * (t + dt)))
         rows.append({"eps_o": eps, "max_e4": worst})
-    return SweepResult("eps_o", values, rows)
+    return SweepResult(values, rows)
 
 
 @dataclass(frozen=True)
@@ -516,7 +521,11 @@ def decoupling_check(cfg: ScenarioConfig) -> DecouplingReport:
     scenario's sample interval and are compared with the recorded run's rows
     at the same ticks.
     """
-    recorded = run_scenario(replace(cfg, sample_interval=cfg.dt))
+    try:
+        record_cfg = replace(cfg, sample_interval=cfg.dt)
+    except ValueError as exc:
+        raise ConfigError(f"the decoupling check records a row every dt: {exc}") from exc
+    recorded = run_scenario(record_cfg)
     controls = recorded.columns([f"u_{a}" for a in AXIS_NAMES])
     every = whole_multiple("sample_interval", cfg.sample_interval, "dt", cfg.dt)
     trace_a = TraceLog(recorded.data[::every])
@@ -611,7 +620,7 @@ def sweep_parameter(cfg: ScenarioConfig, name: str, values: Sequence[float],
             rows = list(pool.map(_sweep_one, tasks))
     else:
         rows = [_sweep_one(task) for task in tasks]
-    return SweepResult(name, list(values), rows)
+    return SweepResult(list(values), rows)
 
 
 def tune_ekf_process_noise(cfg: ScenarioConfig, q_values: Sequence[float],

@@ -42,7 +42,6 @@ class LinearizedSystem:
     """Companion-form state matrix of a linearized estimator error system."""
 
     matrix: np.ndarray
-    natural_frequency: float
 
     def eigenvalues(self) -> np.ndarray:
         return np.linalg.eigvals(self.matrix)
@@ -115,7 +114,7 @@ def linearize_corrector(p: CorrectorParams, a_c1: float, a_c2: float) -> Lineari
     stiffness = p.k1 * gain1 * p.eps_c / eps3
     damping = p.k2 * omega_coefficient(p.alpha_c) / (eps3 * a_c2 ** (1.0 - p.alpha_c))
     mat = np.array([[0.0, 1.0], [-stiffness, -damping]])
-    return LinearizedSystem(mat, math.sqrt(stiffness))
+    return LinearizedSystem(mat)
 
 
 def linearize_observer(p: ObserverParams, a_o: float) -> LinearizedSystem:
@@ -131,7 +130,7 @@ def linearize_observer(p: ObserverParams, a_o: float) -> LinearizedSystem:
     damping = (p.k4 * omega_coefficient(0.5 * (1.0 + p.alpha_o))
                / (p.eps_o * a_o ** (0.5 * (1.0 - p.alpha_o))))
     mat = np.array([[0.0, 1.0], [-stiffness, -damping]])
-    return LinearizedSystem(mat, math.sqrt(stiffness))
+    return LinearizedSystem(mat)
 
 
 def validate_corrector_params(k1: float, k2: float, alpha_c: float,

@@ -8,6 +8,9 @@ with yaw psi, pitch theta, roll phi.  Each axis obeys
 where h_i is the known input (wrench component over mass or inertia, minus
 gravity on the vertical axis; `input_acceleration_scalars`) and sigma_i lumps
 drag and unmodelled disturbances (`true_delta` over the mass or inertia).
+`UavParams.axis_inertia` (the mass or inertia of each axis) and
+`UavParams.drag_lever` (the arm-length lever on the pitch and roll drag) are
+the one per-axis table of the vehicle; every per-axis scale reads them.
 `step_plant` is the one integrator of the model.  The plant is driven directly
 by the six-component wrench; rotor-level thrust allocation is out of scope.
 """
@@ -17,12 +20,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property, partial
-from typing import Callable, NamedTuple, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
 __all__ = [
-    "UavParams", "WrenchInput", "UncertaintyModel", "AXIS_NAMES", "check_pair",
+    "UavParams", "UncertaintyModel", "AXIS_NAMES", "check_pair",
     "per_axis", "true_delta", "input_acceleration_scalars", "plant_axes", "step_plant",
 ]
 
@@ -45,7 +48,13 @@ def per_axis(pair: tuple) -> tuple:
 
 @dataclass(frozen=True)
 class UavParams:
-    """Physical constants of the vehicle (defaults: 2 kg class quadrotor)."""
+    """Physical constants of the vehicle (defaults: 2 kg class quadrotor).
+
+    Besides the fields, each object holds two per-axis tuples in state order:
+    ``axis_inertia``, the mass or inertia each wrench component is divided by
+    (m, m, m, J_psi, J_theta, J_phi), and ``drag_lever``, the lever factor on
+    each drag term (1, 1, 1, 1, l, l: the arm length on pitch and roll).
+    """
 
     m: float = 2.01          # mass, kg
     g: float = 9.81          # gravity, m/s^2
@@ -58,19 +67,11 @@ class UavParams:
         for name in ("m", "g", "l", "J_psi", "J_theta", "J_phi"):
             if not getattr(self, name) > 0:
                 raise ValueError(f"UavParams.{name} must be strictly positive")
-
-    @property
-    def inertias(self) -> tuple[float, float, float]:
-        return (self.J_psi, self.J_theta, self.J_phi)
-
-
-class WrenchInput(NamedTuple):
-    u_x: float
-    u_y: float
-    u_z: float
-    u_psi: float
-    u_theta: float
-    u_phi: float
+        # Set here, as the fields are, rather than cached on first read, so
+        # that every attribute read on the object stays on the fast path.
+        object.__setattr__(self, "axis_inertia",
+                           (self.m,) * 3 + (self.J_psi, self.J_theta, self.J_phi))
+        object.__setattr__(self, "drag_lever", (1.0,) * 4 + (self.l, self.l))
 
 
 @dataclass(frozen=True)
@@ -106,23 +107,6 @@ def _sinusoid_sum(const: float, sinusoids, t: float) -> float:
     return val
 
 
-def _axis_scale(axis: int, params: UavParams) -> tuple[float, float]:
-    """(inverse inertia/mass, drag lever factor) for one axis.
-
-    The pitch and roll drag terms carry the arm length as a lever factor;
-    the yaw term does not.
-    """
-    if axis < 3:
-        return 1.0 / params.m, 1.0
-    if axis == 3:
-        return 1.0 / params.J_psi, 1.0
-    if axis == 4:
-        return 1.0 / params.J_theta, params.l
-    if axis == 5:
-        return 1.0 / params.J_phi, params.l
-    raise ValueError(f"axis index out of range: {axis}")
-
-
 def true_delta(axis: int, vel: float | np.ndarray, t: float | np.ndarray,
                unc: UncertaintyModel, params: UavParams) -> float | np.ndarray:
     """Uncertainty force/torque on one axis at velocity ``vel`` and time ``t``.
@@ -131,9 +115,12 @@ def true_delta(axis: int, vel: float | np.ndarray, t: float | np.ndarray,
     components carry the arm-length lever on the pitch/roll drag.  ``vel``
     and ``t`` are either floats or equal-length columns of one axis, which
     give the force column; Delta_i is evaluated per element with
-    `math.sin` either way, so both forms give the same bits.
+    `math.sin` either way, so both forms give the same bits.  An ``axis``
+    outside 0-5 is refused.
     """
-    lever = _axis_scale(axis, params)[1]
+    if not 0 <= axis < 6:
+        raise ValueError(f"axis index out of range: {axis}")
+    lever = params.drag_lever[axis]
     fn = unc._disturbances[axis]
     if isinstance(t, np.ndarray):
         delta = np.fromiter(map(fn, t.tolist()), float, len(t))
@@ -142,17 +129,19 @@ def true_delta(axis: int, vel: float | np.ndarray, t: float | np.ndarray,
     return -lever * unc.drag[axis] * vel + delta
 
 
-def input_acceleration_scalars(wrench: WrenchInput,
+def input_acceleration_scalars(wrench: Sequence[float],
                                params: UavParams) -> tuple[float, ...]:
-    """Known input terms h_i: wrench over mass/inertia, gravity on the z axis."""
+    """Known input terms h_i: the six wrench components (u_x .. u_phi) over
+    mass/inertia, gravity on the z axis."""
     u_x, u_y, u_z, u_psi, u_theta, u_phi = wrench
+    s_x, s_y, s_z, s_psi, s_theta, s_phi = params.axis_inertia
     return (
-        u_x / params.m,
-        u_y / params.m,
-        u_z / params.m - params.g,
-        u_psi / params.J_psi,
-        u_theta / params.J_theta,
-        u_phi / params.J_phi,
+        u_x / s_x,
+        u_y / s_y,
+        u_z / s_z - params.g,
+        u_psi / s_psi,
+        u_theta / s_theta,
+        u_phi / s_phi,
     )
 
 
@@ -161,8 +150,8 @@ def plant_axes(unc: UncertaintyModel, params: UavParams):
     function of time or None when the disturbance is constant, the constant
     disturbance acceleration).  Worked out once per run for `step_plant`."""
     out = []
-    for axis in range(6):
-        inv, lever = _axis_scale(axis, params)
+    for axis, (scale, lever) in enumerate(zip(params.axis_inertia, params.drag_lever)):
+        inv = 1.0 / scale
         fn = unc._disturbances[axis]
         if not unc.delta_sinusoids[axis]:
             out.append((inv, inv * lever * unc.drag[axis], None, inv * fn(0.0)))

@@ -19,19 +19,19 @@ import numpy as np
 
 from corrobs.control import ControlGains, attitude_control, position_control
 from corrobs.engine import TrajectorySpec
-from corrobs.plant import (UavParams, UncertaintyModel, WrenchInput,
-                           input_acceleration_scalars, true_delta)
+from corrobs.plant import (UavParams, UncertaintyModel, input_acceleration_scalars,
+                           true_delta)
 
 
 def sigma(axis: int, state: Sequence[float], t: float, unc: UncertaintyModel,
           params: UavParams) -> float:
     """Lumped uncertainty acceleration sigma_i on one axis (0-based index):
     `true_delta` over the mass or inertia."""
-    inv = 1.0 / ((params.m,) * 3 + params.inertias)[axis]
+    inv = 1.0 / params.axis_inertia[axis]
     return inv * true_delta(axis, state[6 + axis], t, unc, params)
 
 
-def dynamics_derivative(state: np.ndarray, wrench: WrenchInput,
+def dynamics_derivative(state: np.ndarray, wrench: Sequence[float],
                         unc: UncertaintyModel, params: UavParams,
                         t: float) -> np.ndarray:
     """Time derivative of the 12-component state: xdd_i = h_i + sigma_i."""
@@ -64,8 +64,8 @@ def ideal_tracking_errors(params: UavParams, unc: UncertaintyModel,
         tp = traj.point(t)
         pos, vel = s[:6].tolist(), s[6:].tolist()
         delta = [true_delta(a, vel[a], t, unc, params) for a in range(6)]
-        wrench = WrenchInput(*position_control(pos, vel, delta[:3], tp, gains, params),
-                             *attitude_control(pos, vel, delta[3:], tp, gains, params))
+        wrench = (position_control(pos, vel, delta[:3], tp, gains, params)
+                  + attitude_control(pos, vel, delta[3:], tp, gains, params))
         return dynamics_derivative(s, wrench, unc, params, t)
 
     dt = 1e-3

@@ -272,6 +272,28 @@ def test_cli_duration_override_off_the_sample_grid_names_the_flag(capsys):
                                        "a whole multiple of sample_interval\n")
 
 
+# Scenarios whose trace would hold more than 1e7 rows: each is refused on
+# one line before a trace is allocated.
+ROW_CAP_REFUSALS = [
+    ["run", "--duration", "1e6"],
+    ["validate", "--duration", "1e6"],
+    ["decouple-check", "--duration", "2e4"],
+]
+
+
+@pytest.mark.parametrize("argv", ROW_CAP_REFUSALS, ids=" ".join)
+def test_cli_trace_past_the_row_cap_is_config_error(tmp_path, capsys, argv):
+    command, *flags = argv
+    out = ["--out", str(tmp_path / "o")] if command == "run" else []
+    rc = main([command, "--config", "paper_sec6", *out, *flags])
+    captured = capsys.readouterr()
+    assert rc == 1
+    assert "validation passed" not in captured.out
+    assert captured.err.startswith("config error:") and captured.err.count("\n") == 1
+    assert "10000000 trace rows" in captured.err
+    assert not (tmp_path / "o").exists()
+
+
 def test_cli_missing_config_key_exit_code(tmp_path, sec6_doc, capsys):
     doc = json.loads(json.dumps(sec6_doc))
     del doc["uav"]["m"]

@@ -194,7 +194,7 @@ def test_uncertainty_rescale_round_trip():
     rng = np.random.default_rng(21)
     sig = rng.uniform(-2, 2, 6)
     dp, da = uncertainty_rescale(sig.tolist(), PARAMS)
-    back = np.concatenate([np.array(dp) / PARAMS.m, np.array(da) / np.array(PARAMS.inertias)])
+    back = np.concatenate([dp, da]) / np.array(PARAMS.axis_inertia)
     assert np.allclose(back, sig, rtol=1e-12, atol=1e-15)
 
 

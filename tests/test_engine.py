@@ -204,11 +204,28 @@ def test_scenario_validation():
 def test_tick_count_past_the_cap_is_refused_at_build(sec6):
     # Built and checked only: a run of a refused config would not end.
     assert engine.MAX_TICKS == 10**9
-    replace(sec6, duration=1e6)     # 1e9 ticks of 1 ms: at the cap
+    replace(sec6, duration=1e6, sample_interval=1.0)     # 1e9 ticks of 1 ms: at the cap
     for change in (dict(duration=1e6 + 0.01), dict(dt=1e-300), dict(duration=1e300)):
         with pytest.raises(ValueError, match=r"^duration / dt must be at most 1000000000 "
                                              r"ticks, not "):
             replace(sec6, **change)
+
+
+def test_trace_rows_past_the_cap_are_refused_at_build(sec6):
+    # Built and checked only: a refused config's trace would not fit in memory.
+    assert engine.MAX_ROWS == 10**7
+    replace(sec6, duration=99999.99)     # 1e7 rows of 10 ms: at the cap
+    for duration in (1e5, 1e6):
+        with pytest.raises(ValueError, match=r"^duration / sample_interval \+ 1 must be at "
+                                             r"most 10000000 trace rows, not "):
+            replace(sec6, duration=duration)
+
+
+def test_decoupling_check_refuses_a_recording_past_the_row_cap(sec6):
+    # 2e6 rows of 10 ms build; the every-tick recording would hold 2e7 rows.
+    with pytest.raises(ConfigError, match=r"^the decoupling check records a row every dt: "
+                                          r"duration / sample_interval \+ 1 must be at most "):
+        decoupling_check(replace(sec6, duration=2e4))
 
 
 def test_duration_off_a_whole_multiple_is_refused_at_build(sec6):

@@ -11,6 +11,10 @@
 * Every name in a module's ``__all__`` is referred to, as a name or an
   attribute, somewhere outside the tests.  A public name only tests use is
   deleted, or moved into the tests as an oracle.
+* Every annotated field, property and public method of a public class is read
+  somewhere outside the tests, as an attribute (``obj.name``) or as a keyword
+  (``f(name=...)``).  The check goes by the member's name, like the ones
+  above, so it may miss an unread member but never reports a read one.
 """
 
 from __future__ import annotations
@@ -37,6 +41,9 @@ UNREFERENCED_PUBLIC = {
     "fractional.falpha": "the odd power the steppers inline, and criterion 9's subject",
     "config.save_scenario": "the inverse of load_scenario, kept for the round-trip promise",
 }
+
+# Members of public classes that nothing outside the tests reads, and why each stays.
+UNREAD_MEMBERS: dict[str, str] = {}
 
 
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
@@ -128,3 +135,31 @@ def test_every_public_name_is_referred_to_outside_the_tests():
     assert not extra, f"public names only the tests use; delete or move each: {extra}"
     stale = sorted(set(UNREFERENCED_PUBLIC) - set(unreferred))
     assert not stale, f"listed exceptions that are referred to or gone: {stale}"
+
+
+def _class_members(tree: ast.Module):
+    """(class name, member name) of each annotated field, property and public
+    method of a public class."""
+    for node in tree.body:
+        if isinstance(node, ast.ClassDef) and not node.name.startswith("_"):
+            for item in node.body:
+                if isinstance(item, ast.AnnAssign) and isinstance(item.target, ast.Name):
+                    yield node.name, item.target.id
+                elif isinstance(item, ast.FunctionDef) and not item.name.startswith("_"):
+                    yield node.name, item.name
+
+
+def test_every_class_member_is_read_outside_the_tests():
+    read = set()
+    for path in CALLERS:
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                read.add(node.attr)
+            elif isinstance(node, ast.keyword) and node.arg:
+                read.add(node.arg)
+    unread = [f"{path.stem}.{cls}.{name}" for path in MODULES
+              for cls, name in _class_members(ast.parse(path.read_text())) if name not in read]
+    extra = sorted(set(unread) - set(UNREAD_MEMBERS))
+    assert not extra, f"class members only the tests read; delete each: {extra}"
+    stale = sorted(set(UNREAD_MEMBERS) - set(unread))
+    assert not stale, f"listed exceptions that are read or gone: {stale}"

@@ -19,7 +19,7 @@ from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
 from corrobs import (AxisMeasurement, CorrectorParams, CorrectorState, ObserverParams,
-                     ObserverState, UavParams, UncertaintyModel, WrenchInput,
+                     ObserverState, UavParams, UncertaintyModel,
                      input_acceleration_scalars, plant_axes, step_corrector,
                      step_observer, step_plant)
 from corrobs.fractional import relay_step
@@ -162,13 +162,14 @@ def ref_delta(unc, axis, t):
 
 def ref_step_plant(state, wrench, unc, params, t, dt):
     s = [float(v) for v in state]
+    u_x, u_y, u_z, u_psi, u_theta, u_phi = wrench
     h6 = (
-        wrench.u_x / params.m,
-        wrench.u_y / params.m,
-        wrench.u_z / params.m - params.g,
-        wrench.u_psi / params.J_psi,
-        wrench.u_theta / params.J_theta,
-        wrench.u_phi / params.J_phi,
+        u_x / params.m,
+        u_y / params.m,
+        u_z / params.m - params.g,
+        u_psi / params.J_psi,
+        u_theta / params.J_theta,
+        u_phi / params.J_phi,
     )
     tm = t + 0.5 * dt
     te = t + dt
@@ -289,7 +290,7 @@ def test_step_plant_matches_reference(state, wrench, drag, sins, const, t, dt):
     unc = UncertaintyModel(drag=tuple(drag), delta_sinusoids=tuple(sins),
                            delta_constant=tuple(const))
     params = UavParams()
-    w = WrenchInput(*wrench)
+    w = tuple(wrench)
     out = plant_step(np.array(state), w, unc, params, t, dt)
     ref = ref_step_plant(np.array(state), w, unc, params, t, dt)
     assume(np.all(np.isfinite(ref)))
@@ -303,7 +304,7 @@ def test_step_plant_matches_reference_with_mixed_disturbance():
                                             (), (), ((0.5, 2.0, -1.0), (0.1, 7.0, 0.3))),
                            delta_constant=(0.0, 0.25, -0.5, 0.0, -1.5, 0.2))
     state = np.linspace(-1.0, 1.0, 12)
-    w = WrenchInput(0.3, -0.2, 19.7, 0.01, 0.0, -0.0)
+    w = (0.3, -0.2, 19.7, 0.01, 0.0, -0.0)
     for t in (0.0, 0.37, 12.5):
         out = plant_step(state, w, unc, UavParams(), t, 1e-3)
         assert out.tobytes() == ref_step_plant(state, w, unc, UavParams(), t, 1e-3).tobytes()

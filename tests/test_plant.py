@@ -5,14 +5,14 @@ import math
 import numpy as np
 import pytest
 
-from corrobs import (UavParams, UncertaintyModel, WrenchInput,
-                     input_acceleration_scalars, plant_axes, step_plant)
+from corrobs import (UavParams, UncertaintyModel, input_acceleration_scalars,
+                     plant_axes, step_plant)
 from corrobs.plant import AXIS_NAMES, true_delta
 from oracles import dynamics_derivative
 
 PARAMS = UavParams()
 NO_UNC = UncertaintyModel()
-ZERO_WRENCH = WrenchInput(0.0, 0.0, 0.0, 0.0, 0.0, 0.0)
+ZERO_WRENCH = (0.0,) * 6
 
 # The sinusoidal disturbance set used in the flight scenario:
 # 0.3 sin t + 0.2 cos 0.5t on x, etc.  cos wt == sin(wt + pi/2).
@@ -88,8 +88,9 @@ def test_sigma_structural_decoupling():
 
 
 def test_sigma_axis_range():
-    with pytest.raises(ValueError):
-        true_delta(6, 0.0, 0.0, NO_UNC, PARAMS)
+    for axis in (6, -1):
+        with pytest.raises(ValueError, match=f"^axis index out of range: {axis}$"):
+            true_delta(axis, 0.0, 0.0, NO_UNC, PARAMS)
 
 
 def test_true_delta_matches_sigma_scaling():
@@ -97,7 +98,7 @@ def test_true_delta_matches_sigma_scaling():
     # the mass or inertia.
     rng = np.random.default_rng(11)
     s = rng.uniform(-2, 2, 12)
-    scales = (PARAMS.m,) * 3 + PARAMS.inertias
+    scales = PARAMS.axis_inertia
     for axis, (inv, cdrag, fn, dconst) in enumerate(plant_axes(FLIGHT_UNC, PARAMS)):
         v = s[6 + axis]
         accel = -cdrag * v + (inv * fn(0.4) if fn is not None else dconst)
@@ -132,7 +133,7 @@ def test_true_delta_column_matches_scalar_calls():
 
 def test_dynamics_hover_trim():
     s = state_with()
-    w = WrenchInput(0.0, 0.0, PARAMS.m * PARAMS.g, 0.0, 0.0, 0.0)
+    w = (0.0, 0.0, PARAMS.m * PARAMS.g, 0.0, 0.0, 0.0)
     assert np.allclose(input_acceleration_scalars(w, PARAMS), 0.0, atol=1e-12)
     assert np.allclose(step(s, w, NO_UNC, PARAMS, 0.0, 1e-3), 0.0, atol=1e-12)
 
@@ -143,9 +144,9 @@ def test_hover_thrust_values():
     for params, thrust in ((PARAMS, 2.01 * 9.81),
                            (UavParams(m=1.0, g=1.0), 1.0),
                            (UavParams(m=2.0, g=1.0), 2.0)):
-        w = WrenchInput(0.0, 0.0, thrust, 0.0, 0.0, 0.0)
+        w = (0.0, 0.0, thrust, 0.0, 0.0, 0.0)
         assert np.allclose(input_acceleration_scalars(w, params), 0.0, atol=1e-12)
-        w = WrenchInput(0.0, 0.0, 2.0 * thrust, 0.0, 0.0, 0.0)
+        w = (0.0, 0.0, 2.0 * thrust, 0.0, 0.0, 0.0)
         assert input_acceleration_scalars(w, params)[2] == pytest.approx(params.g, rel=1e-12)
 
 
@@ -154,7 +155,7 @@ def test_dynamics_free_fall():
 
 
 def test_dynamics_unit_torque():
-    w = WrenchInput(0.0, 0.0, 0.0, 0.0, 1.25, 0.0)
+    w = (0.0, 0.0, 0.0, 0.0, 1.25, 0.0)
     assert input_acceleration_scalars(w, PARAMS)[4] == 1.0
 
 
@@ -174,7 +175,7 @@ def test_step_plant_matches_classical_stacked_step():
     rng = np.random.default_rng(14)
     for _ in range(25):
         s = rng.uniform(-3, 3, 12)
-        w = WrenchInput(*rng.uniform(-5, 5, 6))
+        w = tuple(rng.uniform(-5, 5, 6))
         dt = 1e-3
         t = float(rng.uniform(0, 10))
         k1 = dynamics_derivative(s, w, FLIGHT_UNC, PARAMS, t)
@@ -187,7 +188,7 @@ def test_step_plant_matches_classical_stacked_step():
 
 
 def test_input_accelerations():
-    w = WrenchInput(2.01, 4.02, 2.01 * 9.81, 2.5, 2.5, 2.5)
+    w = (2.01, 4.02, 2.01 * 9.81, 2.5, 2.5, 2.5)
     h = input_acceleration_scalars(w, PARAMS)
     assert np.allclose(h, [1.0, 2.0, 0.0, 1.0, 2.0, 2.0], atol=1e-12)
 
