@@ -31,7 +31,7 @@ VEL_NOISE = 0.001    # m/s, on the accurate channel
 rng = np.random.default_rng(7)
 
 state = CorrectorState(0.0, 1.0)   # started at the known true state
-held = AxisMeasurement(BIAS, 1.0, 0.0)
+held = AxisMeasurement(BIAS, 1.0)
 
 times, est_err, meas_err = [], [], []
 n = int(DURATION / DT)
@@ -43,7 +43,7 @@ for i in range(n + 1):
         y1 = x + BIAS + POS_NOISE * rng.standard_normal()
         held = held._replace(y_o1=y1)
     if i % 10 == 0:     # velocity at 100 Hz
-        held = held._replace(y_o2=v + VEL_NOISE * rng.standard_normal(), t=t)
+        held = held._replace(y_o2=v + VEL_NOISE * rng.standard_normal())
     if i % 100 == 0:
         times.append(t)
         est_err.append(state.xhat1 - x)

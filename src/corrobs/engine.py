@@ -151,13 +151,12 @@ TRACE_GROUPS = (
 
 def trace_row(t, s, frame, corr, obs, kf, wrench, des) -> list[float]:
     """One trace row: the time, the 12 true states, the six axes' held
-    measurements, corrector and observer states, the three EKF means, the
+    measurements, corrector and observer states, the EKF bank's means, the
     wrench and the desired pose, in the order of `TRACE_GROUPS`."""
-    y1, y2, _, _ = zip(*frame)
+    y1, y2, _ = zip(*frame)
     x1, x2 = zip(*corr)
     x3, x4 = zip(*obs)
-    pos, vel, *_ = zip(*kf)
-    return [t, *s, *y1, *y2, *x1, *x2, *x3, *x4, *pos, *vel, *wrench, *des]
+    return [t, *s, *y1, *y2, *x1, *x2, *x3, *x4, *kf.pos, *kf.vel, *wrench, *des]
 
 
 def write_csv(path, columns: Sequence[str], data) -> None:
@@ -213,8 +212,10 @@ def run_scenario(cfg: ScenarioConfig, *, control_replay: np.ndarray | None = Non
     the true state).  Every tick then runs control from the corrector
     estimates and the rescaled observer uncertainty, logs a row when one is
     due, steps the corrector bank, the observer bank and the plant, predicts
-    the EKF, and senses the next tick, where the EKF absorbs the measurement
-    when the velocity channel is fresh.
+    the EKF bank, and senses the next tick, where the EKF bank absorbs the
+    measurement when the velocity channel is fresh.  The sensors hand back
+    the same frame object while nothing is sampled, and the loop works out
+    what it reads from a frame only when the frame changes.
 
     ``control_replay`` holds one wrench per tick, as the ``u_`` columns of a
     trace sampled every ``dt`` do; with it the scenario runs open loop (plant
@@ -272,13 +273,14 @@ def run_scenario(cfg: ScenarioConfig, *, control_replay: np.ndarray | None = Non
     pos0, vel0, _ = point(0.0)
     s = [a + b for a, b in zip(pos0 + vel0, cfg.initial_offset)]
     frame = measure(s, 0)
+    y_o2 = [mz.y_o2 for mz in frame]
     if cfg.estimator_init == "truth":
         corr = [CorrectorState(s[a], s[6 + a]) for a in range(6)]
         obs = [ObserverState(s[6 + a], 0.0) for a in range(6)]
     else:
         corr = [CorrectorState(mz.y_o1, mz.y_o2) for mz in frame]
         obs = [ObserverState(mz.y_o2, 0.0) for mz in frame]
-    kf = [ekf_init(frame[a], ekf_cfg) for a in range(3)]
+    kf = ekf_init(frame[:3], ekf_cfg)
 
     for i in range(n_ticks + 1):
         t = i * dt
@@ -315,22 +317,24 @@ def run_scenario(cfg: ScenarioConfig, *, control_replay: np.ndarray | None = Non
         except ValueError as exc:
             raise _diverged(i, t, "corrector", exc) from exc
         try:
-            obs = list(map(step_obs, obs, [mz.y_o2 for mz in frame], h6, observers, dts))
+            obs = list(map(step_obs, obs, y_o2, h6, observers, dts))
         except ValueError as exc:
             raise _diverged(i, t, "observer", exc) from exc
         s = plant_step(s, h6, axes, t, dt)
         if not _all_finite(s):
             raise _diverged(i + 1, t + dt, "plant", "non-finite state")
         try:
-            kf = [predict(k, dt, ekf_q) for k in kf]
+            kf = predict(kf, dt, ekf_q)
         except EkfDivergence as exc:
             raise _diverged(i, t, "ekf", exc) from exc
 
         nxt = i + 1
-        frame = measure(s, nxt)
+        held, frame = frame, measure(s, nxt)
+        if frame is not held:
+            y_o2 = [mz.y_o2 for mz in frame]
         if nxt % vel_every == 0:
             try:
-                kf = [update(kf[a], frame[a], ekf_cfg) for a in range(3)]
+                kf = update(kf, frame[:3], ekf_cfg)
             except EkfDivergence as exc:
                 raise _diverged(nxt, nxt * dt, "ekf", exc) from exc
 

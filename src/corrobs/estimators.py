@@ -30,7 +30,7 @@ over the step (zero-order hold).
 from __future__ import annotations
 
 from dataclasses import dataclass, fields
-from functools import cached_property, partial
+from functools import partial
 from math import copysign, isfinite
 from typing import NamedTuple
 
@@ -84,20 +84,19 @@ class CorrectorParams:
 
     def __post_init__(self):
         _refuse_faults(self)
-        self._constants    # worked out here, so that an unusable set is refused
+        # (eps_c, 1/eps_c^3, k1, k2/eps_c^3, alpha_c, kappa) for `step_corrector`,
+        # set here, as the fields are, so that an unusable set is refused and
+        # the stepper reads a plain attribute.
+        eps = self.eps_c
+        inv_eps3 = 1.0 / _usable("eps_c", "eps_c^3", eps * eps * eps)
+        object.__setattr__(self, "_constants", (
+            eps, _usable("eps_c", "1/eps_c^3", inv_eps3), self.k1,
+            _usable("k2", "k2/eps_c^3", self.k2 * inv_eps3), self.alpha_c, self.kappa))
 
     @property
     def kappa(self) -> float:
         """Exponent of the position-channel feedback, alpha_c/(2 - alpha_c)."""
         return self.alpha_c / (2.0 - self.alpha_c)
-
-    @cached_property
-    def _constants(self) -> tuple[float, float, float, float, float, float]:
-        """(eps_c, 1/eps_c^3, k1, k2/eps_c^3, alpha_c, kappa) for `step_corrector`."""
-        eps = self.eps_c
-        inv_eps3 = 1.0 / _usable("eps_c", "eps_c^3", eps * eps * eps)
-        return (eps, _usable("eps_c", "1/eps_c^3", inv_eps3), self.k1,
-                _usable("k2", "k2/eps_c^3", self.k2 * inv_eps3), self.alpha_c, self.kappa)
 
 
 @dataclass(frozen=True)
@@ -111,15 +110,13 @@ class ObserverParams:
 
     def __post_init__(self):
         _refuse_faults(self)
-        self._constants    # worked out here, so that an unusable set is refused
-
-    @cached_property
-    def _constants(self) -> tuple[float, float, float, float]:
-        """(alpha_o, (alpha_o + 1)/2, k4/eps_o, k3/eps_o^2) for `step_observer`."""
+        # (alpha_o, (alpha_o + 1)/2, k4/eps_o, k3/eps_o^2) for `step_observer`,
+        # set the same way as the corrector's.
         alpha = self.alpha_o
         eps2 = _usable("eps_o", "eps_o^2", self.eps_o * self.eps_o)
-        return (alpha, 0.5 * (alpha + 1.0), _usable("k4", "k4/eps_o", self.k4 / self.eps_o),
-                _usable("k3", "k3/eps_o^2", self.k3 / eps2))
+        object.__setattr__(self, "_constants", (
+            alpha, 0.5 * (alpha + 1.0), _usable("k4", "k4/eps_o", self.k4 / self.eps_o),
+            _usable("k3", "k3/eps_o^2", self.k3 / eps2)))
 
 
 class CorrectorState(NamedTuple):
@@ -142,11 +139,11 @@ _new_observer_state = partial(tuple.__new__, ObserverState)
 
 
 class AxisMeasurement(NamedTuple):
-    """One axis worth of sensing: large-error channel plus accurate channel."""
+    """One axis worth of sensing: large-error channel plus accurate channel,
+    and whether the large-error sample was just taken."""
 
     y_o1: float
     y_o2: float
-    t: float
     y_o1_fresh: bool = True
 
 
@@ -163,26 +160,26 @@ def step_corrector(state: CorrectorState, meas: AxisMeasurement,
     feedback and resolves the velocity innovation with the exact fractional
     decay of `relay_step`, feeding its closed-form time integral back into
     xhat1.  Away from the relay regime this reduces to an ordinary explicit
-    midpoint scheme.
+    midpoint scheme.  A non-finite input gives a non-finite state, which the
+    output check refuses with a ValueError.
     """
     if dt <= 0.0:
         raise ValueError("dt must be positive")
     xhat1, xhat2 = state
     y1, y2 = meas[0], meas[1]
-    if not (isfinite(xhat1) and isfinite(xhat2) and isfinite(y1) and isfinite(y2)):
-        raise ValueError("non-finite value in corrector step input")
-
     eps, inv_eps3, k1, c2, alpha, kappa = p._constants
     u1 = xhat1 - y1
     u2 = xhat2 - y2
     h = 0.5 * dt
-    for _ in range(2):
-        v = eps * u1
-        spring = -k1 * (copysign(abs(v) ** kappa, v) if v != 0.0 else 0.0) * inv_eps3
-        u2_next, integral = relay_step(u2, spring, c2, alpha, h)
-        # du1/dt = xhat2 = y_o2 + u2
-        u1 += h * y2 + integral
-        u2 = u2_next
+    hy2 = h * y2    # du1/dt = xhat2 = y_o2 + u2
+    v = eps * u1
+    spring = -k1 * (copysign(abs(v) ** kappa, v) if v != 0.0 else 0.0) * inv_eps3
+    u2, integral = relay_step(u2, spring, c2, alpha, h)
+    u1 += hy2 + integral
+    v = eps * u1
+    spring = -k1 * (copysign(abs(v) ** kappa, v) if v != 0.0 else 0.0) * inv_eps3
+    u2, integral = relay_step(u2, spring, c2, alpha, h)
+    u1 += hy2 + integral
     x1_out = y1 + u1
     x2_out = y2 + u2
     if not (isfinite(x1_out) and isfinite(x2_out)):
@@ -196,13 +193,12 @@ def step_observer(state: ObserverState, y_o2: float, h: float,
 
     The observer's innovation exponent (alpha_o + 1)/2 >= 1/2 keeps the
     right-hand side tame enough for an explicit stepper at millisecond steps;
-    spurious-offset scales are far below double precision here.
+    spurious-offset scales are far below double precision here.  A non-finite
+    input gives a non-finite state, which the output check refuses.
     """
     if dt <= 0.0:
         raise ValueError("dt must be positive")
     xhat3, xhat4 = state
-    if not (isfinite(xhat3) and isfinite(xhat4) and isfinite(y_o2) and isfinite(h)):
-        raise ValueError("non-finite value in observer step input")
     alpha, beta, c4, c3 = p._constants
     half = 0.5 * dt
     innov = xhat3 - y_o2

@@ -19,8 +19,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property, partial
-from typing import Callable, Sequence
+from functools import partial
+from typing import Sequence
 
 import numpy as np
 
@@ -92,12 +92,11 @@ class UncertaintyModel:
             raise ValueError("uncertainty model fields must have one entry per axis")
         if any(c < 0 for c in self.drag):
             raise ValueError("drag coefficients must be nonnegative")
-
-    @cached_property
-    def _disturbances(self) -> tuple[Callable[[float], float], ...]:
-        """Per axis, the disturbance Delta_i as a function of time."""
-        return tuple(partial(_sinusoid_sum, const, sins)
-                     for const, sins in zip(self.delta_constant, self.delta_sinusoids))
+        # Per axis, the disturbance Delta_i as a function of time; set here,
+        # as `UavParams` sets its per-axis table.
+        object.__setattr__(self, "_disturbances", tuple(
+            partial(_sinusoid_sum, const, sins)
+            for const, sins in zip(self.delta_constant, self.delta_sinusoids)))
 
 
 def _sinusoid_sum(const: float, sinusoids, t: float) -> float:

@@ -68,7 +68,7 @@ def sample_noise(mix: NoiseMixture, rng: np.random.Generator) -> float:
     """Draw one noise sample.  Always consumes four variates so that streams
     stay aligned regardless of the mixture parameters."""
     g = rng.standard_normal()
-    u = rng.uniform(-1.0, 1.0)
+    u = -1.0 + 2.0 * rng.random()   # what rng.uniform(-1.0, 1.0) computes, bit for bit
     hit = rng.random()
     sign = 1.0 if rng.random() < 0.5 else -1.0
     val = mix.gaussian_std * g + mix.uniform_halfwidth * u
@@ -144,7 +144,7 @@ class LargeErrorProcess:
         return _fold(raw, m.bound)
 
 
-# AxisMeasurement from a (y_o1, y_o2, t, y_o1_fresh) tuple, without the
+# AxisMeasurement from a (y_o1, y_o2, y_o1_fresh) tuple, without the
 # Python-level __new__ that calling the class goes through.
 _new_axis_measurement = partial(tuple.__new__, AxisMeasurement)
 
@@ -200,7 +200,7 @@ class SensorSuite:
                      for axis, model in enumerate(per_axis(cfg.large_error))]
         self._held_y1 = [0.0] * 6
         self._held_y2 = [0.0] * 6
-        self._started = False
+        self._frame: tuple[AxisMeasurement, ...] | None = None    # the last one returned
 
     @staticmethod
     def _stream(seed: int, axis: int, channel: int) -> np.random.Generator:
@@ -209,19 +209,22 @@ class SensorSuite:
 
     def measure(self, state: Sequence[float],
                 tick: int) -> tuple[AxisMeasurement, ...]:
-        """The six axes' measurements at ``tick``, all stamped with its time.
+        """The six axes' measurements at ``tick``.
 
         Channels that are due are sampled from ``state`` (12 values: six
         positions, then six velocities); the others hold their last value.
         The position sample is flagged fresh only when it was just taken;
-        the first call samples every channel.
+        the first call samples every channel.  On a tick where no channel is
+        due the previous frame object comes back as it is, unless it was
+        flagged fresh: then a new frame holds its values, flagged stale.
         """
-        t = tick * self.dt
-        first = not self._started
-        self._started = True
-        fresh = (tick % self.position_every == 0 and not self.cfg.in_dropout(t)) or first
-        vel_due = tick % self.velocity_every == 0 or first
+        frame = self._frame
+        first = frame is None
+        fresh = first or (tick % self.position_every == 0
+                          and not self.cfg.in_dropout(tick * self.dt))
+        vel_due = first or tick % self.velocity_every == 0
         if fresh or vel_due:
+            t = tick * self.dt
             for axis in range(6):
                 if fresh:
                     d = self._err[axis].value(t)
@@ -230,5 +233,8 @@ class SensorSuite:
                 if vel_due:
                     n2 = sample_noise(self._vel_noise[axis], self._vel_rngs[axis])
                     self._held_y2[axis] = float(state[6 + axis]) + n2
-        return tuple([_new_axis_measurement((y1, y2, t, fresh))
-                      for y1, y2 in zip(self._held_y1, self._held_y2)])
+        elif not frame[0].y_o1_fresh:
+            return frame
+        self._frame = frame = tuple([_new_axis_measurement((y1, y2, fresh))
+                                     for y1, y2 in zip(self._held_y1, self._held_y2)])
+        return frame

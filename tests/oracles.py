@@ -1,14 +1,17 @@
-"""Reference forms of the plant model and of the closed loop, for the tests.
+"""Reference forms of the plant model, the closed loop and the EKF, for the tests.
 
-The package integrates the plant only through `corrobs.plant.step_plant` and
-runs the closed loop only through `corrobs.run_scenario`.  The functions here
-state the same model the textbook way, as a stacked 12-state derivative
-integrated by classical RK4, so that the tests can check the package against
-it:
+The package integrates the plant only through `corrobs.plant.step_plant`,
+runs the closed loop only through `corrobs.run_scenario` and filters the
+position axes only through the shared-covariance bank of `corrobs.ekf`.  The
+functions here state the same models the textbook way, so that the tests can
+check the package against them:
 
-* `dynamics_derivative` against `step_plant` (``tests/test_plant.py``);
+* `dynamics_derivative`, a stacked 12-state derivative integrated by
+  classical RK4, against `step_plant` (``tests/test_plant.py``);
 * `ideal_tracking_errors` against the analytic error decay of the control law
-  (criterion 8 and ``tests/test_engine.py``).
+  (criterion 8 and ``tests/test_engine.py``);
+* `axis_ekf_predict` and `axis_ekf_update`, one filter per axis with a
+  covariance of its own, against the bank (``tests/test_ekf.py``).
 """
 
 from __future__ import annotations
@@ -86,3 +89,39 @@ def ideal_tracking_errors(params: UavParams, unc: UncertaintyModel,
         k4 = deriv(state + dt * k3, t + dt)
         state = state + dt / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
     return np.array(times), np.array(errors)
+
+
+def axis_ekf_predict(s: tuple, dt: float, q: tuple[float, float, float]) -> tuple:
+    """One axis's filter, (pos, vel, p11, p12, p22), propagated over ``dt``
+    with the process noise entries ``q``."""
+    pos, vel, p11, p12, p22 = s
+    q11, q12, q22 = q
+    return (pos + dt * vel, vel,
+            p11 + 2.0 * dt * p12 + dt * dt * p22 + q11,
+            p12 + dt * p22 + q12,
+            p22 + q22)
+
+
+def axis_ekf_update(s: tuple, y1: float, y2: float, fresh: bool, r1: float,
+                    r2: float) -> tuple:
+    """One axis's filter after the velocity sample ``y2`` and, when ``fresh``,
+    the position sample ``y1``; Joseph-form covariances."""
+    pos, vel, p11, p12, p22 = s
+    k1 = p12 / (p22 + r2)
+    k2 = p22 / (p22 + r2)
+    innov = y2 - vel
+    b = 1.0 - k2
+    pos, vel, p11, p12, p22 = (pos + k1 * innov, vel + k2 * innov,
+                               p11 - 2.0 * k1 * p12 + k1 * k1 * p22 + k1 * k1 * r2,
+                               b * (p12 - k1 * p22) + k1 * k2 * r2,
+                               b * b * p22 + k2 * k2 * r2)
+    if not fresh:
+        return pos, vel, p11, p12, p22
+    k1 = p11 / (p11 + r1)
+    k2 = p12 / (p11 + r1)
+    innov = y1 - pos
+    a = 1.0 - k1
+    return (pos + k1 * innov, vel + k2 * innov,
+            a * a * p11 + k1 * k1 * r1,
+            a * (p12 - k2 * p11) + k1 * k2 * r1,
+            k2 * k2 * p11 - 2.0 * k2 * p12 + p22 + k2 * k2 * r1)

@@ -100,7 +100,7 @@ def test_criterion_03_no_drift_1000s():
 
 def test_criterion_04_finite_time_convergence():
     rng = np.random.default_rng(2024)
-    meas = AxisMeasurement(0.0, 0.0, 0.0)
+    meas = AxisMeasurement(0.0, 0.0)
     dt = 1e-3
     worst_hit = 0.0
     for _ in range(100):

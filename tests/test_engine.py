@@ -108,10 +108,10 @@ def test_csv_round_trip(tmp_path):
 def test_trace_row_follows_the_column_layout():
     # Every input value is distinct, so each column must pick its own.
     s = [float(i) for i in range(12)]
-    frame = [AxisMeasurement(100.0 + a, 110.0 + a, 0.5, True) for a in range(6)]
+    frame = [AxisMeasurement(100.0 + a, 110.0 + a, True) for a in range(6)]
     corr = [CorrectorState(200.0 + a, 210.0 + a) for a in range(6)]
     obs = [ObserverState(300.0 + a, 310.0 + a) for a in range(6)]
-    kf = [EkfState(400.0 + a, 410.0 + a, 1.0, 0.0, 1.0) for a in range(3)]
+    kf = EkfState((400.0, 401.0, 402.0), (410.0, 411.0, 412.0), 1.0, 0.0, 1.0)
     wrench = [500.0 + a for a in range(6)]
     des = [600.0 + a for a in range(6)]
     row = dict(zip(TraceLog.COLUMNS,
@@ -124,7 +124,7 @@ def test_trace_row_follows_the_column_layout():
         assert (row[f"obs_vel_{n}"], row[f"obs_sigma_{n}"]) == obs[a]
         assert (row[f"u_{n}"], row[f"des_{n}"]) == (wrench[a], des[a])
     for a, n in enumerate(AXIS_NAMES[:3]):
-        assert (row[f"ekf_{n}"], row[f"ekf_v{n}"]) == kf[a][:2]
+        assert (row[f"ekf_{n}"], row[f"ekf_v{n}"]) == (kf.pos[a], kf.vel[a])
 
 
 def test_run_scenario_logs_each_row_through_trace_row(monkeypatch, sec6):
@@ -160,7 +160,7 @@ def test_observer_divergence_names_tick_and_stage(sec6):
 # The public steppers the loop must call on every tick (per-run locals bound
 # from these attributes), with their calls per simulated tick.
 LOOP_STEPPERS = {"position_control": 1, "attitude_control": 1, "uncertainty_rescale": 1,
-                 "input_acceleration_scalars": 1, "step_plant": 1, "ekf_predict": 3,
+                 "input_acceleration_scalars": 1, "step_plant": 1, "ekf_predict": 1,
                  "step_corrector": 6, "step_observer": 6}
 
 

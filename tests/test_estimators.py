@@ -107,12 +107,12 @@ def test_falpha_contraction_bound():
 # --------------------------------------------------- concrete derivatives
 
 def test_corrector_derivative_equilibrium():
-    m = AxisMeasurement(0.0, 0.0, 0.0)
+    m = AxisMeasurement(0.0, 0.0)
     assert corrector_derivative(CorrectorState(0.0, 0.0), m, FLIGHT_CORRECTOR) == (0.0, 0.0)
 
 
 def test_corrector_derivative_position_feedback():
-    m = AxisMeasurement(0.0, 0.0, 0.0)
+    m = AxisMeasurement(0.0, 0.0)
     d1, d2 = corrector_derivative(CorrectorState(1.0, 0.0), m, FLIGHT_CORRECTOR)
     assert d1 == 0.0
     with mpmath.workdps(50):
@@ -123,7 +123,7 @@ def test_corrector_derivative_position_feedback():
 
 
 def test_corrector_derivative_velocity_feedback():
-    m = AxisMeasurement(0.0, 0.0, 0.0)
+    m = AxisMeasurement(0.0, 0.0)
     d1, d2 = corrector_derivative(CorrectorState(0.0, 1.0), m, FLIGHT_CORRECTOR)
     assert d1 == 1.0
     # -k2 * 1^alpha / eps^3 = -30 * 1.728
@@ -131,7 +131,7 @@ def test_corrector_derivative_velocity_feedback():
 
 
 def test_corrector_derivative_rejects_nonfinite():
-    m = AxisMeasurement(math.inf, 0.0, 0.0)
+    m = AxisMeasurement(math.inf, 0.0)
     with pytest.raises(ValueError):
         corrector_derivative(CorrectorState(0.0, 0.0), m, FLIGHT_CORRECTOR)
 
@@ -155,7 +155,7 @@ def test_observer_derivative_known_input_passthrough():
 # ------------------------------------------------------------- stepping
 
 def test_step_corrector_equilibrium_unchanged():
-    m = AxisMeasurement(0.0, 0.0, 0.0)
+    m = AxisMeasurement(0.0, 0.0)
     out = step_corrector(CorrectorState(0.0, 0.0), m, FLIGHT_CORRECTOR, 1e-3)
     assert out == (0.0, 0.0)
 
@@ -163,7 +163,7 @@ def test_step_corrector_equilibrium_unchanged():
 def test_step_corrector_matches_fine_reference():
     # One 1 ms step against a cascade of 500 two-microsecond steps, each of
     # two one-microsecond substeps.
-    m = AxisMeasurement(0.0, 0.0, 0.0)
+    m = AxisMeasurement(0.0, 0.0)
     coarse = step_corrector(CorrectorState(1.0, 0.0), m, FLIGHT_CORRECTOR, 1e-3)
     fine = CorrectorState(1.0, 0.0)
     for _ in range(500):
@@ -173,7 +173,7 @@ def test_step_corrector_matches_fine_reference():
 
 
 def test_step_corrector_matches_fine_reference_balanced():
-    m = AxisMeasurement(0.2, -0.1, 0.0)
+    m = AxisMeasurement(0.2, -0.1)
     coarse = step_corrector(CorrectorState(1.0, 0.3), m, BALANCED_CORRECTOR, 1e-3)
     fine = CorrectorState(1.0, 0.3)
     for _ in range(500):
@@ -185,7 +185,7 @@ def test_step_corrector_matches_fine_reference_balanced():
 def test_step_corrector_step_halving_order():
     # Away from the relay manifold the stepper is a second-order scheme: the
     # one-step vs two-half-steps difference shrinks at least quadratically.
-    m = AxisMeasurement(0.0, 0.0, 0.0)
+    m = AxisMeasurement(0.0, 0.0)
     s0 = CorrectorState(4.0, 2.0)
 
     def halving_gap(dt):
@@ -205,7 +205,7 @@ def test_step_corrector_no_spurious_velocity_offset():
     # on the relay-like velocity channel (~1e-2 scale at this dt), which
     # integrates into steady position drift.  The relay-aware step must hold
     # the innovation at the true equilibrium scale instead.
-    m = AxisMeasurement(0.0, 0.0, 0.0)
+    m = AxisMeasurement(0.0, 0.0)
     s = CorrectorState(1.0, 0.0)
     for _ in range(5000):
         s = step_corrector(s, m, FLIGHT_CORRECTOR, 1e-3)
@@ -218,7 +218,7 @@ def test_step_corrector_finite_time_convergence_balanced():
     # acceptance suite runs 100): from any start with norm <= 10 the error
     # norm is below 1e-3 within 20 s and stays there.
     rng = np.random.default_rng(5)
-    m = AxisMeasurement(0.0, 0.0, 0.0)
+    m = AxisMeasurement(0.0, 0.0)
     dt = 1e-3
     for _ in range(20):
         ang = rng.uniform(0, 2 * math.pi)
@@ -239,7 +239,7 @@ def test_step_corrector_bounded_error_rejection():
     for eps in (0.9, 0.7, 0.5, 0.3):
         p = CorrectorParams(1.0, 30.0, 0.1, eps)
         s = CorrectorState(0.0, 0.0)
-        m = AxisMeasurement(20.0, 0.0, 0.0)  # y_o1 biased by 20, truth at 0
+        m = AxisMeasurement(20.0, 0.0)  # y_o1 biased by 20, truth at 0
         for _ in range(30_000):
             s = step_corrector(s, m, p, 1e-3)
         assert abs(s.xhat1) <= 20.0
@@ -293,7 +293,7 @@ def test_estimators_stay_finite_long_run():
             y2 = float(0.01 * rng.standard_normal())
         if i % 1000 == 0:
             y1 = 20.0 + float(rng.standard_normal())
-        m = AxisMeasurement(y1, y2, i * 1e-3)
+        m = AxisMeasurement(y1, y2)
         sc = step_corrector(sc, m, FLIGHT_CORRECTOR, 1e-3)
         so = step_observer(so, y2, 0.3, FLIGHT_OBSERVER, 1e-3)
     assert all(map(math.isfinite, (*sc, *so)))
@@ -313,7 +313,7 @@ def test_step_corrector_difference_quotient_matches_oracle(p, tol):
     rng = np.random.default_rng(9)
     for _ in range(300):
         s = CorrectorState(*rng.uniform(-3, 3, 2))
-        m = AxisMeasurement(*rng.uniform(-3, 3, 2), t=0.0)
+        m = AxisMeasurement(*rng.uniform(-3, 3, 2))
         out = step_corrector(s, m, p, h)
         for new, old, d in zip(out, s, corrector_derivative(s, m, p)):
             assert abs((new - old) / h - d) <= tol * max(1.0, abs(d))
@@ -331,7 +331,7 @@ def test_step_observer_difference_quotient_matches_oracle():
 
 
 def test_step_rejects_bad_dt():
-    m = AxisMeasurement(0.0, 0.0, 0.0)
+    m = AxisMeasurement(0.0, 0.0)
     with pytest.raises(ValueError):
         step_corrector(CorrectorState(0.0, 0.0), m, FLIGHT_CORRECTOR, 0.0)
     with pytest.raises(ValueError):

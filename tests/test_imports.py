@@ -13,8 +13,10 @@
   deleted, or moved into the tests as an oracle.
 * Every annotated field, property and public method of a public class is read
   somewhere outside the tests, as an attribute (``obj.name``) or as a keyword
-  (``f(name=...)``).  The check goes by the member's name, like the ones
-  above, so it may miss an unread member but never reports a read one.
+  (``f(name=...)``).  A keyword given to a package class's constructor, to
+  ``_replace`` or to ``dataclasses.replace`` sets a field and does not count
+  as a read.  The check goes by the member's name, like the ones above, so it
+  may miss an unread member but never reports a read one.
 """
 
 from __future__ import annotations
@@ -84,6 +86,12 @@ def _defaulted(fn: ast.FunctionDef, bound: bool) -> list[tuple[str, int | None]]
     return out
 
 
+def _callee(call: ast.Call) -> str | None:
+    """The last name of what ``call`` calls."""
+    f = call.func
+    return f.id if isinstance(f, ast.Name) else getattr(f, "attr", None)
+
+
 def _sets(call: ast.Call, name: str, position: int | None) -> bool:
     if any(k.arg in (name, None) for k in call.keywords):
         return True
@@ -97,9 +105,7 @@ def test_every_default_is_set_outside_the_tests():
     for path in CALLERS:
         for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
             if isinstance(node, ast.Call):
-                f = node.func
-                name = f.id if isinstance(f, ast.Name) else getattr(f, "attr", None)
-                calls.setdefault(name, []).append(node)
+                calls.setdefault(_callee(node), []).append(node)
     unset = []
     for path in PACKAGE:
         for qualname, fn, bound in _public_functions(ast.parse(path.read_text())):
@@ -150,13 +156,16 @@ def _class_members(tree: ast.Module):
 
 
 def test_every_class_member_is_read_outside_the_tests():
+    writers = {"_replace", "replace"} | {
+        node.name for path in PACKAGE for node in ast.parse(path.read_text()).body
+        if isinstance(node, ast.ClassDef)}
     read = set()
     for path in CALLERS:
         for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
             if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
                 read.add(node.attr)
-            elif isinstance(node, ast.keyword) and node.arg:
-                read.add(node.arg)
+            elif isinstance(node, ast.Call) and _callee(node) not in writers:
+                read.update(k.arg for k in node.keywords if k.arg)
     unread = [f"{path.stem}.{cls}.{name}" for path in MODULES
               for cls, name in _class_members(ast.parse(path.read_text())) if name not in read]
     extra = sorted(set(unread) - set(UNREAD_MEMBERS))

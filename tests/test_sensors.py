@@ -141,7 +141,6 @@ def test_measure_noise_free_exact_at_update_instants():
         assert frame[axis].y_o1 == state[axis]
         assert frame[axis].y_o2 == state[6 + axis]
         assert frame[axis].y_o1_fresh
-    assert all(m.t == 0.0 for m in frame)
 
 
 def test_measure_holds_between_updates():
@@ -154,6 +153,33 @@ def test_measure_holds_between_updates():
         assert frame[axis].y_o1 == s0[axis]
         assert not frame[axis].y_o1_fresh
         assert frame[axis].y_o2 == moved[6 + axis]
+
+
+def test_measure_returns_the_held_frame_object_until_a_sample_is_due():
+    # Velocity every 10 ticks, position every 1000.  A tick with no sample
+    # due gets the previous frame object back, unless that frame was flagged
+    # fresh: the tick after it gets a new frame of the same values, stale.
+    noisy = (NoiseMixture(0.5, 0.3, 0.02, 3.0),) * 2
+    suite = SensorSuite(default_config(position_noise=noisy, velocity_noise=noisy),
+                        seed=3, dt=1e-3)
+    state = np.linspace(-1.0, 1.0, 12)
+    prev = suite.measure(state, 0)
+    held = new = 0
+    for i in range(1, 2501):
+        frame = suite.measure(state, i)
+        if i % 10 == 0:
+            assert frame is not prev and frame != prev
+            new += 1
+        elif prev[0].y_o1_fresh:
+            assert frame is not prev
+            assert [m[:2] for m in frame] == [m[:2] for m in prev]
+            assert not any(m.y_o1_fresh for m in frame)
+            new += 1
+        else:
+            assert frame is prev
+            held += 1
+        prev = frame
+    assert (held, new) == (2247, 253)    # 250 velocity samples, 3 fresh positions
 
 
 def test_measure_dropout_holds_last_valid():
