@@ -148,15 +148,14 @@ def _fields(cls: type, node: dict, path: str, required: bool = False) -> dict:
 
 
 def _build(cls: type, node: dict, path: str, required: bool = False):
-    """The ``cls`` that section ``node`` describes.  A refusal whose message
-    opens with a field name names that field's dotted key."""
+    """The ``cls`` that section ``node`` describes.  Every refusal of a
+    scenario class opens with the name of the field at fault, so prefixing
+    the section's path names the dotted key."""
     kwargs = _fields(cls, node, path, required)
     try:
         return cls(**kwargs)
     except ValueError as exc:
-        msg = str(exc)
-        sep = "." if msg.split(" ", 1)[0] in kwargs else ": "
-        raise ConfigError(f"{path}{sep}{msg}" if path else msg) from exc
+        raise ConfigError(_join(path, str(exc))) from exc
 
 
 def _document(obj: Any) -> dict:

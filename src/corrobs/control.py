@@ -16,7 +16,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .plant import UavParams
+from .plant import UavParams, check_range
 
 __all__ = [
     "CircleTrajectory", "HoverTrajectory", "ControlGains", "position_control",
@@ -47,11 +47,10 @@ class CircleTrajectory:
 
     def __init__(self, radius: float, speed: float, altitude: float,
                  climb_time: float, start_x: float = 0.0, start_y: float = 0.0):
+        check_range("positive", radius=radius, speed=speed, altitude=altitude,
+                    climb_time=climb_time)
         self.radius, self.speed, self.altitude, self.climb_time = (
             radius, speed, altitude, climb_time)
-        for name in ("radius", "speed", "altitude", "climb_time"):
-            if not getattr(self, name) > 0:
-                raise ValueError(f"{name} must be positive, not {getattr(self, name)}")
         try:
             self._climb_time_sq = climb_time ** 2
         except OverflowError:
@@ -101,8 +100,7 @@ class ControlGains:
     ka2: float = 4.0
 
     def __post_init__(self):
-        if min(self.kp1, self.kp2, self.ka1, self.ka2) <= 0:
-            raise ValueError("control gains must be positive")
+        check_range("positive", kp1=self.kp1, kp2=self.kp2, ka1=self.ka1, ka2=self.ka2)
 
 
 # The control laws take the six estimated coordinates and velocities (the

@@ -26,6 +26,7 @@ from functools import partial
 from typing import NamedTuple, Sequence
 
 from .estimators import AxisMeasurement
+from .plant import check_range
 
 __all__ = ["EkfConfig", "EkfState", "EkfDivergence", "process_noise", "ekf_init",
            "ekf_predict", "ekf_update"]
@@ -43,10 +44,7 @@ class EkfConfig:
     p0: float = 10.0  # initial covariance scale
 
     def __post_init__(self):
-        for name in ("q", "r1", "r2", "p0"):
-            value = getattr(self, name)
-            if not 0.0 < value < math.inf:
-                raise ValueError(f"{name} must be positive and finite, not {value}")
+        check_range("positive", q=self.q, r1=self.r1, r2=self.r2, p0=self.p0)
 
 
 class EkfState(NamedTuple):

@@ -26,7 +26,7 @@ from .ekf import (EkfConfig, EkfDivergence, ekf_init, ekf_predict, ekf_update,
                   process_noise)
 from .estimators import (CorrectorParams, CorrectorState, ObserverParams,
                          ObserverState, step_corrector, step_observer)
-from .plant import (AXIS_NAMES, UavParams, UncertaintyModel, check_pair,
+from .plant import (AXIS_NAMES, UavParams, UncertaintyModel, check_pair, check_range,
                     input_acceleration_scalars, per_axis, plant_axes, step_plant,
                     true_delta)
 from .sensors import (LargeErrorModel, NoiseMixture, SensorConfig, SensorSuite,
@@ -75,6 +75,8 @@ class TrajectorySpec:
         if self.kind not in TRAJECTORY_KINDS:
             raise ValueError(f"kind must be one of: {', '.join(TRAJECTORY_KINDS)}; "
                              f"not {self.kind!r}")
+        check_range("finite", radius=self.radius, speed=self.speed, altitude=self.altitude,
+                    climb_time=self.climb_time, start_x=self.start_x, start_y=self.start_y)
         self.build()    # a trajectory that cannot be built is refused here
 
     def build(self):
@@ -111,20 +113,21 @@ class ScenarioConfig:
     ekf: EkfConfig = field(default_factory=lambda: EkfConfig(q=1e-4, r1=0.25, r2=1e-6))
     trajectory: TrajectorySpec = field(default_factory=TrajectorySpec)
     estimator_init: str = "first_measurement"   # or "truth"
-    initial_offset: tuple[float, ...] = (0.0,) * 12  # added to the on-trajectory start
+    # Added to the on-trajectory start.  The one number without a range rule:
+    # a non-finite offset is how a test forces the loop to diverge at tick 0.
+    initial_offset: tuple[float, ...] = (0.0,) * 12
 
     def __post_init__(self):
-        for name in ("duration", "dt", "sample_interval"):
-            if not 0 < getattr(self, name) < math.inf:
-                raise ValueError(f"{name} must be positive and finite")
+        check_range("positive", duration=self.duration, dt=self.dt,
+                    sample_interval=self.sample_interval)
         if self.duration / self.dt > MAX_TICKS:
             raise ValueError(f"duration / dt must be at most {MAX_TICKS} ticks, "
                              f"not {self.duration / self.dt:.3g}")
         if self.duration / self.sample_interval + 1 > MAX_ROWS:
             raise ValueError(f"duration / sample_interval + 1 must be at most {MAX_ROWS} "
                              f"trace rows, not {self.duration / self.sample_interval + 1:.3g}")
-        if self.seed < 0:
-            raise ValueError(f"seed must be a non-negative integer, not {self.seed}")
+        if isinstance(self.seed, bool) or not (isinstance(self.seed, int) and self.seed >= 0):
+            raise ValueError(f"seed must be a nonnegative integer, not {self.seed!r}")
         for name in ("position_period", "velocity_period"):
             whole_multiple(f"sensors.{name}", getattr(self.sensors, name), "dt", self.dt)
         whole_multiple("sample_interval", self.sample_interval, "dt", self.dt)
@@ -356,14 +359,14 @@ def _window_stats(err: np.ndarray, window: tuple[np.ndarray, str]) -> tuple[floa
     return peak, float(np.sqrt(np.mean(seg * seg)))
 
 
-def metrics(trace: TraceLog, settle: float,
-            scenario: ScenarioConfig | None = None) -> dict:
-    """Per-axis steady-state estimate-error summary.
+def metrics(trace: TraceLog, settle: float, scenario: ScenarioConfig) -> dict:
+    """Per-axis steady-state estimate-error summary of ``trace``, a run of
+    ``scenario``.
 
     Errors are absolute estimate errors after the settling time: corrector
     position estimates and EKF position estimates against the true state,
-    and, when the scenario is supplied, the rescaled observer outputs against
-    the true uncertainty forces/torques.  The drift ratio compares the
+    and the rescaled observer outputs against the true uncertainty
+    forces/torques.  The drift ratio compares the
     maximum corrector error over the late window (after 10% of the duration)
     against the early reference window.  A window that holds no trace sample,
     as when ``settle`` is not before the end of the trace, is a ConfigError.
@@ -399,21 +402,19 @@ def metrics(trace: TraceLog, settle: float,
         mx, rms = _window_stats(err, steady)
         out["ekf"][name] = {"max": mx, "rms": rms}
 
-    if scenario is not None:
-        unc, uav = scenario.uncertainty, scenario.uav
-        dp, da = uncertainty_rescale([trace.column(f"obs_sigma_{a}") for a in AXIS_NAMES], uav)
-        for a, (name, delta_hat) in enumerate(zip(AXIS_NAMES, dp + da)):
-            delta_true = true_delta(a, trace.column(f"true_v{name}"), t, unc, uav)
-            err = np.abs(delta_hat - delta_true)
-            mx, rms = _window_stats(err, steady)
-            peak = float(np.max(np.abs(delta_true[steady[0]])))
-            out["observer"][name] = {"max": mx, "rms": rms, "true_peak": peak}
+    unc, uav = scenario.uncertainty, scenario.uav
+    dp, da = uncertainty_rescale([trace.column(f"obs_sigma_{a}") for a in AXIS_NAMES], uav)
+    for a, (name, delta_hat) in enumerate(zip(AXIS_NAMES, dp + da)):
+        delta_true = true_delta(a, trace.column(f"true_v{name}"), t, unc, uav)
+        err = np.abs(delta_hat - delta_true)
+        mx, rms = _window_stats(err, steady)
+        peak = float(np.max(np.abs(delta_true[steady[0]])))
+        out["observer"][name] = {"max": mx, "rms": rms, "true_peak": peak}
     return out
 
 
 @dataclass
 class SweepResult:
-    values: list
     rows: list[dict]
 
     def column(self, key: str) -> list[float]:
@@ -470,7 +471,7 @@ def convergence_study(cfg: ScenarioConfig, eps_values: Sequence[float],
             float(np.max(np.abs(trace.column(f"corr_v{n}") - trace.column(f"true_v{n}"))[mask]))
             for n in AXIS_NAMES[:3])
         rows.append({"eps_c": eps, "max_e1": pos_err, "max_e2": vel_err})
-    return SweepResult(values, rows)
+    return SweepResult(rows)
 
 
 def observer_ramp_study(eps_values: Sequence[float], duration: float = 40.0,
@@ -498,7 +499,7 @@ def observer_ramp_study(eps_values: Sequence[float], duration: float = 40.0,
             if t >= settle:
                 worst = max(worst, abs(st.xhat4 - ramp_rate * (t + dt)))
         rows.append({"eps_o": eps, "max_e4": worst})
-    return SweepResult(values, rows)
+    return SweepResult(rows)
 
 
 @dataclass(frozen=True)
@@ -624,7 +625,7 @@ def sweep_parameter(cfg: ScenarioConfig, name: str, values: Sequence[float],
             rows = list(pool.map(_sweep_one, tasks))
     else:
         rows = [_sweep_one(task) for task in tasks]
-    return SweepResult(list(values), rows)
+    return SweepResult(rows)
 
 
 def tune_ekf_process_noise(cfg: ScenarioConfig, q_values: Sequence[float],
@@ -639,7 +640,7 @@ def tune_ekf_process_noise(cfg: ScenarioConfig, q_values: Sequence[float],
     for q in q_values:
         run_cfg = replace(cfg, ekf=replace(cfg.ekf, q=q))
         trace = run_scenario(run_cfg)
-        summary = metrics(trace, settle)
+        summary = metrics(trace, settle, run_cfg)
         rms = float(np.mean([summary["ekf"][a]["rms"] for a in AXIS_NAMES[:3]]))
         rows.append({"q": q, "ekf_mean_rms": rms})
     best = min(rows, key=lambda r: r["ekf_mean_rms"])

@@ -35,6 +35,7 @@ from math import copysign, isfinite
 from typing import NamedTuple
 
 from .fractional import relay_step
+from .plant import range_faults
 
 __all__ = [
     "CorrectorParams", "CorrectorState", "ObserverParams", "ObserverState",
@@ -44,19 +45,14 @@ __all__ = [
 
 def parameter_faults(**values: float) -> list[str]:
     """Every stability-range rule that the estimator parameters ``values``
-    (by field name) break, one message each: a gain (k1 ... k4) must be
-    positive and finite, a fractional exponent (alpha_*) and a time-scale
-    (eps_*) must lie in (0, 1).  The parameter classes refuse a set with a
+    (by field name) break, one message each, the gains' first: a gain
+    (k1 ... k4) must be positive and finite, a fractional exponent (alpha_*)
+    and a time-scale (eps_*) must lie in (0, 1).  The parameter classes refuse a set with a
     fault, and `freq.validate_corrector_params` and
     `freq.validate_observer_params` report every fault."""
-    faults = []
-    for name, v in values.items():
-        if name.startswith("k"):
-            if not (isfinite(v) and v > 0):
-                faults.append(f"{name} must be positive and finite (got {v})")
-        elif not 0.0 < v < 1.0:
-            faults.append(f"{name} must be in (0, 1) (got {v})")
-    return faults
+    gains = {name: v for name, v in values.items() if name.startswith("k")}
+    return (range_faults("positive", **gains)
+            + range_faults("in (0, 1)", **{n: v for n, v in values.items() if n not in gains}))
 
 
 def _refuse_faults(params) -> None:

@@ -27,6 +27,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .estimators import CorrectorParams, ObserverParams, parameter_faults
+from .plant import check_range
 
 __all__ = [
     "LinearizedSystem", "ParamValidationReport", "omega_coefficient",
@@ -73,8 +74,7 @@ def corrector_natural_frequency(p: CorrectorParams, a_c1: float) -> float:
     w_c = sqrt(Omega(alpha_c/(2-alpha_c)) * k1)
           / ( eps_c^((3-2 alpha_c)/(2-alpha_c)) * a_c1^((1-alpha_c)/(2-alpha_c)) )
     """
-    if a_c1 <= 0.0:
-        raise ValueError("amplitude must be positive")
+    check_range("positive", a_c1=a_c1)
     om = omega_coefficient(p.kappa)
     denom = (p.eps_c ** ((3.0 - 2.0 * p.alpha_c) / (2.0 - p.alpha_c))
              * a_c1 ** ((1.0 - p.alpha_c) / (2.0 - p.alpha_c)))
@@ -86,8 +86,7 @@ def observer_natural_frequency(p: ObserverParams, a_o: float) -> float:
 
     w_o = sqrt(Omega(alpha_o) * k3) / ( eps_o * a_o^((1-alpha_o)/2) )
     """
-    if a_o <= 0.0:
-        raise ValueError("amplitude must be positive")
+    check_range("positive", a_o=a_o)
     return (math.sqrt(omega_coefficient(p.alpha_o) * p.k3)
             / (p.eps_o * a_o ** (0.5 * (1.0 - p.alpha_o))))
 
@@ -106,8 +105,7 @@ def linearize_corrector(p: CorrectorParams, a_c1: float, a_c2: float) -> Lineari
     by the nonlinearity (its argument is eps_c times the innovation), which
     makes sqrt(stiffness) equal `corrector_natural_frequency` identically.
     """
-    if a_c1 <= 0.0 or a_c2 <= 0.0:
-        raise ValueError("amplitudes must be positive")
+    check_range("positive", a_c1=a_c1, a_c2=a_c2)
     kappa = p.kappa
     gain1 = omega_coefficient(kappa) / (p.eps_c * a_c1) ** (1.0 - kappa)
     eps3 = p.eps_c ** 3
@@ -123,8 +121,7 @@ def linearize_observer(p: ObserverParams, a_o: float) -> LinearizedSystem:
     stiffness = k3*Omega(alpha_o) / (eps_o^2 * a_o^(1-alpha_o))
     damping   = k4*Omega((1+alpha_o)/2) / (eps_o * a_o^((1-alpha_o)/2))
     """
-    if a_o <= 0.0:
-        raise ValueError("amplitude must be positive")
+    check_range("positive", a_o=a_o)
     stiffness = (p.k3 * omega_coefficient(p.alpha_o)
                  / (p.eps_o ** 2 * a_o ** (1.0 - p.alpha_o)))
     damping = (p.k4 * omega_coefficient(0.5 * (1.0 + p.alpha_o))

@@ -25,7 +25,7 @@ from typing import Sequence
 import numpy as np
 
 __all__ = [
-    "UavParams", "UncertaintyModel", "AXIS_NAMES", "check_pair",
+    "UavParams", "UncertaintyModel", "AXIS_NAMES", "check_pair", "check_range", "range_faults",
     "per_axis", "true_delta", "input_acceleration_scalars", "plant_axes", "step_plant",
 ]
 
@@ -37,6 +37,41 @@ def check_pair(name: str, pair: tuple) -> None:
     if len(pair) != 2:
         raise ValueError(f"{name} must hold 2 entries, (position group, attitude group), "
                          f"not {len(pair)}")
+
+
+# The range rules of scenario numbers: each rule's requirement, as a refusal
+# states it, and its test of one finite number.  Every rule requires a finite
+# number.
+_RULES = {
+    "finite": ("finite", lambda v: True),
+    "positive": ("positive and finite", lambda v: v > 0.0),
+    "nonnegative": ("nonnegative and finite", lambda v: v >= 0.0),
+    "in (0, 1)": ("in (0, 1)", lambda v: 0.0 < v < 1.0),
+    "in [0, 1]": ("in [0, 1]", lambda v: 0.0 <= v <= 1.0),
+}
+
+
+def _numbers(value) -> list:
+    """The numbers in ``value``: a number, or tuples of them, nested."""
+    return [n for v in value for n in _numbers(v)] if isinstance(value, tuple) else [value]
+
+
+def range_faults(rule: str, **values) -> list[str]:
+    """One message per field of ``values`` (by name) holding a number that
+    breaks ``rule``, a key of `_RULES`: "{field} must be {requirement}, not
+    {number}", naming the field's first such number."""
+    requirement, ok = _RULES[rule]
+    bad = {name: next((v for v in _numbers(value) if not (math.isfinite(v) and ok(v))), None)
+           for name, value in values.items()}
+    return [f"{name} must be {requirement}, not {v}" for name, v in bad.items() if v is not None]
+
+
+def check_range(rule: str, **values) -> None:
+    """Refuse the first field of ``values`` that `range_faults` finds at
+    fault: the one range check of every scenario number."""
+    faults = range_faults(rule, **values)
+    if faults:
+        raise ValueError(faults[0])
 
 
 def per_axis(pair: tuple) -> tuple:
@@ -64,9 +99,8 @@ class UavParams:
     J_phi: float = 1.25      # roll inertia, kg m^2
 
     def __post_init__(self):
-        for name in ("m", "g", "l", "J_psi", "J_theta", "J_phi"):
-            if not getattr(self, name) > 0:
-                raise ValueError(f"UavParams.{name} must be strictly positive")
+        check_range("positive", m=self.m, g=self.g, l=self.l, J_psi=self.J_psi,
+                    J_theta=self.J_theta, J_phi=self.J_phi)
         # Set here, as the fields are, rather than cached on first read, so
         # that every attribute read on the object stays on the fast path.
         object.__setattr__(self, "axis_inertia",
@@ -87,11 +121,13 @@ class UncertaintyModel:
     delta_constant: tuple[float, ...] = (0.0,) * 6
 
     def __post_init__(self):
-        if len(self.drag) != 6 or len(self.delta_sinusoids) != 6 \
-                or len(self.delta_constant) != 6:
-            raise ValueError("uncertainty model fields must have one entry per axis")
-        if any(c < 0 for c in self.drag):
-            raise ValueError("drag coefficients must be nonnegative")
+        for name in ("drag", "delta_sinusoids", "delta_constant"):
+            if len(getattr(self, name)) != 6:
+                raise ValueError(f"{name} must hold 6 entries, one per axis, "
+                                 f"not {len(getattr(self, name))}")
+        check_range("nonnegative", drag=self.drag)
+        check_range("finite", delta_sinusoids=self.delta_sinusoids,
+                    delta_constant=self.delta_constant)
         # Per axis, the disturbance Delta_i as a function of time; set here,
         # as `UavParams` sets its per-axis table.
         object.__setattr__(self, "_disturbances", tuple(

@@ -28,7 +28,7 @@ from typing import Sequence
 import numpy as np
 
 from .estimators import AxisMeasurement
-from .plant import check_pair, per_axis
+from .plant import check_pair, check_range, per_axis
 
 __all__ = [
     "NoiseMixture", "LargeErrorModel", "LargeErrorProcess",
@@ -57,11 +57,10 @@ class NoiseMixture:
     impulse_magnitude: float = 0.0
 
     def __post_init__(self):
-        for name in ("gaussian_std", "uniform_halfwidth", "impulse_magnitude"):
-            if not 0.0 <= getattr(self, name) < math.inf:
-                raise ValueError(f"{name} must be nonnegative and finite")
-        if not 0.0 <= self.impulse_prob <= 1.0:
-            raise ValueError("impulse_prob must be in [0, 1]")
+        check_range("nonnegative", gaussian_std=self.gaussian_std,
+                    uniform_halfwidth=self.uniform_halfwidth,
+                    impulse_magnitude=self.impulse_magnitude)
+        check_range("in [0, 1]", impulse_prob=self.impulse_prob)
 
 
 def sample_noise(mix: NoiseMixture, rng: np.random.Generator) -> float:
@@ -93,16 +92,9 @@ class LargeErrorModel:
     bound: float = 0.0
 
     def __post_init__(self):
-        if not math.isfinite(self.constant):
-            raise ValueError("constant must be finite")
-        if not all(math.isfinite(v) for triple in self.sinusoids for v in triple):
-            raise ValueError("sinusoids must hold finite (amplitude, frequency, phase) "
-                             "triples")
-        for name in ("bound", "walk_step"):
-            if not 0.0 <= getattr(self, name) < math.inf:
-                raise ValueError(f"{name} must be nonnegative and finite")
-        if not 0.0 < self.walk_period < math.inf:
-            raise ValueError("walk_period must be positive and finite")
+        check_range("finite", constant=self.constant, sinusoids=self.sinusoids)
+        check_range("nonnegative", walk_step=self.walk_step, bound=self.bound)
+        check_range("positive", walk_period=self.walk_period)
 
 
 def _fold(value: float, bound: float) -> float:
@@ -167,13 +159,14 @@ class SensorConfig:
     velocity_noise: tuple[NoiseMixture, NoiseMixture] = (NoiseMixture(),) * 2
 
     def __post_init__(self):
-        if self.position_period <= 0 or self.velocity_period <= 0:
-            raise ValueError("sensor update periods must be positive")
+        check_range("positive", position_period=self.position_period,
+                    velocity_period=self.velocity_period)
+        check_range("finite", dropouts=self.dropouts)
+        bad = next((d for d in self.dropouts if len(d) != 2 or not d[0] < d[1]), None)
+        if bad is not None:
+            raise ValueError(f"dropouts must be (start, end) pairs with start < end, not {bad}")
         for name in ("large_error", "position_noise", "velocity_noise"):
             check_pair(name, getattr(self, name))
-        for start, end in self.dropouts:
-            if end <= start:
-                raise ValueError("dropout intervals must satisfy start < end")
 
     def in_dropout(self, t: float) -> bool:
         return any(start <= t < end for start, end in self.dropouts)

@@ -135,6 +135,10 @@ REFUSED_VALUES = [
     ("uncertainty.l_sigma", 1.0),
     ("control_source", "truth"),
     ("uncertainty_feed", "zero"),
+    ("control.kp1", -1),
+    ("uav.m", 0),
+    ("sensors.position_period", -1),
+    ("sensors.dropouts", [[35, 25]]),
 ]
 
 
@@ -334,11 +338,39 @@ def test_cli_validate_reports_rules_and_a_config_error_together(tmp_path, sec6_d
     assert main(["validate", "--config", cfgp]) == 1
     captured = capsys.readouterr()
     assert "corrector/position: stable=False" in captured.out
-    assert "k1 must be positive and finite (got -1.0)" in captured.out
+    assert "k1 must be positive and finite, not -1.0" in captured.out
     assert "validation" not in captured.out
     assert captured.err.startswith("config error:") and captured.err.count("\n") == 1
     assert "estimator_init" in captured.err
     assert main(["run", "--config", cfgp, "--out", str(tmp_path / "o")]) == 1
+
+
+# Out-of-range values, each refused by its scenario class, and the message
+# that names its dotted key.  A per-axis field is named by its field key.
+OUT_OF_RANGE = [
+    ("control.kp1", -1, "control.kp1 must be positive and finite, not -1.0"),
+    ("uav.m", 0, "uav.m must be positive and finite, not 0.0"),
+    ("sensors.position_period", -1,
+     "sensors.position_period must be positive and finite, not -1.0"),
+    ("sensors.dropouts", [[35, 25]],
+     "sensors.dropouts must be (start, end) pairs with start < end, not (35.0, 25.0)"),
+    ("uncertainty.drag.x", -0.5,
+     "uncertainty.drag must be nonnegative and finite, not -0.5"),
+]
+
+
+@pytest.mark.parametrize("command", ["run", "validate"])
+@pytest.mark.parametrize("path, value, message", OUT_OF_RANGE,
+                         ids=[p for p, _, _ in OUT_OF_RANGE])
+def test_cli_out_of_range_value_is_one_line_naming_its_key(tmp_path, sec6_doc, capsys,
+                                                            command, path, value, message):
+    cfgp = tmp_path / "bad.cfg"
+    cfgp.write_text(json.dumps(_edit(sec6_doc, path, value)))
+    out = tmp_path / "out"
+    argv = [command, "--config", str(cfgp)] + (["--out", str(out)] if command == "run" else [])
+    assert main(argv) == 1
+    assert capsys.readouterr().err == f"config error: {message}\n"
+    assert not out.exists()
 
 
 def test_cli_validate_unknown_trajectory_kind(tmp_path, sec6_doc, capsys):

@@ -241,6 +241,14 @@ def test_sensor_period_off_a_whole_multiple_of_dt_is_refused_at_build(sec6):
         replace(sec6, dt=0.003)
 
 
+@pytest.mark.parametrize("seed", [1.5, True], ids=["1.5", "True"])
+def test_scenario_refuses_a_seed_that_is_not_an_integer(sec6, seed):
+    # 1.5 would fail in the sensors' seed streams; True would run as seed 1
+    # and be saved as `true`.
+    with pytest.raises(ValueError, match=f"^seed must be a nonnegative integer, not {seed}$"):
+        replace(sec6, seed=seed)
+
+
 @pytest.mark.parametrize("value", [math.inf, math.nan, 0.0, -0.01])
 def test_bad_sample_interval_is_named(sec6, value):
     with pytest.raises(ValueError, match="sample_interval"):
@@ -316,7 +324,7 @@ def test_metrics_rms_of_huge_errors_is_finite():
     data[:, TraceLog.COLUMNS.index("corr_x")] = 1e200
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        m = metrics(TraceLog(data), settle=0.0)
+        m = metrics(TraceLog(data), settle=0.0, scenario=ScenarioConfig())
     assert m["corrector"]["x"] == {"max": 1e200, "rms": 1e200}
 
 
@@ -324,16 +332,16 @@ def test_metrics_requires_settle_before_end():
     cfg = hover_config(duration=2.0)
     trace = run_scenario(cfg)
     with pytest.raises(ValueError):
-        metrics(trace, settle=2.5)
+        metrics(trace, settle=2.5, scenario=cfg)
 
 
 def test_metrics_keys_stable():
     cfg = hover_config(duration=2.0)
-    m = metrics(run_scenario(cfg), settle=1.0)
+    m = metrics(run_scenario(cfg), settle=1.0, scenario=cfg)
     assert set(m) == {"settle", "duration", "corrector", "ekf", "observer", "drift"}
     assert set(m["corrector"]) == {"x", "y", "z", "psi", "theta", "phi"}
     assert set(m["ekf"]) == {"x", "y", "z"}
-    assert m["observer"] == {}  # no scenario supplied
+    assert set(m["observer"]) == set(m["corrector"])
 
 
 # ------------------------------------------------------------ studies
@@ -380,7 +388,7 @@ def test_tune_ekf_process_noise_returns_grid_in_order_and_argmin():
     assert [row["q"] for row in rows] == q_values
     for row in rows:
         run_cfg = replace(cfg, ekf=replace(cfg.ekf, q=row["q"]))
-        summary = metrics(run_scenario(run_cfg), 2.0)
+        summary = metrics(run_scenario(run_cfg), 2.0, run_cfg)
         mean_rms = sum(summary["ekf"][a]["rms"] for a in ("x", "y", "z")) / 3.0
         assert row["ekf_mean_rms"] == pytest.approx(mean_rms, rel=1e-15, abs=0.0)
     assert len({row["ekf_mean_rms"] for row in rows}) == 3
@@ -402,23 +410,24 @@ def test_sweep_refusals_are_config_errors_naming_the_value():
         sweep_parameter(cfg, "eps_o", [0.5], jobs=0)
     with pytest.raises(ConfigError) as err:
         sweep_parameter(cfg, "eps_c", [0.5, 1.5], settle=0.5)
-    assert str(err.value) == "eps_c=1.5: eps_c must be in (0, 1) (got 1.5)"
+    assert str(err.value) == "eps_c=1.5: eps_c must be in (0, 1), not 1.5"
 
 
 def test_metrics_window_without_a_sample_is_a_config_error():
     # Rows 0.01 s apart: the drift reference window [0.025, 0.0275) holds none.
-    trace = run_scenario(hover_config(duration=0.05))
+    cfg = hover_config(duration=0.05)
+    trace = run_scenario(cfg)
     with pytest.raises(ConfigError) as err:
-        metrics(trace, settle=0.025)
+        metrics(trace, settle=0.025, scenario=cfg)
     assert str(err.value) == ("no trace sample in the drift reference window "
                               "[0.025, 0.0275) s of the 0.05 s trace")
     with pytest.raises(ConfigError, match="steady-state window"):
-        metrics(trace, settle=0.06)
+        metrics(trace, settle=0.06, scenario=cfg)
 
 
 @pytest.mark.parametrize("field", ["radius", "speed", "altitude", "climb_time"])
 def test_circle_trajectory_spec_is_refused_at_build_naming_its_field(field):
-    with pytest.raises(ValueError, match=f"^{field} must be positive, not 0"):
+    with pytest.raises(ValueError, match=f"^{field} must be positive and finite, not 0.0$"):
         TrajectorySpec(**{field: 0.0})
 
 

@@ -119,10 +119,16 @@ def test_observer_natural_frequency_amplitude_scaling():
 
 
 def test_natural_frequency_rejects_bad_amplitude():
-    with pytest.raises(ValueError):
-        corrector_natural_frequency(FLIGHT_CORRECTOR, 0.0)
-    with pytest.raises(ValueError):
-        observer_natural_frequency(FLIGHT_OBSERVER, -1.0)
+    # Each analysis function refuses an amplitude that is not positive and
+    # finite; a NaN amplitude used to give a NaN frequency or matrix.
+    for call in (lambda a: corrector_natural_frequency(FLIGHT_CORRECTOR, a),
+                 lambda a: observer_natural_frequency(FLIGHT_OBSERVER, a),
+                 lambda a: linearize_corrector(FLIGHT_CORRECTOR, a, a),
+                 lambda a: linearize_observer(FLIGHT_OBSERVER, a)):
+        for amplitude in (math.nan, math.inf, 0.0, -1.0):
+            with pytest.raises(ValueError, match=rf"^a_[co]1? must be positive and finite, "
+                                                 rf"not {amplitude}$"):
+                call(amplitude)
 
 
 # ---------------------------------------------------------- linearization
