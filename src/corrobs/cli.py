@@ -35,7 +35,7 @@ from .config import (BUNDLED_CONFIGS, bundled_config_path, estimator_values,
 from .engine import (SWEEPABLE_PARAMETERS, ConfigError, ScenarioConfig,
                      SimulationDiverged, decoupling_check, metrics, run_scenario,
                      sweep_parameter, write_csv)
-from .plant import AXIS_NAMES
+from .plant import AXIS_NAMES, range_faults
 
 EXIT_OK = 0
 EXIT_CONFIG = 1
@@ -211,20 +211,18 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_CONFIG, f"{self.prog}: error: {message}\n")
 
 
-def _number_arg(ok, requirement: str):
-    """An argparse type: the float a flag's text reads as, if ``ok`` holds
-    for it."""
+def _number_arg(rule: str):
+    """An argparse type: the float a flag's text reads as, if it keeps
+    ``rule``, a range rule of `plant.check_range`."""
 
-    def parse(text: str) -> float:
-        try:
-            value = float(text)
-        except ValueError:
-            value = math.nan
-        if not ok(value):
-            raise argparse.ArgumentTypeError(f"must be {requirement}, not {text!r}")
+    def number(text: str) -> float:
+        value = float(text)     # argparse reports text that is not a number
+        faults = range_faults(rule, value=value)
+        if faults:
+            raise argparse.ArgumentTypeError(faults[0])
         return value
 
-    return parse
+    return number
 
 
 def _values_arg(text: str) -> list[float]:
@@ -248,7 +246,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--out": dict(default="out", help="output directory"),
         "--seed": dict(type=int, default=None, help="seed override"),
         "--duration": dict(type=float, default=None, help="duration override, seconds"),
-        "--settle": dict(type=_number_arg(lambda v: v >= 0.0, "a number >= 0"),
+        "--settle": dict(type=_number_arg("nonnegative"),
                          default=20.0, help="settling time before steady-state metrics"),
     }
 
@@ -269,7 +267,7 @@ def build_parser() -> argparse.ArgumentParser:
                "--seed", "--duration")
     p = subcommand("analyze", cmd_analyze, "describing-function analysis", "--out")
     p.add_argument("--amplitude", default=1.0,
-                   type=_number_arg(lambda v: 0.0 < v < math.inf, "positive and finite"),
+                   type=_number_arg("positive"),
                    help="innovation oscillation amplitude")
     p = subcommand("sweep", cmd_sweep, "parameter sweep", *run_flags)
     p.add_argument("--param", required=True,

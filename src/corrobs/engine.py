@@ -26,7 +26,7 @@ from .ekf import (EkfConfig, EkfDivergence, ekf_init, ekf_predict, ekf_update,
                   process_noise)
 from .estimators import (CorrectorParams, CorrectorState, ObserverParams,
                          ObserverState, step_corrector, step_observer)
-from .plant import (AXIS_NAMES, UavParams, UncertaintyModel, check_pair, check_range,
+from .plant import (AXIS_NAMES, UavParams, UncertaintyModel, check_range,
                     input_acceleration_scalars, per_axis, plant_axes, step_plant,
                     true_delta)
 from .sensors import (LargeErrorModel, NoiseMixture, SensorConfig, SensorSuite,
@@ -58,9 +58,6 @@ def _diverged(tick: int, t: float, stage: str, what) -> SimulationDiverged:
                               f"in the {stage} stage: {what}")
 
 
-TRAJECTORY_KINDS = ("circle", "hover")
-
-
 @dataclass(frozen=True)
 class TrajectorySpec:
     kind: str = "circle"
@@ -72,9 +69,7 @@ class TrajectorySpec:
     start_y: float = 0.0
 
     def __post_init__(self):
-        if self.kind not in TRAJECTORY_KINDS:
-            raise ValueError(f"kind must be one of: {', '.join(TRAJECTORY_KINDS)}; "
-                             f"not {self.kind!r}")
+        check_range(("circle", "hover"), kind=self.kind)
         check_range("finite", radius=self.radius, speed=self.speed, altitude=self.altitude,
                     climb_time=self.climb_time, start_x=self.start_x, start_y=self.start_y)
         self.build()    # a trajectory that cannot be built is refused here
@@ -132,12 +127,9 @@ class ScenarioConfig:
             whole_multiple(f"sensors.{name}", getattr(self.sensors, name), "dt", self.dt)
         whole_multiple("sample_interval", self.sample_interval, "dt", self.dt)
         whole_multiple("duration", self.duration, "sample_interval", self.sample_interval)
-        for name in ("correctors", "observers"):
-            check_pair(name, getattr(self, name))
-        if self.estimator_init not in ("first_measurement", "truth"):
-            raise ValueError("estimator_init must be 'first_measurement' or 'truth'")
-        if len(self.initial_offset) != 12:
-            raise ValueError("initial_offset needs 12 components")
+        check_range("pair", correctors=self.correctors, observers=self.observers)
+        check_range(("first_measurement", "truth"), estimator_init=self.estimator_init)
+        check_range("per state", initial_offset=self.initial_offset)
 
 
 # The trace row's column groups, in order: (column-name prefix, axes).  The
@@ -242,8 +234,7 @@ def run_scenario(cfg: ScenarioConfig, *, control_replay: np.ndarray | None = Non
 
     pert_tick = -1                # no tick is perturbed
     if perturb is not None:
-        if perturb not in ("corrector", "observer"):
-            raise ValueError(f"unknown perturbation target: {perturb}")
+        check_range(("corrector", "observer"), perturb=perturb)
         when = _PERTURB_AT * cfg.duration
         pert_tick = next((i for i in range(1, n_ticks + 1) if i * dt >= when), -1)
     replay = None
@@ -344,9 +335,16 @@ def run_scenario(cfg: ScenarioConfig, *, control_replay: np.ndarray | None = Non
     return TraceLog(rows)
 
 
+def _window(t: np.ndarray, name: str, start: float, end: float = math.inf):
+    """The (row mask, description) of the ``name`` window [start, end) of
+    the sample times ``t``, for `_window_stats`."""
+    return ((t >= start) & (t < end),
+            f"{name} window [{start:g}, {end:g}) s of the {float(t[-1]):g} s trace")
+
+
 def _window_stats(err: np.ndarray, window: tuple[np.ndarray, str]) -> tuple[float, float]:
-    """Max and RMS of ``err`` over a (row mask, description) window of
-    `metrics`; a window with no trace sample is a ConfigError.  A finite
+    """Max and RMS of ``err`` over a (row mask, description) window from
+    `_window`; a window with no trace sample is a ConfigError.  A finite
     ``err`` has a finite RMS."""
     mask, where = window
     seg = err[mask]
@@ -373,14 +371,10 @@ def metrics(trace: TraceLog, settle: float, scenario: ScenarioConfig) -> dict:
     """
     t = trace.time
     duration = float(t[-1])
-
-    def window(name: str, start: float, end: float = math.inf):
-        return ((t >= start) & (t < end),
-                f"{name} window [{start:g}, {end:g}) s of the {duration:g} s trace")
-
     ref_end = max(0.1 * duration, settle + 0.1 * (duration - settle))
-    steady = window("steady-state", settle)
-    reference, late = window("drift reference", settle, ref_end), window("drift late", ref_end)
+    steady = _window(t, "steady-state", settle)
+    reference, late = (_window(t, "drift reference", settle, ref_end),
+                       _window(t, "drift late", ref_end))
 
     out: dict = {"settle": settle, "duration": duration,
                  "corrector": {}, "ekf": {}, "observer": {}, "drift": {}}
@@ -425,11 +419,10 @@ class SweepResult:
         return all(b <= a + slack for a, b in zip(col, col[1:]))
 
 
-def _descending_eps(eps_values: Sequence[float]) -> list[float]:
-    """The time-scale values of a study as a list; each in (0, 1), strictly descending."""
-    values = list(eps_values)
-    if any(not 0.0 < v < 1.0 for v in values):
-        raise ValueError("eps values must lie in (0, 1)")
+def _descending_eps(eps_values: Sequence[float]) -> tuple[float, ...]:
+    """The time-scale values of a study as a tuple; each in (0, 1), strictly descending."""
+    values = tuple(eps_values)
+    check_range("in (0, 1)", eps_values=values)
     if any(b >= a for a, b in zip(values, values[1:])):
         raise ValueError("eps values must be strictly descending")
     return values
@@ -441,7 +434,8 @@ def convergence_study(cfg: ScenarioConfig, eps_values: Sequence[float],
 
     Runs the noise-free scenario with a constant bias of 20 on every axis
     (hover, estimators started at the true state) for each eps_c and reports
-    the steady-state max position and velocity estimate errors.  The
+    the steady-state max position and velocity estimate errors, over the
+    trace samples from ``settle`` on (at least one, or a ConfigError).  The
     error-order bound shrinks with eps_c, so the measured error must be
     non-increasing as eps_c decreases; in practice the bias is rejected so
     completely that every row sits at the numerical floor.
@@ -462,14 +456,11 @@ def convergence_study(cfg: ScenarioConfig, eps_values: Sequence[float],
         run_cfg = replace(base, correctors=tuple(
             replace(c, eps_c=eps) for c in base.correctors))
         trace = run_scenario(run_cfg)
-        t = trace.time
-        mask = t >= settle
-        pos_err = max(
-            float(np.max(np.abs(trace.column(f"corr_{n}") - trace.column(f"true_{n}"))[mask]))
-            for n in AXIS_NAMES[:3])
-        vel_err = max(
-            float(np.max(np.abs(trace.column(f"corr_v{n}") - trace.column(f"true_v{n}"))[mask]))
-            for n in AXIS_NAMES[:3])
+        steady = _window(trace.time, "settle", settle)
+        pos_err, vel_err = (max(
+            _window_stats(np.abs(trace.column(f"corr_{p}{n}") - trace.column(f"true_{p}{n}")),
+                          steady)[0]
+            for n in AXIS_NAMES[:3]) for p in ("", "v"))     # position, then velocity
         rows.append({"eps_c": eps, "max_e1": pos_err, "max_e2": vel_err})
     return SweepResult(rows)
 
@@ -482,23 +473,25 @@ def observer_ramp_study(eps_values: Sequence[float], duration: float = 40.0,
     each value: sigma(t) = 0.2 t, h = 0, clean velocity measurement refreshed
     every step.  The steady uncertainty-estimate error shrinks as eps_o
     decreases (error-order property), which is measurable here because the
-    ramp keeps a persistent innovation alive.
+    ramp keeps a persistent innovation alive.  ``duration`` is a whole number
+    of steps, and the error is taken over the steps from ``settle`` on (at
+    least one, or a ConfigError).
     """
     values = _descending_eps(eps_values)
     ramp_rate = 0.2
-    n = int(round(duration / dt))
+    n = whole_multiple("duration", duration, "dt", dt)
+    steady = _window(np.arange(n) * dt, "settle", settle)
     rows = []
     for eps in values:
         p = replace(_DEFAULT_OBSERVER, eps_o=eps)
         st = ObserverState(0.0, 0.0)
-        worst = 0.0
+        errors = []
         for i in range(n):
             t = i * dt
             y2 = 0.5 * ramp_rate * t * t
             st = step_observer(st, y2, 0.0, p, dt)
-            if t >= settle:
-                worst = max(worst, abs(st.xhat4 - ramp_rate * (t + dt)))
-        rows.append({"eps_o": eps, "max_e4": worst})
+            errors.append(abs(st.xhat4 - ramp_rate * (t + dt)))
+        rows.append({"eps_o": eps, "max_e4": _window_stats(np.array(errors), steady)[0]})
     return SweepResult(rows)
 
 

@@ -18,6 +18,8 @@ from __future__ import annotations
 import math
 from math import copysign, isfinite
 
+from .plant import check_range
+
 __all__ = ["falpha", "relay_step"]
 
 
@@ -31,10 +33,8 @@ def falpha(v: float, alpha: float) -> float:
     Returns:
         ``|v|**alpha`` carrying the sign of ``v``; exactly 0.0 at v = 0.
     """
-    if not 0.0 < alpha <= 1.0:
-        raise ValueError(f"alpha must be in (0, 1], got {alpha}")
-    if not math.isfinite(v):
-        raise ValueError(f"non-finite input to falpha: {v}")
+    check_range("in (0, 1]", alpha=alpha)
+    check_range("finite", v=v)
     if v == 0.0:
         return 0.0
     return math.copysign(abs(v) ** alpha, v)

@@ -62,8 +62,7 @@ def omega_coefficient(alpha: float) -> float:
     (2/pi) * B((alpha+2)/2, 1/2) = (2/sqrt(pi)) * Gamma((alpha+2)/2) / Gamma((alpha+3)/2);
     exactly 1.0 at alpha = 1.
     """
-    if not 0.0 < alpha <= 1.0:
-        raise ValueError(f"alpha must be in (0, 1], got {alpha}")
+    check_range("in (0, 1]", alpha=alpha)
     return 2.0 / math.sqrt(math.pi) * math.gamma(0.5 * (alpha + 2.0)) \
         / math.gamma(0.5 * (alpha + 3.0))
 
@@ -190,10 +189,7 @@ def filtering_advice(params: CorrectorParams | ObserverParams,
     error grows, the corrector's k1 and alpha_c should decrease to shrink the
     residual error term k1*L_d^(alpha_c/(2-alpha_c)).
     """
-    levels = ("none", "low", "moderate", "high")
-    if noise_level not in levels:
-        raise ValueError(f"noise_level must be one of {levels}")
-
+    check_range(("none", "low", "moderate", "high"), noise_level=noise_level)
     advice = []
     if isinstance(params, CorrectorParams):
         wn = corrector_natural_frequency(params, 1.0)

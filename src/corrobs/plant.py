@@ -25,29 +25,31 @@ from typing import Sequence
 import numpy as np
 
 __all__ = [
-    "UavParams", "UncertaintyModel", "AXIS_NAMES", "check_pair", "check_range", "range_faults",
-    "per_axis", "true_delta", "input_acceleration_scalars", "plant_axes", "step_plant",
+    "UavParams", "UncertaintyModel", "AXIS_NAMES", "check_range", "range_faults", "per_axis",
+    "sinusoid_sum", "true_delta", "input_acceleration_scalars", "plant_axes", "step_plant",
 ]
 
 AXIS_NAMES = ("x", "y", "z", "psi", "theta", "phi")
 
 
-def check_pair(name: str, pair: tuple) -> None:
-    """Refuse field ``name`` unless it is a (position group, attitude group) pair."""
-    if len(pair) != 2:
-        raise ValueError(f"{name} must hold 2 entries, (position group, attitude group), "
-                         f"not {len(pair)}")
-
-
-# The range rules of scenario numbers: each rule's requirement, as a refusal
-# states it, and its test of one finite number.  Every rule requires a finite
-# number.
-_RULES = {
+# The rules a configured value can break, by name.  A range rule holds its
+# requirement, as a refusal states it, and its test of one finite number; every
+# range rule requires finite numbers.  A length rule holds the number of
+# entries and what they are.
+_RANGES = {
     "finite": ("finite", lambda v: True),
     "positive": ("positive and finite", lambda v: v > 0.0),
     "nonnegative": ("nonnegative and finite", lambda v: v >= 0.0),
     "in (0, 1)": ("in (0, 1)", lambda v: 0.0 < v < 1.0),
+    "in (0, 1]": ("in (0, 1]", lambda v: 0.0 < v <= 1.0),
     "in [0, 1]": ("in [0, 1]", lambda v: 0.0 <= v <= 1.0),
+}
+_LENGTHS = {
+    "pair": (2, "(position group, attitude group)"),
+    "per axis": (6, "one per axis"),
+    "per state": (12, "one per state"),
+    "interval": (2, "(start, end)"),
+    "sinusoid": (3, "(amplitude, angular frequency, phase)"),
 }
 
 
@@ -56,19 +58,34 @@ def _numbers(value) -> list:
     return [n for v in value for n in _numbers(v)] if isinstance(value, tuple) else [value]
 
 
-def range_faults(rule: str, **values) -> list[str]:
-    """One message per field of ``values`` (by name) holding a number that
-    breaks ``rule``, a key of `_RULES`: "{field} must be {requirement}, not
-    {number}", naming the field's first such number."""
-    requirement, ok = _RULES[rule]
-    bad = {name: next((v for v in _numbers(value) if not (math.isfinite(v) and ok(v))), None)
-           for name, value in values.items()}
-    return [f"{name} must be {requirement}, not {v}" for name, v in bad.items() if v is not None]
+def _fault(rule: str | tuple[str, ...], name: str, value) -> str | None:
+    if isinstance(rule, tuple):
+        return None if value in rule else (
+            f"{name} must be one of {', '.join(map(repr, rule))}, not {value!r}")
+    if rule in _LENGTHS:
+        n, entries = _LENGTHS[rule]
+        return None if len(value) == n else (
+            f"{name} must hold {n} entries, {entries}, not {len(value)}")
+    requirement, ok = _RANGES[rule]
+    bad = next((v for v in _numbers(value) if not (math.isfinite(v) and ok(v))), None)
+    return None if bad is None else f"{name} must be {requirement}, not {bad}"
 
 
-def check_range(rule: str, **values) -> None:
+def range_faults(rule: str | tuple[str, ...], **values) -> list[str]:
+    """One message per field of ``values`` (by name) that breaks ``rule``.
+
+    ``rule`` is a range rule of `_RANGES` ("{field} must be {requirement},
+    not {number}", naming the field's first such number, nested tuples
+    included), a length rule of `_LENGTHS` ("{field} must hold {n} entries,
+    {what they are}, not {count}") or a tuple of the names a field may be
+    ("{field} must be one of {names}, not {value}").
+    """
+    return [m for m in (_fault(rule, name, v) for name, v in values.items()) if m]
+
+
+def check_range(rule: str | tuple[str, ...], **values) -> None:
     """Refuse the first field of ``values`` that `range_faults` finds at
-    fault: the one range check of every scenario number."""
+    fault: the one check of every rule a configured value can break."""
     faults = range_faults(rule, **values)
     if faults:
         raise ValueError(faults[0])
@@ -121,21 +138,24 @@ class UncertaintyModel:
     delta_constant: tuple[float, ...] = (0.0,) * 6
 
     def __post_init__(self):
-        for name in ("drag", "delta_sinusoids", "delta_constant"):
-            if len(getattr(self, name)) != 6:
-                raise ValueError(f"{name} must hold 6 entries, one per axis, "
-                                 f"not {len(getattr(self, name))}")
+        check_range("per axis", drag=self.drag, delta_sinusoids=self.delta_sinusoids,
+                    delta_constant=self.delta_constant)
+        check_range("sinusoid", **{f"delta_sinusoids[{a}][{i}]": s
+                                   for a, sins in enumerate(self.delta_sinusoids)
+                                   for i, s in enumerate(sins)})
         check_range("nonnegative", drag=self.drag)
         check_range("finite", delta_sinusoids=self.delta_sinusoids,
                     delta_constant=self.delta_constant)
         # Per axis, the disturbance Delta_i as a function of time; set here,
         # as `UavParams` sets its per-axis table.
         object.__setattr__(self, "_disturbances", tuple(
-            partial(_sinusoid_sum, const, sins)
+            partial(sinusoid_sum, const, sins)
             for const, sins in zip(self.delta_constant, self.delta_sinusoids)))
 
 
-def _sinusoid_sum(const: float, sinusoids, t: float) -> float:
+def sinusoid_sum(const: float, sinusoids, t: float) -> float:
+    """``const`` plus the (amplitude, angular frequency, phase) ``sinusoids``
+    at time ``t``, added in order."""
     val = const
     for amp, omega, phase in sinusoids:
         val += amp * math.sin(omega * t + phase)

@@ -28,7 +28,7 @@ from typing import Sequence
 import numpy as np
 
 from .estimators import AxisMeasurement
-from .plant import check_pair, check_range, per_axis
+from .plant import check_range, per_axis, sinusoid_sum
 
 __all__ = [
     "NoiseMixture", "LargeErrorModel", "LargeErrorProcess",
@@ -92,6 +92,7 @@ class LargeErrorModel:
     bound: float = 0.0
 
     def __post_init__(self):
+        check_range("sinusoid", **{f"sinusoids[{i}]": s for i, s in enumerate(self.sinusoids)})
         check_range("finite", constant=self.constant, sinusoids=self.sinusoids)
         check_range("nonnegative", walk_step=self.walk_step, bound=self.bound)
         check_range("positive", walk_period=self.walk_period)
@@ -130,10 +131,7 @@ class LargeErrorProcess:
                 step = m.walk_step if self._rng.random() < 0.5 else -m.walk_step
                 self._walk = _fold(self._walk + step, m.bound)
                 self._next_walk_t += m.walk_period
-        raw = m.constant + self._walk
-        for amp, omega, phase in m.sinusoids:
-            raw += amp * math.sin(omega * t + phase)
-        return _fold(raw, m.bound)
+        return _fold(sinusoid_sum(m.constant + self._walk, m.sinusoids, t), m.bound)
 
 
 # AxisMeasurement from a (y_o1, y_o2, y_o1_fresh) tuple, without the
@@ -161,12 +159,13 @@ class SensorConfig:
     def __post_init__(self):
         check_range("positive", position_period=self.position_period,
                     velocity_period=self.velocity_period)
+        check_range("interval", **{f"dropouts[{i}]": d for i, d in enumerate(self.dropouts)})
         check_range("finite", dropouts=self.dropouts)
-        bad = next((d for d in self.dropouts if len(d) != 2 or not d[0] < d[1]), None)
+        bad = next((d for d in self.dropouts if not d[0] < d[1]), None)
         if bad is not None:
             raise ValueError(f"dropouts must be (start, end) pairs with start < end, not {bad}")
-        for name in ("large_error", "position_noise", "velocity_noise"):
-            check_pair(name, getattr(self, name))
+        check_range("pair", large_error=self.large_error, position_noise=self.position_noise,
+                    velocity_noise=self.velocity_noise)
 
     def in_dropout(self, t: float) -> bool:
         return any(start <= t < end for start, end in self.dropouts)

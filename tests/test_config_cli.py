@@ -5,6 +5,7 @@ import json
 import subprocess
 import sys
 from dataclasses import fields, is_dataclass, replace
+from pathlib import Path
 
 import pytest
 
@@ -139,6 +140,9 @@ REFUSED_VALUES = [
     ("uav.m", 0),
     ("sensors.position_period", -1),
     ("sensors.dropouts", [[35, 25]]),
+    ("estimator_init", "bogus"),
+    ("trajectory.kind", "spiral"),
+    ("initial_offset", [0.0]),
 ]
 
 
@@ -356,6 +360,11 @@ OUT_OF_RANGE = [
      "sensors.dropouts must be (start, end) pairs with start < end, not (35.0, 25.0)"),
     ("uncertainty.drag.x", -0.5,
      "uncertainty.drag must be nonnegative and finite, not -0.5"),
+    ("estimator_init", "bogus",
+     "estimator_init must be one of 'first_measurement', 'truth', not 'bogus'"),
+    ("trajectory.kind", "spiral",
+     "trajectory.kind must be one of 'circle', 'hover', not 'spiral'"),
+    ("initial_offset", [0.0], "initial_offset must hold 12 entries, one per state, not 1"),
 ]
 
 
@@ -524,7 +533,7 @@ def test_cli_analyze_overflowing_linearization_names_the_flag(tmp_path, sec6_doc
     assert not (tmp_path / "o").exists()
 
 
-@pytest.mark.parametrize("settle", ["nan", "-1"])
+@pytest.mark.parametrize("settle", ["nan", "-1", "inf"])
 def test_cli_run_bad_settle_writes_nothing(tmp_path, sec6_doc, capsys, settle):
     cfgp = write_quick(sec6_doc, tmp_path, duration=1.0)
     with pytest.raises(SystemExit) as stop:
@@ -708,8 +717,11 @@ def test_cli_exit_code_table(tmp_path, sec6_doc, capsys, monkeypatch,
 
 
 def test_cli_entry_point_runs():
+    # Run from `src/`, so that the package imports whether or not it is
+    # installed or on PYTHONPATH.
     proc = subprocess.run([sys.executable, "-m", "corrobs.cli", "--help"],
-                          capture_output=True, text=True)
+                          capture_output=True, text=True,
+                          cwd=Path(__file__).resolve().parents[1] / "src")
     assert proc.returncode == 0
     assert "run" in proc.stdout and "sweep" in proc.stdout
 

@@ -15,7 +15,8 @@ from corrobs import (AxisMeasurement, CircleTrajectory, ConfigError, ControlGain
                      SensorConfig, SimulationDiverged, TraceLog,
                      TrajectorySpec, UavParams, UncertaintyModel,
                      bundled_config_path, convergence_study, decoupling_check,
-                     engine, load_scenario, metrics, observer_ramp_study, run_scenario,
+                     engine, falpha, filtering_advice, load_scenario, metrics,
+                     observer_ramp_study, omega_coefficient, run_scenario,
                      sweep_parameter, tune_ekf_process_noise)
 from corrobs.engine import SWEEPABLE_PARAMETERS
 from corrobs.plant import AXIS_NAMES
@@ -367,12 +368,27 @@ def test_convergence_study_validates_eps():
     observer_ramp_study,
 ], ids=["convergence_study", "observer_ramp_study"])
 @pytest.mark.parametrize("eps, message", [
-    ([0.5, 1.0], r"eps values must lie in \(0, 1\)"),
+    ([0.5, 1.0], r"eps_values must be in \(0, 1\)"),
     ([0.5, 0.5], "eps values must be strictly descending"),
 ])
 def test_studies_refuse_bad_eps_lists(study, eps, message):
     with pytest.raises(ValueError, match=message):
         study(eps)
+
+
+@pytest.mark.parametrize("study", [
+    lambda **kw: convergence_study(hover_config(), [0.9, 0.5], **kw),
+    lambda **kw: observer_ramp_study([0.9, 0.5], **kw),
+], ids=["convergence_study", "observer_ramp_study"])
+def test_studies_refuse_a_settle_that_leaves_no_sample(study):
+    # A study that measured nothing must not report perfect estimates.
+    with pytest.raises(ConfigError, match=r"^no trace sample in the settle window \[2, inf\) s"):
+        study(duration=1.0, settle=2.0)
+
+
+def test_observer_ramp_study_refuses_an_off_grid_duration():
+    with pytest.raises(ValueError, match="^duration must be a whole multiple of dt$"):
+        observer_ramp_study([0.9], duration=1.0005, settle=0.5)
 
 
 def test_observer_ramp_study_monotone():
@@ -423,6 +439,38 @@ def test_metrics_window_without_a_sample_is_a_config_error():
                               "[0.025, 0.0275) s of the 0.05 s trace")
     with pytest.raises(ConfigError, match="steady-state window"):
         metrics(trace, settle=0.06, scenario=cfg)
+
+
+_SINUSOID = "(amplitude, angular frequency, phase)"
+
+# Refusals that only Python code can reach (a document cannot hold these
+# values), each with its one-line message, which opens with the field name.
+PYTHON_ONLY_REFUSALS = [
+    ("delta_sinusoid_of_two",
+     lambda: UncertaintyModel(delta_sinusoids=(((0.3, 1.0),),) + ((),) * 5),
+     f"delta_sinusoids[0][0] must hold 3 entries, {_SINUSOID}, not 2"),
+    ("sinusoid_of_four", lambda: LargeErrorModel(sinusoids=((0.3, 1.0, 0.0, 2.0),)),
+     f"sinusoids[0] must hold 3 entries, {_SINUSOID}, not 4"),
+    ("empty_sinusoid", lambda: LargeErrorModel(sinusoids=((0.3, 1.0, 0.0), ())),
+     f"sinusoids[1] must hold 3 entries, {_SINUSOID}, not 0"),
+    ("initial_offset", lambda: hover_config(initial_offset=(1.0,)),
+     "initial_offset must hold 12 entries, one per state, not 1"),
+    ("falpha_alpha", lambda: falpha(1.0, 1.5), "alpha must be in (0, 1], not 1.5"),
+    ("falpha_v", lambda: falpha(math.inf, 0.5), "v must be finite, not inf"),
+    ("omega_coefficient", lambda: omega_coefficient(0.0), "alpha must be in (0, 1], not 0.0"),
+    ("filtering_advice", lambda: filtering_advice(ScenarioConfig().observers[0], "extreme"),
+     "noise_level must be one of 'none', 'low', 'moderate', 'high', not 'extreme'"),
+    ("perturb", lambda: run_scenario(hover_config(duration=0.1), perturb="plant"),
+     "perturb must be one of 'corrector', 'observer', not 'plant'"),
+]
+
+
+@pytest.mark.parametrize("build, message", [case[1:] for case in PYTHON_ONLY_REFUSALS],
+                         ids=[case[0] for case in PYTHON_ONLY_REFUSALS])
+def test_python_only_refusal_is_one_message_naming_its_field(build, message):
+    with pytest.raises(ValueError) as err:
+        build()
+    assert str(err.value) == message
 
 
 @pytest.mark.parametrize("field", ["radius", "speed", "altitude", "climb_time"])

@@ -142,6 +142,20 @@ def test_large_error_sinusoid_component():
     assert proc.value(t) == pytest.approx(1.0 + 2.0 * math.sin(0.5 * t), rel=1e-12)
 
 
+def test_large_error_value_is_the_constant_walk_and_sinusoids_bit_for_bit():
+    # The constant plus the walk, then each sinusoid in order, then the fold.
+    model = LargeErrorModel(constant=1.5, sinusoids=((2.0, 0.5, 0.3), (0.7, 3.1, -1.2)),
+                            walk_step=0.25, walk_period=0.1, bound=4.0)
+    proc = LargeErrorProcess(model, rng(5))
+    for k in range(500):
+        t = k * 0.037
+        got = proc.value(t)
+        raw = model.constant + proc._walk
+        for amp, omega, phase in model.sinusoids:
+            raw += amp * math.sin(omega * t + phase)
+        assert got == _fold(raw, model.bound)
+
+
 def test_large_error_requires_nonnegative_time():
     proc = LargeErrorProcess(LargeErrorModel(bound=1.0), rng())
     with pytest.raises(ValueError):
