@@ -31,7 +31,7 @@ from pathlib import Path
 from typing import Any, get_args, get_type_hints
 
 from .engine import ConfigError, ScenarioConfig
-from .plant import AXIS_NAMES
+from .plant import AXIS_NAMES, range_faults
 
 __all__ = ["ConfigError", "load_scenario", "read_document", "scenario_from_dict",
            "scenario_to_dict", "save_scenario", "estimator_values",
@@ -240,7 +240,7 @@ def save_scenario(cfg: ScenarioConfig, path) -> None:
 def bundled_config_path(name: str) -> Path:
     """Filesystem path of one of the shipped scenario documents."""
     stem = name.removesuffix(".cfg")
-    if stem not in BUNDLED_CONFIGS:
-        raise ConfigError(f"unknown bundled config '{name}'; "
-                          f"available: {', '.join(BUNDLED_CONFIGS)}")
+    faults = range_faults(BUNDLED_CONFIGS, config=stem)
+    if faults:
+        raise ConfigError(faults[0])
     return Path(resources.files("corrobs") / "configs" / f"{stem}.cfg")

@@ -24,11 +24,11 @@ from .control import (CircleTrajectory, ControlGains, HoverTrajectory,
                       attitude_control, position_control, uncertainty_rescale)
 from .ekf import (EkfConfig, EkfDivergence, ekf_init, ekf_predict, ekf_update,
                   process_noise)
-from .estimators import (CorrectorParams, CorrectorState, ObserverParams,
+from .estimators import (AxisMeasurement, CorrectorParams, CorrectorState, ObserverParams,
                          ObserverState, step_corrector, step_observer)
 from .plant import (AXIS_NAMES, UavParams, UncertaintyModel, check_range,
-                    input_acceleration_scalars, per_axis, plant_axes, step_plant,
-                    true_delta)
+                    input_acceleration_scalars, per_axis, plant_axes, range_faults,
+                    step_plant, true_delta)
 from .sensors import (LargeErrorModel, NoiseMixture, SensorConfig, SensorSuite,
                       whole_multiple)
 
@@ -195,11 +195,7 @@ class TraceLog:
         return cls(np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2))
 
 
-_PERTURB_AT, _PERTURB_OFFSET = 0.5, 1.0    # share of the duration; state offset
-
-
-def run_scenario(cfg: ScenarioConfig, *, control_replay: np.ndarray | None = None,
-                 perturb: str | None = None) -> TraceLog:
+def run_scenario(cfg: ScenarioConfig) -> TraceLog:
     """Run one scenario and return its TraceLog: the package's one closed loop.
 
     Tick 0 senses the start state and starts the estimators and the EKF on
@@ -212,14 +208,6 @@ def run_scenario(cfg: ScenarioConfig, *, control_replay: np.ndarray | None = Non
     the same frame object while nothing is sampled, and the loop works out
     what it reads from a frame only when the frame changes.
 
-    ``control_replay`` holds one wrench per tick, as the ``u_`` columns of a
-    trace sampled every ``dt`` do; with it the scenario runs open loop (plant
-    and observers driven by the recorded commands instead of the live
-    estimates), which is what the decoupling check uses.  ``perturb``
-    names an estimator bank, ``"corrector"`` or ``"observer"``: its states
-    are offset by 1 once, at the first tick after tick 0 at or after half the
-    duration.
-
     The loop keeps every state as plain floats and calls the public steppers
     with constants worked out once per run; the outputs of each stage are
     checked for finiteness once per tick.
@@ -231,17 +219,6 @@ def run_scenario(cfg: ScenarioConfig, *, control_replay: np.ndarray | None = Non
     sample_every = int(round(cfg.sample_interval / dt))
     suite = SensorSuite(cfg.sensors, cfg.seed, dt)
     vel_every = suite.velocity_every
-
-    pert_tick = -1                # no tick is perturbed
-    if perturb is not None:
-        check_range(("corrector", "observer"), perturb=perturb)
-        when = _PERTURB_AT * cfg.duration
-        pert_tick = next((i for i in range(1, n_ticks + 1) if i * dt >= when), -1)
-    replay = None
-    if control_replay is not None:
-        if len(control_replay) < n_ticks + 1:
-            raise ValueError("control replay shorter than the scenario")
-        replay = control_replay[:n_ticks + 1].tolist()
 
     n_rows = n_ticks // sample_every + 1
     rows = np.empty((n_rows, len(TraceLog.COLUMNS)))
@@ -278,23 +255,12 @@ def run_scenario(cfg: ScenarioConfig, *, control_replay: np.ndarray | None = Non
 
     for i in range(n_ticks + 1):
         t = i * dt
-        if i == pert_tick:
-            if perturb == "observer":
-                obs = [ObserverState(o.xhat3 + _PERTURB_OFFSET, o.xhat4 + _PERTURB_OFFSET)
-                       for o in obs]
-            else:
-                corr = [CorrectorState(c.xhat1 + _PERTURB_OFFSET, c.xhat2 + _PERTURB_OFFSET)
-                        for c in corr]
-
         tp = point(t)
-        if replay is not None:
-            wrench = replay[i]
-        else:
-            est_pos = [c.xhat1 for c in corr]
-            est_vel = [c.xhat2 for c in corr]
-            dp, da = rescale([o.xhat4 for o in obs], params)
-            wrench = (position(est_pos, est_vel, dp, tp, gains, params)
-                      + attitude(est_pos, est_vel, da, tp, gains, params))
+        est_pos = [c.xhat1 for c in corr]
+        est_vel = [c.xhat2 for c in corr]
+        dp, da = rescale([o.xhat4 for o in obs], params)
+        wrench = (position(est_pos, est_vel, dp, tp, gains, params)
+                  + attitude(est_pos, est_vel, da, tp, gains, params))
         if not _all_finite(wrench):
             raise _diverged(i, t, "control", "non-finite wrench")
 
@@ -423,8 +389,7 @@ def _descending_eps(eps_values: Sequence[float]) -> tuple[float, ...]:
     """The time-scale values of a study as a tuple; each in (0, 1), strictly descending."""
     values = tuple(eps_values)
     check_range("in (0, 1)", eps_values=values)
-    if any(b >= a for a, b in zip(values, values[1:])):
-        raise ValueError("eps values must be strictly descending")
+    check_range("descending", eps_values=values)
     return values
 
 
@@ -506,42 +471,70 @@ class DecouplingReport:
         return self.corrector_unaffected and self.observer_unaffected
 
 
+def _rows(trace: TraceLog, groups: Sequence[str]):
+    """The columns of ``trace`` with the prefixes ``groups``, each on all six
+    axes, row by row as lists; pulled 1024 rows at a time, so that a replay
+    holds no copy of the whole trace."""
+    names = [prefix + a for prefix in groups for a in AXIS_NAMES]
+    for start in range(0, len(trace.data), 1024):
+        yield from TraceLog(trace.data[start:start + 1024]).columns(names).tolist()
+
+
+def _replay(trace: TraceLog, bank: str, state_groups, input_groups, step) -> str:
+    """Step one estimator bank alone through ``trace``, recorded every tick,
+    from the row-0 states of its ``state_groups`` columns: ``step`` takes the
+    states and a row's two ``input_groups`` to the next row's states.  The
+    first difference from the recorded states, described, or "" if none."""
+    recorded = _rows(trace, state_groups)
+    x = next(recorded)
+    for i, (held, want) in enumerate(zip(_rows(trace, input_groups), recorded), 1):
+        x = step(x, held[:6], held[6:])
+        if x != want:
+            c = next(k for k, (got, rec) in enumerate(zip(x, want)) if got != rec)
+            column = state_groups[c // 6] + AXIS_NAMES[c % 6]
+            return f"{bank} trace diverges at t={trace.time[i]:.3f} s, column {column}"
+    return ""
+
+
 def decoupling_check(cfg: ScenarioConfig) -> DecouplingReport:
     """Structural independence of the two estimator banks.
 
-    The scenario is run once with a trace row every tick, whose ``u_``
-    columns are the command history, then twice more open loop (commands
-    replayed) with the observer bank's states perturbed in one run and the
-    corrector bank's in the other.  Replaying the commands isolates the
-    estimators from the control loop; the corrector trace must
-    be bit-identical under the observer perturbation and vice versa, because
-    neither estimator reads the other's state.  The replayed runs keep the
-    scenario's sample interval and are compared with the recorded run's rows
-    at the same ticks.
+    The scenario is run once, closed loop, with a trace row every tick.  Each
+    bank is then stepped alone from its recorded tick-0 states, with this
+    module's `step_corrector` or `step_observer`, on the inputs the trace
+    holds for it: the corrector bank on the held measurements (``meas_y1_``,
+    ``meas_y2_``; the trace does not hold the freshness flag, which
+    `step_corrector` does not read), the observer bank on the held rate
+    measurements (``meas_y2_``) and the known inputs of the recorded wrench
+    (`input_acceleration_scalars` of ``u_``).  With the other bank absent, a
+    replay can match the recording only if its bank reads nothing of the
+    other's state, so each tick's states must equal the bank's recorded
+    columns exactly.  A replay stops at its first difference; the report
+    names the first one, the corrector bank's before the observer bank's.
     """
     try:
         record_cfg = replace(cfg, sample_interval=cfg.dt)
     except ValueError as exc:
         raise ConfigError(f"the decoupling check records a row every dt: {exc}") from exc
-    recorded = run_scenario(record_cfg)
-    controls = recorded.columns([f"u_{a}" for a in AXIS_NAMES])
-    every = whole_multiple("sample_interval", cfg.sample_interval, "dt", cfg.dt)
-    trace_a = TraceLog(recorded.data[::every])
-    trace_b = run_scenario(cfg, control_replay=controls, perturb="observer")
-    trace_c = run_scenario(cfg, control_replay=controls, perturb="corrector")
+    trace = run_scenario(record_cfg)
+    params, dts = cfg.uav, (cfg.dt,) * 6
+    correctors, observers = per_axis(cfg.correctors), per_axis(cfg.observers)
 
-    corr_cols = [f"corr_{a}" for a in AXIS_NAMES] + [f"corr_v{a}" for a in AXIS_NAMES]
-    obs_cols = [f"obs_vel_{a}" for a in AXIS_NAMES] + [f"obs_sigma_{a}" for a in AXIS_NAMES]
+    def corrector_bank(x, y1, y2):
+        out = list(map(step_corrector, map(CorrectorState, x[:6], x[6:]),
+                       map(AxisMeasurement, y1, y2), correctors, dts))
+        return [c.xhat1 for c in out] + [c.xhat2 for c in out]
 
-    first, ok = "", {}
-    for bank, cols, other in (("corrector", corr_cols, trace_b),
-                              ("observer", obs_cols, trace_c)):
-        diff = np.argwhere(trace_a.columns(cols) != other.columns(cols))
-        ok[bank] = not len(diff)
-        if len(diff) and not first:
-            r, c = diff[0]
-            first = f"{bank} trace diverges at t={trace_a.time[r]:.3f} s, column {cols[c]}"
-    return DecouplingReport(ok["corrector"], ok["observer"], first)
+    def observer_bank(x, y2, wrench):
+        out = list(map(step_observer, map(ObserverState, x[:6], x[6:]), y2,
+                       input_acceleration_scalars(wrench, params), observers, dts))
+        return [o.xhat3 for o in out] + [o.xhat4 for o in out]
+
+    corrector = _replay(trace, "corrector", ("corr_", "corr_v"), ("meas_y1_", "meas_y2_"),
+                        corrector_bank)
+    observer = _replay(trace, "observer", ("obs_vel_", "obs_sigma_"), ("meas_y2_", "u_"),
+                       observer_bank)
+    return DecouplingReport(not corrector, not observer, corrector or observer)
 
 
 def _set_all(obj, pair: str, **kw):
@@ -599,9 +592,9 @@ def sweep_parameter(cfg: ScenarioConfig, name: str, values: Sequence[float],
     regardless of completion order.  Every value's scenario is built, and so
     checked, before the first run.
     """
-    if name not in SWEEPABLE_PARAMETERS:
-        known = ", ".join(sorted(SWEEPABLE_PARAMETERS))
-        raise ConfigError(f"unknown sweep parameter '{name}'; sweepable: {known}")
+    faults = range_faults(tuple(SWEEPABLE_PARAMETERS), parameter=name)
+    if faults:
+        raise ConfigError(faults[0])
     if jobs < 1:
         raise ConfigError(f"jobs must be at least 1, not {jobs}")
     set_value = SWEEPABLE_PARAMETERS[name]

@@ -18,6 +18,7 @@ by the six-component wrench; rotor-level thrust allocation is out of scope.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from functools import partial
 from typing import Sequence
@@ -35,7 +36,8 @@ AXIS_NAMES = ("x", "y", "z", "psi", "theta", "phi")
 # The rules a configured value can break, by name.  A range rule holds its
 # requirement, as a refusal states it, and its test of one finite number; every
 # range rule requires finite numbers.  A length rule holds the number of
-# entries and what they are.
+# entries and what they are; an order rule, its requirement and the test of
+# each two neighbouring entries.
 _RANGES = {
     "finite": ("finite", lambda v: True),
     "positive": ("positive and finite", lambda v: v > 0.0),
@@ -50,6 +52,10 @@ _LENGTHS = {
     "per state": (12, "one per state"),
     "interval": (2, "(start, end)"),
     "sinusoid": (3, "(amplitude, angular frequency, phase)"),
+}
+_ORDERS = {
+    "start < end": ("(start, end) with start < end", operator.lt),
+    "descending": ("strictly descending", operator.gt),
 }
 
 
@@ -66,6 +72,10 @@ def _fault(rule: str | tuple[str, ...], name: str, value) -> str | None:
         n, entries = _LENGTHS[rule]
         return None if len(value) == n else (
             f"{name} must hold {n} entries, {entries}, not {len(value)}")
+    if rule in _ORDERS:
+        requirement, ok = _ORDERS[rule]
+        return None if all(map(ok, value, value[1:])) else (
+            f"{name} must be {requirement}, not {value}")
     requirement, ok = _RANGES[rule]
     bad = next((v for v in _numbers(value) if not (math.isfinite(v) and ok(v))), None)
     return None if bad is None else f"{name} must be {requirement}, not {bad}"
@@ -77,7 +87,8 @@ def range_faults(rule: str | tuple[str, ...], **values) -> list[str]:
     ``rule`` is a range rule of `_RANGES` ("{field} must be {requirement},
     not {number}", naming the field's first such number, nested tuples
     included), a length rule of `_LENGTHS` ("{field} must hold {n} entries,
-    {what they are}, not {count}") or a tuple of the names a field may be
+    {what they are}, not {count}"), an order rule of `_ORDERS` ("{field} must
+    be {requirement}, not {entries}") or a tuple of the names a field may be
     ("{field} must be one of {names}, not {value}").
     """
     return [m for m in (_fault(rule, name, v) for name, v in values.items()) if m]

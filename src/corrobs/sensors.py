@@ -159,11 +159,10 @@ class SensorConfig:
     def __post_init__(self):
         check_range("positive", position_period=self.position_period,
                     velocity_period=self.velocity_period)
-        check_range("interval", **{f"dropouts[{i}]": d for i, d in enumerate(self.dropouts)})
+        intervals = {f"dropouts[{i}]": d for i, d in enumerate(self.dropouts)}
+        check_range("interval", **intervals)
         check_range("finite", dropouts=self.dropouts)
-        bad = next((d for d in self.dropouts if not d[0] < d[1]), None)
-        if bad is not None:
-            raise ValueError(f"dropouts must be (start, end) pairs with start < end, not {bad}")
+        check_range("start < end", **intervals)
         check_range("pair", large_error=self.large_error, position_noise=self.position_noise,
                     velocity_noise=self.velocity_noise)
 

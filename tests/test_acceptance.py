@@ -212,5 +212,5 @@ def test_criterion_10_determinism_and_decoupling():
 
     report = decoupling_check(cfg)
     assert report.decoupled, report.first_divergence
-    _report(10, "same seed gives byte-identical traces; open-loop state "
-                "perturbations leave the other estimator bank bit-identical")
+    _report(10, "same seed gives byte-identical traces; each estimator bank, "
+                "replayed alone on its recorded inputs, matches its trace exactly")

@@ -42,7 +42,8 @@ def test_bundled_configs_load():
 
 
 def test_bundled_config_unknown_name():
-    with pytest.raises(ConfigError):
+    with pytest.raises(ConfigError, match=r"^config must be one of 'paper_sec6', 'paper_fig5', "
+                                          r"'noise_only', not 'nonexistent'$"):
         bundled_config_path("nonexistent")
 
 
@@ -357,7 +358,7 @@ OUT_OF_RANGE = [
     ("sensors.position_period", -1,
      "sensors.position_period must be positive and finite, not -1.0"),
     ("sensors.dropouts", [[35, 25]],
-     "sensors.dropouts must be (start, end) pairs with start < end, not (35.0, 25.0)"),
+     "sensors.dropouts[0] must be (start, end) with start < end, not (35.0, 25.0)"),
     ("uncertainty.drag.x", -0.5,
      "uncertainty.drag must be nonnegative and finite, not -0.5"),
     ("estimator_init", "bogus",

@@ -284,26 +284,47 @@ def test_decoupling_check_passes():
     assert report.first_divergence == ""
 
 
-def test_decoupling_zero_magnitude_reflexive():
-    # Replaying a 1 ms trace's own commands, with no perturbation, gives the
-    # same trace bit for bit.
-    cfg = hover_config(sensors=quiet_sensors(noise=True), duration=1.0,
-                       sample_interval=1e-3)
-    trace = run_scenario(cfg)
-    controls = trace.columns([f"u_{a}" for a in AXIS_NAMES])
-    again = run_scenario(cfg, control_replay=controls)
-    assert np.array_equal(again.data, trace.data)
+def _leaky_steppers(monkeypatch, leak_into: str):
+    """Wrap the engine's two steppers so that each remembers its last output
+    and the bank ``leak_into`` adds 1e-15 times the other bank's last
+    uncertainty or position estimate to its own state: a leak through a
+    closure that no argument of the steppers shows."""
+    step_corrector, step_observer = engine.step_corrector, engine.step_observer
+    last = {"corrector": 0.0, "observer": 0.0}
+
+    def corrector(state, meas, p, dt):
+        out = step_corrector(state, meas, p, dt)
+        if leak_into == "corrector":
+            out = CorrectorState(out.xhat1 + 1e-15 * last["observer"], out.xhat2)
+        last["corrector"] = out.xhat1
+        return out
+
+    def observer(state, y_o2, h, p, dt):
+        out = step_observer(state, y_o2, h, p, dt)
+        if leak_into == "observer":
+            out = ObserverState(out.xhat3, out.xhat4 + 1e-15 * last["corrector"])
+        last["observer"] = out.xhat4
+        return out
+
+    monkeypatch.setattr(engine, "step_corrector", corrector)
+    monkeypatch.setattr(engine, "step_observer", observer)
 
 
-def test_closed_loop_perturbation_does_propagate():
-    # Without the command replay the observer perturbation feeds the control
-    # loop and the corrector trace must change; the structural check holds
-    # open loop by construction.
-    cfg = hover_config(sensors=quiet_sensors(noise=True), duration=2.0)
-    a = run_scenario(cfg)
-    b = run_scenario(cfg, perturb="observer")
-    corr_cols = [f"corr_{n}" for n in ("x", "y", "z")]
-    assert not np.array_equal(a.columns(corr_cols), b.columns(corr_cols))
+@pytest.mark.parametrize("leak_into, columns", [
+    ("corrector", ("corr_", "corr_v")),
+    ("observer", ("obs_vel_", "obs_sigma_")),
+], ids=["into_corrector", "into_observer"])
+def test_decoupling_check_finds_a_leak_between_the_banks(sec6, monkeypatch, leak_into,
+                                                         columns):
+    _leaky_steppers(monkeypatch, leak_into)
+    report = decoupling_check(replace(sec6, duration=1.0))
+    assert not report.decoupled
+    assert report.corrector_unaffected == (leak_into != "corrector")
+    assert report.observer_unaffected == (leak_into != "observer")
+    prefix = f"{leak_into} trace diverges at t="
+    assert report.first_divergence.startswith(prefix)
+    column = report.first_divergence.rsplit(", column ", 1)[1]
+    assert column in [p + a for p in columns for a in AXIS_NAMES]
 
 
 # ---------------------------------------------------------------- metrics
@@ -369,7 +390,7 @@ def test_convergence_study_validates_eps():
 ], ids=["convergence_study", "observer_ramp_study"])
 @pytest.mark.parametrize("eps, message", [
     ([0.5, 1.0], r"eps_values must be in \(0, 1\)"),
-    ([0.5, 0.5], "eps values must be strictly descending"),
+    ([0.5, 0.5], "eps_values must be strictly descending"),
 ])
 def test_studies_refuse_bad_eps_lists(study, eps, message):
     with pytest.raises(ValueError, match=message):
@@ -416,6 +437,8 @@ def test_tune_ekf_process_noise_returns_grid_in_order_and_argmin():
 def test_sweep_unknown_parameter():
     with pytest.raises(ConfigError) as err:
         sweep_parameter(hover_config(), "bogus", [1.0])
+    assert str(err.value).startswith("parameter must be one of 'eps_c', ")
+    assert str(err.value).endswith(", not 'bogus'")
     for name in SWEEPABLE_PARAMETERS:
         assert name in str(err.value)
 
@@ -460,8 +483,6 @@ PYTHON_ONLY_REFUSALS = [
     ("omega_coefficient", lambda: omega_coefficient(0.0), "alpha must be in (0, 1], not 0.0"),
     ("filtering_advice", lambda: filtering_advice(ScenarioConfig().observers[0], "extreme"),
      "noise_level must be one of 'none', 'low', 'moderate', 'high', not 'extreme'"),
-    ("perturb", lambda: run_scenario(hover_config(duration=0.1), perturb="plant"),
-     "perturb must be one of 'corrector', 'observer', not 'plant'"),
 ]
 
 
@@ -577,8 +598,6 @@ GOLDEN = {
         "7e9092d262fb6473780e39c7218aec2bc2d85c00866e44d02d7777684d72c780",
     "hover": "af89600d80020564f32a6fe5951f8ce629cecf7371fa27872878f7d34ded9ef7",
     "record_controls": "b5331e2057d1be307b60f97b123dbb7feae7fd89142113e5d4267ab7f05caf64",
-    "replay_observer": "dd7f63db1aff57742e191c9e145f18a33c0f1a7250242b01648b9b5dac1a02c1",
-    "replay_corrector": "f79c0d3e565c3f45504608b7f1666ac0bf0e04f989821f107ac23ab8c831aa2a",
     # The post-run paths, recorded before the uncertainty force and the
     # plant acceleration each moved to a single function: `metrics` of the
     # paper_sec6 10 s run (its observer section evaluates the true force per
@@ -619,16 +638,14 @@ def test_golden_trace_loop_branches(sec6, key, change):
 
 
 def test_golden_trace_record_and_replay(sec6):
-    # A trace sampled every tick records the commands in its u_ columns; its
-    # every 10th row is the trace at the scenario's own 10 ms interval.
+    # A trace sampled every tick, as `decoupling_check` records and replays
+    # it, records the commands in its u_ columns; its every 10th row is the
+    # trace at the scenario's own 10 ms interval.
     cfg = replace(sec6, duration=1.0)
     trace = run_scenario(replace(cfg, sample_interval=cfg.dt))
     controls = trace.columns([f"u_{a}" for a in AXIS_NAMES])
     assert _digest(trace.data[::10]) == GOLDEN["init_truth"]
     assert _digest(controls) == GOLDEN["record_controls"]
-    for target in ("observer", "corrector"):
-        replayed = run_scenario(cfg, control_replay=controls, perturb=target)
-        assert _digest(replayed.data) == GOLDEN[f"replay_{target}"]
 
 
 def test_golden_metrics_bundled_10s(sec6):
