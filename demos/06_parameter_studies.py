@@ -4,7 +4,8 @@ Three studies,  all cheap to run:
 
   * corrector time-scale sweep in the noise-free constant-bias scenario:
     the steady estimate error is non-increasing as eps_c shrinks (here the
-    bias is rejected so completely that every value sits at the floor);
+    bias is rejected so completely that the 10 ms hold of the velocity
+    measurement, not eps_c, sets every row);
   * observer time-scale sweep against a ramp uncertainty, where the error
     law is actually measurable;
   * sensing-error-bound sweep: estimators started from the first (biased)

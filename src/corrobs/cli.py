@@ -74,7 +74,7 @@ def _settle(args, cfg: ScenarioConfig) -> float:
 
 def _write_json(path: Path, doc: dict) -> None:
     path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
+    path.write_text(json.dumps(doc, indent=2, sort_keys=True, allow_nan=False) + "\n")
 
 
 def cmd_run(args) -> int:
@@ -176,20 +176,22 @@ def cmd_compare_ekf(args) -> int:
     for a in AXIS_NAMES[:3]:
         corr = summary["corrector"][a]
         ekf = summary["ekf"][a]
-        ratio = ekf["rms"] / corr["rms"] if corr["rms"] > 0 else float("inf")
+        ratio = ekf["rms"] / corr["rms"] if corr["rms"] > 0 else None
         ratios.append(ratio)
         doc["per_axis"][a] = {"corrector_rms": corr["rms"], "corrector_max": corr["max"],
                               "ekf_rms": ekf["rms"], "ekf_max": ekf["max"],
                               "ekf_to_corrector_rms_ratio": ratio}
-    doc["min_ratio"] = min(ratios)
-    doc["max_ratio"] = max(ratios)
+    ratios = [r for r in ratios if r is not None]    # a 0 corrector RMS leaves it None
+    doc["min_ratio"] = min(ratios, default=None)
+    doc["max_ratio"] = max(ratios, default=None)
     mean_corr = sum(summary["corrector"][a]["rms"] for a in AXIS_NAMES[:3]) / 3.0
     mean_ekf = sum(summary["ekf"][a]["rms"] for a in AXIS_NAMES[:3]) / 3.0
-    doc["aggregate_ratio"] = mean_ekf / mean_corr if mean_corr > 0 else float("inf")
+    doc["aggregate_ratio"] = mean_ekf / mean_corr if mean_corr > 0 else None
     out = Path(args.out)
     _write_json(out / "comparison.json", doc)
-    print(f"wrote {out / 'comparison.json'}; EKF/corrector RMS ratio in "
-          f"[{min(ratios):.3g}, {max(ratios):.3g}]")
+    span = (f"in [{min(ratios):.3g}, {max(ratios):.3g}]" if ratios
+            else "undefined: the corrector RMS is 0")
+    print(f"wrote {out / 'comparison.json'}; EKF/corrector RMS ratio {span}")
     return EXIT_OK
 
 
@@ -226,13 +228,15 @@ def _number_arg(rule: str):
 
 
 def _values_arg(text: str) -> list[float]:
-    """An argparse type: the comma-separated numbers of ``--values``."""
+    """An argparse type: the comma-separated numbers of ``--values``, at
+    least one (the length rule of `plant.check_range`)."""
     try:
         values = [float(v) for v in text.split(",") if v]
     except ValueError as exc:
         raise argparse.ArgumentTypeError(str(exc)) from None
-    if not values:
-        raise argparse.ArgumentTypeError(f"must list at least one number, not {text!r}")
+    faults = range_faults("nonempty", values=values)
+    if faults:
+        raise argparse.ArgumentTypeError(faults[0])
     return values
 
 

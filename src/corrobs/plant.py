@@ -35,9 +35,9 @@ AXIS_NAMES = ("x", "y", "z", "psi", "theta", "phi")
 
 # The rules a configured value can break, by name.  A range rule holds its
 # requirement, as a refusal states it, and its test of one finite number; every
-# range rule requires finite numbers.  A length rule holds the number of
-# entries and what they are; an order rule, its requirement and the test of
-# each two neighbouring entries.
+# range rule requires finite numbers.  A length rule holds the least and the
+# most entries and its requirement; an order rule, its requirement and the
+# test of each two neighbouring entries.
 _RANGES = {
     "finite": ("finite", lambda v: True),
     "positive": ("positive and finite", lambda v: v > 0.0),
@@ -47,11 +47,12 @@ _RANGES = {
     "in [0, 1]": ("in [0, 1]", lambda v: 0.0 <= v <= 1.0),
 }
 _LENGTHS = {
-    "pair": (2, "(position group, attitude group)"),
-    "per axis": (6, "one per axis"),
-    "per state": (12, "one per state"),
-    "interval": (2, "(start, end)"),
-    "sinusoid": (3, "(amplitude, angular frequency, phase)"),
+    "pair": (2, 2, "2 entries, (position group, attitude group)"),
+    "per axis": (6, 6, "6 entries, one per axis"),
+    "per state": (12, 12, "12 entries, one per state"),
+    "interval": (2, 2, "2 entries, (start, end)"),
+    "sinusoid": (3, 3, "3 entries, (amplitude, angular frequency, phase)"),
+    "nonempty": (1, math.inf, "at least one entry"),
 }
 _ORDERS = {
     "start < end": ("(start, end) with start < end", operator.lt),
@@ -69,9 +70,9 @@ def _fault(rule: str | tuple[str, ...], name: str, value) -> str | None:
         return None if value in rule else (
             f"{name} must be one of {', '.join(map(repr, rule))}, not {value!r}")
     if rule in _LENGTHS:
-        n, entries = _LENGTHS[rule]
-        return None if len(value) == n else (
-            f"{name} must hold {n} entries, {entries}, not {len(value)}")
+        least, most, requirement = _LENGTHS[rule]
+        return None if least <= len(value) <= most else (
+            f"{name} must hold {requirement}, not {len(value)}")
     if rule in _ORDERS:
         requirement, ok = _ORDERS[rule]
         return None if all(map(ok, value, value[1:])) else (
@@ -86,8 +87,8 @@ def range_faults(rule: str | tuple[str, ...], **values) -> list[str]:
 
     ``rule`` is a range rule of `_RANGES` ("{field} must be {requirement},
     not {number}", naming the field's first such number, nested tuples
-    included), a length rule of `_LENGTHS` ("{field} must hold {n} entries,
-    {what they are}, not {count}"), an order rule of `_ORDERS` ("{field} must
+    included), a length rule of `_LENGTHS` ("{field} must hold
+    {requirement}, not {count}"), an order rule of `_ORDERS` ("{field} must
     be {requirement}, not {entries}") or a tuple of the names a field may be
     ("{field} must be one of {names}, not {value}").
     """

@@ -613,6 +613,24 @@ def test_cli_compare_ekf_clean_scenario(tmp_path, sec6_doc):
         assert doc["per_axis"][axis]["ekf_max"] < 1e-3
 
 
+def _refuse_constant(name: str):
+    raise ValueError(f"{name} is not JSON")
+
+
+def test_cli_json_outputs_are_strict_json_when_ratios_are_0_over_0(tmp_path, sec6_doc):
+    # On the clean document every corrector error is 0, so each error ratio
+    # is 0/0 and is written as null, not as the non-JSON Infinity or NaN.
+    test_cli_compare_ekf_clean_scenario(tmp_path, sec6_doc)     # writes clean.cfg and o/
+    comparison = json.loads((tmp_path / "o" / "comparison.json").read_text(),
+                            parse_constant=_refuse_constant)
+    assert comparison["aggregate_ratio"] is None
+    assert main(["run", "--config", str(tmp_path / "clean.cfg"), "--out", str(tmp_path / "r"),
+                 "--settle", "2.0"]) == 0
+    summary = json.loads((tmp_path / "r" / "metrics.json").read_text(),
+                         parse_constant=_refuse_constant)
+    assert summary["drift"]["x"]["ratio"] is None
+
+
 def test_cli_run_flight_config_meets_error_budget(tmp_path):
     # End-to-end flight run through the CLI: the corrector error metric in
     # the written summary stays under the 0.1 m budget on every position

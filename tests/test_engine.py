@@ -372,7 +372,7 @@ def test_convergence_study_monotone_and_rejecting():
     cfg = hover_config()
     result = convergence_study(cfg, [0.9, 0.7, 0.5, 0.3], duration=30.0, settle=15.0)
     assert result.non_increasing("max_e1", slack=1e-6)
-    # total rejection: every row sits at the numerical floor despite d = 20
+    # total rejection despite d = 20: the 10 ms velocity hold, not eps_c, sets every row
     assert all(row["max_e1"] < 1e-6 for row in result.rows)
     assert all(row["max_e2"] < 1e-3 for row in result.rows)
 
@@ -450,6 +450,41 @@ def test_sweep_refusals_are_config_errors_naming_the_value():
     with pytest.raises(ConfigError) as err:
         sweep_parameter(cfg, "eps_c", [0.5, 1.5], settle=0.5)
     assert str(err.value) == "eps_c=1.5: eps_c must be in (0, 1), not 1.5"
+
+
+def counted_runs(monkeypatch) -> list:
+    """Replace `engine.run_scenario` with one that records each config it runs."""
+    runs, run = [], engine.run_scenario
+
+    def counted(cfg):
+        runs.append(cfg)
+        return run(cfg)
+
+    monkeypatch.setattr(engine, "run_scenario", counted)
+    return runs
+
+
+def test_tune_refuses_a_bad_q_before_the_first_run(monkeypatch):
+    runs = counted_runs(monkeypatch)
+    with pytest.raises(ConfigError) as err:
+        tune_ekf_process_noise(hover_config(duration=1.0), [1e-4, 1e-6, -1.0], settle=0.5)
+    assert str(err.value) == "q=-1.0: q must be positive and finite, not -1.0"
+    assert runs == []
+
+
+@pytest.mark.parametrize("study", [
+    lambda: sweep_parameter(hover_config(), "eps_c", []),
+    lambda: convergence_study(hover_config(), []),
+    lambda: observer_ramp_study([]),
+    lambda: tune_ekf_process_noise(hover_config(), []),
+], ids=["sweep_parameter", "convergence_study", "observer_ramp_study",
+        "tune_ekf_process_noise"])
+def test_an_empty_value_list_is_refused(monkeypatch, study):
+    # An empty result would pass `non_increasing` without measuring anything.
+    runs = counted_runs(monkeypatch)
+    with pytest.raises(ValueError, match=r"values must hold at least one entry, not 0$"):
+        study()
+    assert runs == []
 
 
 def test_metrics_window_without_a_sample_is_a_config_error():

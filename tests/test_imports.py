@@ -17,6 +17,9 @@
   ``_replace`` or to ``dataclasses.replace`` sets a field and does not count
   as a read.  The check goes by the member's name, like the ones above, so it
   may miss an unread member but never reports a read one.
+* No ``for`` or ``while`` loop or comprehension in the package calls
+  ``run_scenario``: multi-run work goes through ``engine._runs``, the one
+  path that checks every value before its first run.
 """
 
 from __future__ import annotations
@@ -172,3 +175,15 @@ def test_every_class_member_is_read_outside_the_tests():
     assert not extra, f"class members only the tests read; delete each: {extra}"
     stale = sorted(set(UNREAD_MEMBERS) - set(unread))
     assert not stale, f"listed exceptions that are read or gone: {stale}"
+
+
+def test_no_loop_calls_run_scenario():
+    loops = (ast.For, ast.While, ast.ListComp, ast.SetComp, ast.DictComp, ast.GeneratorExp)
+    looped = []
+    for path in PACKAGE:
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, loops) and any(
+                    isinstance(c, ast.Call) and _callee(c) == "run_scenario"
+                    for c in ast.walk(node)):
+                looped.append(f"{path.name}:{node.lineno}")
+    assert not looped, f"loops that call run_scenario; use engine._runs: {looped}"
