@@ -45,8 +45,8 @@ EXIT_VALIDATION = 3
 
 def _config_path(args) -> Path:
     path = Path(args.config)
-    if not path.exists() and path.stem in BUNDLED_CONFIGS and path.parent == Path("."):
-        path = bundled_config_path(path.stem)
+    if not path.exists() and str(path).removesuffix(".cfg") in BUNDLED_CONFIGS:
+        path = bundled_config_path(str(path))
     return path
 
 

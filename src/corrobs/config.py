@@ -58,7 +58,6 @@ _KEYS = {
     "velocity_noise": ("velocity_noise", "rate_noise"),
     "drag": tuple(f"drag.{a}" for a in AXIS_NAMES),
     "delta_sinusoids": tuple(f"delta.{a}.sinusoids" for a in AXIS_NAMES),
-    "delta_constant": tuple(f"delta.{a}.constant" for a in AXIS_NAMES),
 }
 
 

@@ -25,10 +25,10 @@ __all__ = [
 
 
 class HoverTrajectory:
-    """Fixed hover point with zero desired attitude."""
+    """Fixed hover point over the origin with zero desired attitude."""
 
-    def __init__(self, x: float = 0.0, y: float = 0.0, altitude: float = 0.0):
-        self._pos = [float(x), float(y), float(altitude), 0.0, 0.0, 0.0]
+    def __init__(self, altitude: float = 0.0):
+        self._pos = [0.0, 0.0, float(altitude), 0.0, 0.0, 0.0]
 
     def point(self, t: float) -> tuple[list[float], list[float], list[float]]:
         """Desired pose, velocity and acceleration in state order (x..phi)."""
@@ -38,15 +38,15 @@ class HoverTrajectory:
 class CircleTrajectory:
     """Quintic climb to altitude, then a constant-speed horizontal circle.
 
-    The climb holds the start point in the horizontal plane and raises z with
-    a quintic profile (zero velocity and acceleration at both ends).  The
-    circle starts at the climb endpoint: its center sits one radius in the
-    -x direction from the start, phase zero.  Desired attitude is identically
-    zero; the loops are independent under the fully-actuated abstraction.
+    The climb holds the vehicle over the origin and raises z with a quintic
+    profile (zero velocity and acceleration at both ends).  The circle starts
+    at the climb endpoint: its center is (-radius, 0), phase zero.  Desired
+    attitude is identically zero; the loops are independent under the
+    fully-actuated abstraction.
     """
 
     def __init__(self, radius: float, speed: float, altitude: float,
-                 climb_time: float, start_x: float = 0.0, start_y: float = 0.0):
+                 climb_time: float):
         check_range("positive", radius=radius, speed=speed, altitude=altitude,
                     climb_time=climb_time)
         self.radius, self.speed, self.altitude, self.climb_time = (
@@ -57,22 +57,20 @@ class CircleTrajectory:
             self._climb_time_sq = math.inf
         if not 0.0 < self._climb_time_sq < math.inf:
             raise ValueError(f"climb_time must have a finite nonzero square, not {climb_time}")
-        self.start = (start_x, start_y)
         self.omega = speed / radius
-        self.center = (start_x - radius, start_y)
+        self.center = (-radius, 0.0)
 
     def point(self, t: float) -> tuple[list[float], list[float], list[float]]:
         """Desired pose, velocity and acceleration in state order (x..phi)."""
         pos = [0.0] * 6
         vel = [0.0] * 6
         acc = [0.0] * 6
-        x0, y0 = self.start
         if t < self.climb_time:
             s = t / self.climb_time
             blend = s ** 3 * (10.0 + s * (-15.0 + 6.0 * s))
             dblend = s * s * (30.0 + s * (-60.0 + 30.0 * s)) / self.climb_time
             ddblend = s * (60.0 + s * (-180.0 + 120.0 * s)) / self._climb_time_sq
-            pos[0], pos[1], pos[2] = x0, y0, self.altitude * blend
+            pos[2] = self.altitude * blend
             vel[2] = self.altitude * dblend
             acc[2] = self.altitude * ddblend
             return pos, vel, acc

@@ -66,20 +66,17 @@ class TrajectorySpec:
     speed: float = 1.0
     altitude: float = 3.0
     climb_time: float = 10.0
-    start_x: float = 0.0
-    start_y: float = 0.0
 
     def __post_init__(self):
         check_range(("circle", "hover"), kind=self.kind)
         check_range("finite", radius=self.radius, speed=self.speed, altitude=self.altitude,
-                    climb_time=self.climb_time, start_x=self.start_x, start_y=self.start_y)
+                    climb_time=self.climb_time)
         self.build()    # a trajectory that cannot be built is refused here
 
     def build(self):
         if self.kind == "circle":
-            return CircleTrajectory(self.radius, self.speed, self.altitude,
-                                    self.climb_time, self.start_x, self.start_y)
-        return HoverTrajectory(self.start_x, self.start_y, self.altitude)
+            return CircleTrajectory(self.radius, self.speed, self.altitude, self.climb_time)
+        return HoverTrajectory(self.altitude)
 
 
 # The observer of both groups unless a scenario says otherwise, and the base
@@ -126,6 +123,9 @@ class ScenarioConfig:
             raise ValueError(f"seed must be a nonnegative integer, not {self.seed!r}")
         for name in ("position_period", "velocity_period"):
             whole_multiple(f"sensors.{name}", getattr(self.sensors, name), "dt", self.dt)
+        # The EKF bank absorbs a position sample only on a velocity tick.
+        whole_multiple("sensors.position_period", self.sensors.position_period,
+                       "sensors.velocity_period", self.sensors.velocity_period)
         whole_multiple("sample_interval", self.sample_interval, "dt", self.dt)
         whole_multiple("duration", self.duration, "sample_interval", self.sample_interval)
         check_range("pair", correctors=self.correctors, observers=self.observers)
@@ -586,7 +586,7 @@ def _set_noise_std(cfg: ScenarioConfig, channel: str, std: float) -> ScenarioCon
 
 def _set_l_d(cfg: ScenarioConfig, l_d: float) -> ScenarioConfig:
     # Scale the position group's bias to the requested bound; headroom for the
-    # walk and sinusoids is preserved proportionally.
+    # walk is preserved proportionally.
     position, attitude = cfg.sensors.large_error
     position = replace(position, constant=l_d, bound=max(l_d * 1.25, l_d + 1.0))
     return replace(cfg, sensors=replace(cfg.sensors, large_error=(position, attitude)))

@@ -141,34 +141,31 @@ class UavParams:
 class UncertaintyModel:
     """Drag coefficients plus unmodelled per-axis disturbances.
 
-    The disturbance Delta_i(t) on each axis is a constant offset plus a sum
-    of (amplitude, angular frequency, phase) sinusoid triples.
+    The disturbance Delta_i(t) on each axis is a sum of (amplitude, angular
+    frequency, phase) sinusoid triples; a constant c is the triple
+    (c, 0, pi/2), which evaluates to exactly c.
     """
 
     drag: tuple[float, ...] = (0.0,) * 6
     delta_sinusoids: tuple[tuple[tuple[float, float, float], ...], ...] = ((),) * 6
-    delta_constant: tuple[float, ...] = (0.0,) * 6
 
     def __post_init__(self):
-        check_range("per axis", drag=self.drag, delta_sinusoids=self.delta_sinusoids,
-                    delta_constant=self.delta_constant)
+        check_range("per axis", drag=self.drag, delta_sinusoids=self.delta_sinusoids)
         check_range("sinusoid", **{f"delta_sinusoids[{a}][{i}]": s
                                    for a, sins in enumerate(self.delta_sinusoids)
                                    for i, s in enumerate(sins)})
         check_range("nonnegative", drag=self.drag)
-        check_range("finite", delta_sinusoids=self.delta_sinusoids,
-                    delta_constant=self.delta_constant)
+        check_range("finite", delta_sinusoids=self.delta_sinusoids)
         # Per axis, the disturbance Delta_i as a function of time; set here,
         # as `UavParams` sets its per-axis table.
         object.__setattr__(self, "_disturbances", tuple(
-            partial(sinusoid_sum, const, sins)
-            for const, sins in zip(self.delta_constant, self.delta_sinusoids)))
+            partial(sinusoid_sum, sins) for sins in self.delta_sinusoids))
 
 
-def sinusoid_sum(const: float, sinusoids, t: float) -> float:
-    """``const`` plus the (amplitude, angular frequency, phase) ``sinusoids``
-    at time ``t``, added in order."""
-    val = const
+def sinusoid_sum(sinusoids, t: float) -> float:
+    """The sum from 0.0 of the (amplitude, angular frequency, phase)
+    ``sinusoids`` at time ``t``, added in order."""
+    val = 0.0
     for amp, omega, phase in sinusoids:
         val += amp * math.sin(omega * t + phase)
     return val
@@ -214,16 +211,13 @@ def input_acceleration_scalars(wrench: Sequence[float],
 
 def plant_axes(unc: UncertaintyModel, params: UavParams):
     """Per axis: (1/mass or inertia, drag acceleration coefficient, disturbance
-    function of time or None when the disturbance is constant, the constant
-    disturbance acceleration).  Worked out once per run for `step_plant`."""
+    function of time, or None when the axis has no disturbance).  Worked out
+    once per run for `step_plant`."""
     out = []
     for axis, (scale, lever) in enumerate(zip(params.axis_inertia, params.drag_lever)):
         inv = 1.0 / scale
-        fn = unc._disturbances[axis]
-        if not unc.delta_sinusoids[axis]:
-            out.append((inv, inv * lever * unc.drag[axis], None, inv * fn(0.0)))
-        else:
-            out.append((inv, inv * lever * unc.drag[axis], fn, 0.0))
+        fn = unc._disturbances[axis] if unc.delta_sinusoids[axis] else None
+        out.append((inv, inv * lever * unc.drag[axis], fn))
     return tuple(out)
 
 
@@ -247,9 +241,9 @@ def step_plant(s: Sequence[float], h6: Sequence[float], axes, t: float,
     sq_sixth = dt * dt / 6.0
     out = [0.0] * 12
     for axis in range(6):
-        inv, cdrag, fn, dconst = axes[axis]
+        inv, cdrag, fn = axes[axis]
         if fn is None:
-            d0 = dm = de = dconst
+            d0 = dm = de = 0.0
         else:
             d0 = inv * fn(t)
             dm = inv * fn(tm)

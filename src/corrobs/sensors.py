@@ -6,10 +6,10 @@ Each of the six axes produces two outputs,
     y_i2 = v_i + n_i2(t)               (velocity/rate, accurate)
 
 sampled at their own update periods and zero-order-held in between.  The
-bounded error d_i(t) is a constant bias plus optional sinusoids plus a
-bounded random walk, folded back into [-bound, bound].  Noise is a
-Gaussian/uniform/impulse mixture, which gives the heavy-tailed, distinctly
-non-Gaussian statistics the estimators are supposed to survive.
+bounded error d_i(t) is a constant bias plus a bounded random walk, folded
+back into [-bound, bound].  Noise is a Gaussian/uniform/impulse mixture,
+which gives the heavy-tailed, distinctly non-Gaussian statistics the
+estimators are supposed to survive.
 
 The error and noise models are set per group: one for x, y, z, one for psi,
 theta, phi.  Every channel draws from its own seeded stream (derived from the
@@ -28,7 +28,7 @@ from typing import Sequence
 import numpy as np
 
 from .estimators import AxisMeasurement
-from .plant import check_range, per_axis, sinusoid_sum
+from .plant import check_range, per_axis
 
 __all__ = [
     "NoiseMixture", "LargeErrorModel", "LargeErrorProcess",
@@ -78,22 +78,19 @@ def sample_noise(mix: NoiseMixture, rng: np.random.Generator) -> float:
 
 @dataclass(frozen=True)
 class LargeErrorModel:
-    """Bounded bias process: constant + sinusoids + reflected random walk.
+    """Bounded bias process: constant + reflected random walk.
 
-    ``sinusoids`` holds (amplitude, angular frequency, phase) triples.  The
-    total is folded into [-bound, bound], so |d(t)| <= bound by construction;
-    ``bound`` is the recorded sup bound L_d of the channel.
+    The total is folded into [-bound, bound], so |d(t)| <= bound by
+    construction; ``bound`` is the recorded sup bound L_d of the channel.
     """
 
     constant: float = 0.0
-    sinusoids: tuple[tuple[float, float, float], ...] = ()
     walk_step: float = 0.0
     walk_period: float = 1.0
     bound: float = 0.0
 
     def __post_init__(self):
-        check_range("sinusoid", **{f"sinusoids[{i}]": s for i, s in enumerate(self.sinusoids)})
-        check_range("finite", constant=self.constant, sinusoids=self.sinusoids)
+        check_range("finite", constant=self.constant)
         check_range("nonnegative", walk_step=self.walk_step, bound=self.bound)
         check_range("positive", walk_period=self.walk_period)
 
@@ -131,7 +128,7 @@ class LargeErrorProcess:
                 step = m.walk_step if self._rng.random() < 0.5 else -m.walk_step
                 self._walk = _fold(self._walk + step, m.bound)
                 self._next_walk_t += m.walk_period
-        return _fold(sinusoid_sum(m.constant + self._walk, m.sinusoids, t), m.bound)
+        return _fold(m.constant + self._walk, m.bound)
 
 
 # AxisMeasurement from a (y_o1, y_o2, y_o1_fresh) tuple, without the
@@ -145,6 +142,8 @@ class SensorConfig:
 
     ``dropouts`` lists [start, end) intervals during which the position
     channel is stale (the last valid value is held and flagged not fresh).
+    A scenario also requires each period to be a whole multiple of its
+    ``dt``, and ``position_period`` of ``velocity_period``.
     ``large_error``, ``position_noise`` and ``velocity_noise`` are
     (position group, attitude group) pairs.
     """

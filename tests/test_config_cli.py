@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import subprocess
 import sys
 from dataclasses import fields, is_dataclass, replace
@@ -90,9 +91,9 @@ def test_bundled_configs_round_trip_exactly(tmp_path):
 # SHA-256 of `save_scenario` output for the bundled documents: the document
 # format must not change unnoticed.
 SAVED_SHA256 = {
-    "paper_sec6": "251cceedf592c4157606566bea7587a7fb2651ea68f069e4cfb71662de89f864",
-    "paper_fig5": "e23018b7d56432b9c90762669e6cf5d232d68dd6a9eece99a482ea04460916ad",
-    "noise_only": "123e84c37dce639dd2c34b604ed828824d343d00efe561deb35bc8a43652c607",
+    "paper_sec6": "bb81e2e853facb17d597a209e459cb430cc1ba2a8e0d21e239b890b7b278af3c",
+    "paper_fig5": "a8577143f47f9978043ae1027d42469d5876138dfe8bd6edbd7f34a2c1172ee7",
+    "noise_only": "0923e7b576666a1996776801b2fcfdd18c0de79acd836069ad6b1ff7a04db5fe",
 }
 
 
@@ -144,6 +145,10 @@ REFUSED_VALUES = [
     ("estimator_init", "bogus"),
     ("trajectory.kind", "spiral"),
     ("initial_offset", [0.0]),
+    # keys of fields that the format no longer has
+    ("trajectory.start_x", 1.0),
+    ("uncertainty.delta.x.constant", 0.5),
+    ("sensors.position_large_error.sinusoids", [[0.3, 1.0, 0.0]]),
 ]
 
 
@@ -315,6 +320,33 @@ def test_cli_missing_config_key_exit_code(tmp_path, sec6_doc, capsys):
 
 def test_cli_missing_config_file():
     assert main(["run", "--config", "/no/such/file.cfg", "--out", "/tmp/x"]) == 1
+
+
+def test_cli_resolves_only_a_bundled_name_to_its_document(tmp_path, monkeypatch, capsys):
+    # The bare name, with or without `.cfg`; any other missing path is not
+    # found, however its stem reads.
+    monkeypatch.chdir(tmp_path)
+    for name in ("paper_sec6", "paper_sec6.cfg"):
+        assert main(["validate", "--config", name]) == 0
+    capsys.readouterr()
+    for name in ("paper_sec6.json", "paper_sec6.cfg.cfg", "sub/paper_sec6.cfg"):
+        assert main(["validate", "--config", name]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == f"config error: config file not found: {name}\n"
+        assert "validation passed" not in captured.out
+
+
+def test_cli_position_period_off_the_velocity_grid_is_config_error(tmp_path, sec6_doc,
+                                                                    capsys):
+    cfgp = write_quick(_edit(sec6_doc, "sensors.position_period", 0.015), tmp_path,
+                       duration=1.0)
+    for argv in (["validate", "--config", cfgp],
+                 ["run", "--config", cfgp, "--out", str(tmp_path / "o")]):
+        assert main(argv) == 1, argv[0]
+        assert capsys.readouterr().err == (
+            "config error: sensors.position_period must be a whole multiple of "
+            "sensors.velocity_period\n")
+    assert not (tmp_path / "o").exists()
 
 
 def test_cli_validate_flight_config(capsys):
@@ -662,7 +694,7 @@ def test_cli_run_divergence_exit_code(tmp_path, sec6_doc, capsys):
     doc = json.loads(json.dumps(sec6_doc))
     doc["duration"] = 1.0
     doc["sensors"]["dropouts"] = []
-    doc["uncertainty"]["delta"]["x"] = {"constant": 1e308}
+    doc["uncertainty"]["delta"]["x"] = {"sinusoids": [[1e308, 0.0, math.pi / 2]]}
     path = tmp_path / "explode.cfg"
     path.write_text(json.dumps(doc))
     rc = main(["run", "--config", str(path), "--out", str(tmp_path / "o")])

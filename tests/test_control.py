@@ -80,9 +80,9 @@ def test_circle_validation():
 
 
 def test_hover_trajectory_constant():
-    hov = HoverTrajectory(1.0, -2.0, 4.0)
+    hov = HoverTrajectory(4.0)
     pos, vel, acc = arrays(hov.point(17.3))
-    assert np.allclose(pos, [1.0, -2.0, 4.0, 0.0, 0.0, 0.0])
+    assert np.all(pos == [0.0, 0.0, 4.0, 0.0, 0.0, 0.0])
     assert np.all(vel == 0.0) and np.all(acc == 0.0)
 
 
@@ -96,7 +96,7 @@ def on_trajectory(tp) -> dict:
 
 
 def test_feedforward_hover():
-    tp = HoverTrajectory(1.0, -2.0, 4.0).point(0.0)
+    tp = HoverTrajectory(4.0).point(0.0)
     for params in (PARAMS, UavParams(m=1.0, g=1.0), UavParams(m=2.0, g=1.0)):
         u = position(on_trajectory(tp), tp, params=params)
         assert u == [0.0, 0.0, params.m * params.g]

@@ -143,7 +143,7 @@ def test_run_scenario_logs_each_row_through_trace_row(monkeypatch, sec6):
 
 def test_run_scenario_divergence_reports_tick():
     # An absurd constant disturbance overflows the state quickly.
-    unc = UncertaintyModel(delta_constant=(1e308, 0, 0, 0, 0, 0))
+    unc = UncertaintyModel(delta_sinusoids=(((1e308, 0.0, math.pi / 2),),) + ((),) * 5)
     cfg = hover_config(uncertainty=unc, duration=1.0)
     with pytest.raises(SimulationDiverged) as err:
         run_scenario(cfg)
@@ -240,6 +240,15 @@ def test_sensor_period_off_a_whole_multiple_of_dt_is_refused_at_build(sec6):
     with pytest.raises(ValueError,
                        match="^sensors.position_period must be a whole multiple of dt$"):
         replace(sec6, dt=0.003)
+
+
+def test_position_period_off_the_velocity_grid_is_refused_at_build(sec6):
+    # The EKF bank absorbs a position sample only on a velocity tick: at
+    # 15 ms against 10 ms, every other sample would never reach it.
+    with pytest.raises(ValueError, match="^sensors.position_period must be a whole multiple "
+                                         "of sensors.velocity_period$"):
+        replace(sec6, sensors=replace(sec6.sensors, position_period=0.015))
+    replace(sec6, sensors=replace(sec6.sensors, position_period=0.02))
 
 
 @pytest.mark.parametrize("seed", [1.5, True], ids=["1.5", "True"])
@@ -507,10 +516,12 @@ PYTHON_ONLY_REFUSALS = [
     ("delta_sinusoid_of_two",
      lambda: UncertaintyModel(delta_sinusoids=(((0.3, 1.0),),) + ((),) * 5),
      f"delta_sinusoids[0][0] must hold 3 entries, {_SINUSOID}, not 2"),
-    ("sinusoid_of_four", lambda: LargeErrorModel(sinusoids=((0.3, 1.0, 0.0, 2.0),)),
-     f"sinusoids[0] must hold 3 entries, {_SINUSOID}, not 4"),
-    ("empty_sinusoid", lambda: LargeErrorModel(sinusoids=((0.3, 1.0, 0.0), ())),
-     f"sinusoids[1] must hold 3 entries, {_SINUSOID}, not 0"),
+    ("sinusoid_of_four",
+     lambda: UncertaintyModel(delta_sinusoids=((), ((0.3, 1.0, 0.0, 2.0),)) + ((),) * 4),
+     f"delta_sinusoids[1][0] must hold 3 entries, {_SINUSOID}, not 4"),
+    ("empty_sinusoid",
+     lambda: UncertaintyModel(delta_sinusoids=(((0.3, 1.0, 0.0), ()),) + ((),) * 5),
+     f"delta_sinusoids[0][1] must hold 3 entries, {_SINUSOID}, not 0"),
     ("initial_offset", lambda: hover_config(initial_offset=(1.0,)),
      "initial_offset must hold 12 entries, one per state, not 1"),
     ("falpha_alpha", lambda: falpha(1.0, 1.5), "alpha must be in (0, 1], not 1.5"),

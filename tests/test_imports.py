@@ -1,4 +1,5 @@
-"""Checks of the package source made by parsing it, not running it.
+"""Checks of the package source made by parsing it, not running it (the last
+also imports the scenario classes).
 
 * Every package module uses each name it imports.  A name listed only in
   ``__all__`` counts as unused: the modules re-export nothing they do not call.
@@ -20,14 +21,26 @@
 * No ``for`` or ``while`` loop or comprehension in the package calls
   ``run_scenario``: multi-run work goes through ``engine._runs``, the one
   path that checks every value before its first run.
+* Every field of ``ScenarioConfig`` and of each dataclass it holds is set
+  somewhere: a bundled document gives one of its keys, or a call outside the
+  tests gives it to the class's constructor (by name or by position) or by
+  name to ``replace`` or ``_replace``.  A field that nothing sets is one
+  value in use and belongs in the code as a constant.  This check imports
+  the package, for the scenario classes and their document keys.
 """
 
 from __future__ import annotations
 
 import ast
+import json
+from dataclasses import fields, is_dataclass
 from pathlib import Path
+from typing import get_args, get_type_hints
 
 import pytest
+
+from corrobs.config import _KEYS, BUNDLED_CONFIGS, bundled_config_path
+from corrobs.engine import ScenarioConfig
 
 ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = sorted((ROOT / "src" / "corrobs").glob("*.py"))
@@ -49,6 +62,13 @@ UNREFERENCED_PUBLIC = {
 
 # Members of public classes that nothing outside the tests reads, and why each stays.
 UNREAD_MEMBERS: dict[str, str] = {}
+
+# Scenario fields that no bundled document and no caller outside the tests
+# sets, and why each stays.
+UNSET_FIELDS = {
+    "ScenarioConfig.initial_offset": "perfbench/tests/test_perfbench.py sets a non-finite "
+                                     "start on it to force a divergence at tick 0",
+}
 
 
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
@@ -187,3 +207,49 @@ def test_no_loop_calls_run_scenario():
                     for c in ast.walk(node)):
                 looped.append(f"{path.name}:{node.lineno}")
     assert not looped, f"loops that call run_scenario; use engine._runs: {looped}"
+
+
+def _scenario_fields(cls: type, path: str = ""):
+    """(class, field name, document key) of each field of scenario dataclass
+    ``cls`` and of the dataclasses its fields hold, the keys dotted from the
+    top of a document, as `config` reads them."""
+    hints = get_type_hints(cls)
+    for f in fields(cls):
+        keys = _KEYS.get(f.name, (f.name,))
+        hint = hints[f.name] if len(keys) == 1 else get_args(hints[f.name])[0]
+        for key in keys:
+            yield cls, f.name, path + key
+            if is_dataclass(hint):
+                yield from _scenario_fields(hint, f"{path}{key}.")
+
+
+def _holds(doc: dict, key: str) -> bool:
+    for part in key.split("."):
+        if not (isinstance(doc, dict) and part in doc):
+            return False
+        doc = doc[part]
+    return True
+
+
+def test_every_scenario_field_is_set_by_a_document_or_a_caller():
+    docs = [json.loads(bundled_config_path(n).read_text()) for n in BUNDLED_CONFIGS]
+    calls = [node for path in CALLERS
+             for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+             if isinstance(node, ast.Call)]
+    replaced = {k.arg for c in calls if _callee(c) in ("replace", "_replace")
+                for k in c.keywords}
+    held_under: dict[tuple[type, str], list[str]] = {}
+    for cls, name, key in _scenario_fields(ScenarioConfig):
+        held_under.setdefault((cls, name), []).append(key)
+    unset = set()
+    for (cls, name), keys in held_under.items():
+        position = [f.name for f in fields(cls)].index(name)
+        if not (any(_holds(doc, key) for doc in docs for key in keys) or name in replaced
+                or any(_callee(c) == cls.__name__ and _sets(c, name, position)
+                       for c in calls)):
+            unset.add(f"{cls.__name__}.{name}")
+    extra = sorted(unset - set(UNSET_FIELDS))
+    assert not extra, f"scenario fields that nothing outside the tests sets; make each " \
+                      f"a constant: {extra}"
+    stale = sorted(set(UNSET_FIELDS) - unset)
+    assert not stale, f"listed exceptions that are set or gone: {stale}"

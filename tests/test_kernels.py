@@ -26,6 +26,7 @@ from corrobs import (AxisMeasurement, CorrectorParams, CorrectorState, ObserverP
                      input_acceleration_scalars, plant_axes, step_corrector,
                      step_observer, step_plant)
 from corrobs.fractional import relay_step
+from corrobs.plant import true_delta
 
 # ------------------------------------------------------------ references
 
@@ -150,7 +151,7 @@ def ref_axis_scale(axis, params):
 
 
 def ref_delta(unc, axis, t):
-    val = unc.delta_constant[axis]
+    val = 0.0
     for amp, omega, phase in unc.delta_sinusoids[axis]:
         val += amp * math.sin(omega * t + phase)
     return val
@@ -312,8 +313,8 @@ sinusoids = st.lists(st.tuples(st.floats(-1.0, 1.0), st.floats(0.0, 5.0),
        const=st.lists(st.floats(-5.0, 5.0), min_size=6, max_size=6),
        t=st.floats(0.0, 100.0), dt=steps)
 def test_step_plant_matches_reference(state, wrench, drag, sins, const, t, dt):
-    unc = UncertaintyModel(drag=tuple(drag), delta_sinusoids=tuple(sins),
-                           delta_constant=tuple(const))
+    unc = UncertaintyModel(drag=tuple(drag), delta_sinusoids=tuple(
+        s + ((c, 0.0, math.pi / 2),) for s, c in zip(sins, const)))
     params = UavParams()
     w = tuple(wrench)
     out = plant_step(np.array(state), w, unc, params, t, dt)
@@ -323,13 +324,50 @@ def test_step_plant_matches_reference(state, wrench, drag, sins, const, t, dt):
 
 
 def test_step_plant_matches_reference_with_mixed_disturbance():
-    # sinusoids on x, z and phi, constants (one of them zero) on the others
-    unc = UncertaintyModel(drag=(0.1,) * 6,
-                           delta_sinusoids=(((1.0, 1.0, 0.0),), (), ((1.0, 1.0, math.pi / 2),),
-                                            (), (), ((0.5, 2.0, -1.0), (0.1, 7.0, 0.3))),
-                           delta_constant=(0.0, 0.25, -0.5, 0.0, -1.5, 0.2))
+    # sinusoids on x, z and phi, constants (zero-frequency sinusoids) on y,
+    # z, theta and phi, and no disturbance on psi
+    unc = UncertaintyModel(drag=(0.1,) * 6, delta_sinusoids=(
+        ((1.0, 1.0, 0.0),), ((0.25, 0.0, math.pi / 2),),
+        ((1.0, 1.0, math.pi / 2), (-0.5, 0.0, math.pi / 2)), (),
+        ((-1.5, 0.0, math.pi / 2),),
+        ((0.5, 2.0, -1.0), (0.1, 7.0, 0.3), (0.2, 0.0, math.pi / 2))))
     state = np.linspace(-1.0, 1.0, 12)
     w = (0.3, -0.2, 19.7, 0.01, 0.0, -0.0)
     for t in (0.0, 0.37, 12.5):
         out = plant_step(state, w, unc, UavParams(), t, 1e-3)
         assert out.tobytes() == ref_step_plant(state, w, unc, UavParams(), t, 1e-3).tobytes()
+
+
+# A constant disturbance c is the zero-frequency sinusoid (c, 0, pi/2):
+# sin(0 * t + pi/2) is exactly 1.0 at every finite t >= 0, and the sum starts
+# from 0.0, so the disturbance is exactly c, save that -0.0 becomes 0.0 (a zero
+# disturbance is written as no sinusoid).
+constants = st.one_of(st.floats(-1e3, 1e3), st.floats(allow_nan=False, allow_infinity=False))
+
+
+@SETTINGS
+@given(c=constants.filter(lambda c: math.copysign(1.0, c) > 0.0 or c != 0.0),
+       axis=st.integers(0, 5), drag=st.floats(0.0, 1.0),
+       vel=st.lists(values, min_size=3, max_size=3),
+       state=st.lists(values, min_size=12, max_size=12),
+       wrench=st.lists(values, min_size=6, max_size=6), t=st.floats(0.0, 1e6), dt=steps)
+def test_constant_disturbance_as_a_zero_frequency_sinusoid(c, axis, drag, vel, state, wrench,
+                                                           t, dt):
+    # What a constant disturbance c gave: Delta = c at every time, so a force
+    # of -lever * k * v + c, and c / (mass or inertia) in each stage of the
+    # plant step, as the reference computes it when `ref_delta` is c.
+    unc = UncertaintyModel(
+        drag=tuple(drag if a == axis else 0.0 for a in range(6)),
+        delta_sinusoids=tuple(((c, 0.0, math.pi / 2),) if a == axis else () for a in range(6)))
+    params = UavParams()
+    lever = params.drag_lever[axis]
+    times = [t, t + 0.5 * dt, t + dt]
+    for ti in times:
+        assert ref_delta(unc, axis, ti).hex() == c.hex()
+    for v, ti in zip(vel, times):
+        assert true_delta(axis, v, ti, unc, params).hex() == (-lever * drag * v + c).hex()
+    column = true_delta(axis, np.array(vel), np.array(times), unc, params)
+    assert column.tobytes() == (-lever * drag * np.array(vel) + np.full(3, c)).tobytes()
+    w = tuple(wrench)
+    assert outcome(plant_step, np.array(state), w, unc, params, t, dt) == \
+        outcome(ref_step_plant, np.array(state), w, unc, params, t, dt)

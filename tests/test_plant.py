@@ -99,22 +99,23 @@ def test_true_delta_matches_sigma_scaling():
     rng = np.random.default_rng(11)
     s = rng.uniform(-2, 2, 12)
     scales = PARAMS.axis_inertia
-    for axis, (inv, cdrag, fn, dconst) in enumerate(plant_axes(FLIGHT_UNC, PARAMS)):
+    for axis, (inv, cdrag, fn) in enumerate(plant_axes(FLIGHT_UNC, PARAMS)):
         v = s[6 + axis]
-        accel = -cdrag * v + (inv * fn(0.4) if fn is not None else dconst)
+        accel = -cdrag * v + (inv * fn(0.4) if fn is not None else 0.0)
         assert true_delta(axis, v, 0.4, FLIGHT_UNC, PARAMS) == pytest.approx(
             scales[axis] * accel, rel=1e-12)
 
 
 # Drag on every axis, so the pitch/roll lever applies; sinusoids on x, z and
-# phi, constants (one of them zero) on the others.
+# phi, constants (zero-frequency sinusoids) on x, y, psi and phi, and no
+# disturbance on theta.
 MIXED_UNC = UncertaintyModel(
     drag=(0.01, 0.02, 0.03, 0.04, 0.05, 0.06),
     delta_sinusoids=(
-        ((0.3, 1.0, 0.0), (0.2, 0.5, math.pi / 2)), (), ((0.4, 0.6, 0.1),),
-        (), (), ((0.05, 3.0, -1.0),),
+        ((0.3, 1.0, 0.0), (0.2, 0.5, math.pi / 2), (0.1, 0.0, math.pi / 2)),
+        ((-0.2, 0.0, math.pi / 2),), ((0.4, 0.6, 0.1),), ((0.3, 0.0, math.pi / 2),),
+        (), ((0.05, 3.0, -1.0), (-0.05, 0.0, math.pi / 2)),
     ),
-    delta_constant=(0.1, -0.2, 0.0, 0.3, 0.0, -0.05),
 )
 
 
@@ -209,8 +210,8 @@ def test_uncertainty_model_validation():
 
 def test_uncertainty_disturbance_per_axis():
     # at zero velocity the force is the axis' own disturbance, other axes none
-    unc = UncertaintyModel(drag=(0.5,) * 6, delta_sinusoids=(((2.0, 0.5, 0.25),),) + ((),) * 5,
-                           delta_constant=(0.0, -1.5, 0.0, 0.0, 0.0, 0.0))
+    unc = UncertaintyModel(drag=(0.5,) * 6, delta_sinusoids=(
+        ((2.0, 0.5, 0.25),), ((-1.5, 0.0, math.pi / 2),)) + ((),) * 4)
     assert true_delta(0, 0.0, 3.0, unc, PARAMS) == 2.0 * math.sin(1.75)
     assert true_delta(1, 0.0, 3.0, unc, PARAMS) == -1.5
     for axis in range(2, 6):

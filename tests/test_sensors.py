@@ -7,8 +7,8 @@ import numpy as np
 import pytest
 
 from corrobs import (LargeErrorModel, LargeErrorProcess, NoiseMixture, ScenarioConfig,
-                     SensorConfig, SensorSuite, bundled_config_path, load_scenario,
-                     sample_noise)
+                     SensorConfig, SensorSuite, UncertaintyModel, bundled_config_path,
+                     load_scenario, sample_noise)
 from corrobs.config import BUNDLED_CONFIGS
 from corrobs.sensors import _fold
 
@@ -109,8 +109,8 @@ def test_non_finite_model_field_is_refused_by_name(cls, name, value):
 def test_non_finite_sinusoid_is_refused_by_name(slot, value):
     triple = [1.0, 1.0, 1.0]
     triple[slot] = value
-    with pytest.raises(ValueError, match="sinusoids"):
-        LargeErrorModel(sinusoids=((0.5, 1.0, 0.0), tuple(triple)))
+    with pytest.raises(ValueError, match=rf"^delta_sinusoids must be finite, not {value}$"):
+        UncertaintyModel(delta_sinusoids=(((0.5, 1.0, 0.0), tuple(triple)),) + ((),) * 5)
 
 
 # ------------------------------------------------------------- large error
@@ -135,25 +135,17 @@ def test_large_error_walk_never_exceeds_bound():
     assert worst <= 20.0
 
 
-def test_large_error_sinusoid_component():
-    model = LargeErrorModel(constant=1.0, sinusoids=((2.0, 0.5, 0.0),), bound=10.0)
-    proc = LargeErrorProcess(model, rng())
-    t = 0.7
-    assert proc.value(t) == pytest.approx(1.0 + 2.0 * math.sin(0.5 * t), rel=1e-12)
-
-
-def test_large_error_value_is_the_constant_walk_and_sinusoids_bit_for_bit():
-    # The constant plus the walk, then each sinusoid in order, then the fold.
-    model = LargeErrorModel(constant=1.5, sinusoids=((2.0, 0.5, 0.3), (0.7, 3.1, -1.2)),
-                            walk_step=0.25, walk_period=0.1, bound=4.0)
+def test_large_error_value_is_the_folded_constant_plus_walk_bit_for_bit():
+    # The walk reaches past the bound from the constant, so the fold acts.
+    model = LargeErrorModel(constant=3.0, walk_step=0.5, walk_period=0.1, bound=4.0)
     proc = LargeErrorProcess(model, rng(5))
+    folded = 0
     for k in range(500):
-        t = k * 0.037
-        got = proc.value(t)
+        got = proc.value(k * 0.037)
         raw = model.constant + proc._walk
-        for amp, omega, phase in model.sinusoids:
-            raw += amp * math.sin(omega * t + phase)
         assert got == _fold(raw, model.bound)
+        folded += abs(raw) > model.bound
+    assert folded
 
 
 def test_large_error_requires_nonnegative_time():
@@ -279,7 +271,7 @@ def test_measure_deterministic():
     cfg = default_config(
         position_noise=(NoiseMixture(0.5, 0.3, 0.02, 3.0),) * 2,
         velocity_noise=(NoiseMixture(0.001, 0.0005, 0.002, 0.02),) * 2,
-        large_error=(LargeErrorModel(20.0, (), 0.05, 1.0, 25.0),) * 2,
+        large_error=(LargeErrorModel(20.0, 0.05, 1.0, 25.0),) * 2,
     )
     a = SensorSuite(cfg, seed=77, dt=1e-3)
     b = SensorSuite(cfg, seed=77, dt=1e-3)
@@ -299,7 +291,7 @@ def test_measure_axis_streams_independent():
     cfg_b = default_config(
         position_noise=(noisy[0], NoiseMixture(0.1, 0.2, 0.3, 4.0)),
         velocity_noise=(noisy[0], NoiseMixture(0.0, 0.1, 0.0, 0.0)),
-        large_error=(LargeErrorModel(), LargeErrorModel(5.0, (), 0.5, 0.001, 9.0)))
+        large_error=(LargeErrorModel(), LargeErrorModel(5.0, 0.5, 0.001, 9.0)))
     a = SensorSuite(cfg_a, seed=5, dt=1e-3)
     b = SensorSuite(cfg_b, seed=5, dt=1e-3)
     state = np.zeros(12)
