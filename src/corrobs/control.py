@@ -2,13 +2,16 @@
 
 The plant is commanded through the fully-actuated wrench abstraction: the
 position loop produces (u_x, u_y, u_z) and the attitude loop the three
-torques, each cancelling the trajectory feedforward and the estimated
-uncertainty and closing a PD loop on the estimated errors:
+torques.  Both are one per-axis law that cancels the trajectory feedforward
+and the estimated uncertainty and closes a PD loop on the estimated errors:
 
-    u_p = -Xi_p - delta_p_hat - m (kp1 e_p_hat + kp2 e_p_dot_hat)
-    u_a = -Xi_a - delta_a_hat - J (ka1 e_a_hat + ka2 e_a_dot_hat)
+    u_i = -Xi_i - delta_i_hat - s_i (k1 e_i_hat + k2 e_i_dot_hat),
+    Xi_i = -s_i a_i - lift_i
 
-With exact estimates each error axis collapses to e'' = -kp1 e - kp2 e'.
+with s_i the axis mass or inertia (`UavParams.axis_inertia`), a_i the desired
+acceleration, (k1, k2) = (kp1, kp2) and lift = (0, 0, m g) on the position
+axes, (ka1, ka2) and lift 0 on the attitude axes.  With exact estimates each
+error axis collapses to e'' = -k1 e - k2 e'.
 """
 
 from __future__ import annotations
@@ -106,32 +109,31 @@ class ControlGains:
 # `uncertainty_rescale`) and a trajectory point (pos, vel, acc).  They return
 # plain floats and leave the finiteness check to the caller.
 
+def _tracking_law(pos, vel, delta, tp, first, k1, k2, scale, lift) -> list[float]:
+    """The law on axes ``first`` .. ``first`` + 2: ``scale`` is the per-axis
+    table s and ``lift`` the three lift_i terms of those axes."""
+    tp_pos, tp_vel, tp_acc = tp
+    u = [0.0, 0.0, 0.0]
+    for i in range(3):
+        j = first + i
+        xi = -scale[j] * tp_acc[j] - lift[i]
+        u[i] = -xi - delta[i] - scale[j] * (k1 * (pos[j] - tp_pos[j])
+                                            + k2 * (vel[j] - tp_vel[j]))
+    return u
+
+
 def position_control(pos, vel, delta_p, tp, gains: ControlGains,
                      params: UavParams) -> list[float]:
     """The forces (u_x, u_y, u_z) from axes 0-2 of the estimates and ``tp``."""
-    tp_pos, tp_vel, tp_acc = tp
-    m, g, kp1, kp2 = params.m, params.g, gains.kp1, gains.kp2
-    u = [0.0, 0.0, 0.0]
-    for i in range(3):
-        e = pos[i] - tp_pos[i]
-        ed = vel[i] - tp_vel[i]
-        xi = -m * tp_acc[i] - (m * g if i == 2 else 0.0)
-        u[i] = -xi - delta_p[i] - m * (kp1 * e + kp2 * ed)
-    return u
+    return _tracking_law(pos, vel, delta_p, tp, 0, gains.kp1, gains.kp2,
+                         params.axis_inertia, (0.0, 0.0, params.m * params.g))
 
 
 def attitude_control(pos, vel, delta_a, tp, gains: ControlGains,
                      params: UavParams) -> list[float]:
     """The torques (u_psi, u_theta, u_phi) from axes 3-5 of the estimates and ``tp``."""
-    tp_pos, tp_vel, tp_acc = tp
-    inert, ka1, ka2 = params.axis_inertia, gains.ka1, gains.ka2
-    u = [0.0, 0.0, 0.0]
-    for i in range(3):
-        e = pos[3 + i] - tp_pos[3 + i]
-        ed = vel[3 + i] - tp_vel[3 + i]
-        xi = -inert[3 + i] * tp_acc[3 + i]
-        u[i] = -xi - delta_a[i] - inert[3 + i] * (ka1 * e + ka2 * ed)
-    return u
+    return _tracking_law(pos, vel, delta_a, tp, 3, gains.ka1, gains.ka2,
+                         params.axis_inertia, (0.0, 0.0, 0.0))
 
 
 def uncertainty_rescale(sigma_hat, params: UavParams) -> tuple[list[float], list[float]]:

@@ -47,9 +47,10 @@ def parameter_faults(**values: float) -> list[str]:
     """Every stability-range rule that the estimator parameters ``values``
     (by field name) break, one message each, the gains' first: a gain
     (k1 ... k4) must be positive and finite, a fractional exponent (alpha_*)
-    and a time-scale (eps_*) must lie in (0, 1).  The parameter classes refuse a set with a
-    fault, and `freq.validate_corrector_params` and
-    `freq.validate_observer_params` report every fault."""
+    and a time-scale (eps_*) must lie in (0, 1).  The parameter classes
+    refuse a set with its first fault, as every scenario class does, and
+    `freq.validate_corrector_params` and `freq.validate_observer_params`
+    report every fault."""
     gains = {name: v for name, v in values.items() if name.startswith("k")}
     return (range_faults("positive", **gains)
             + range_faults("in (0, 1)", **{n: v for n, v in values.items() if n not in gains}))
@@ -58,7 +59,7 @@ def parameter_faults(**values: float) -> list[str]:
 def _refuse_faults(params) -> None:
     faults = parameter_faults(**{f.name: getattr(params, f.name) for f in fields(params)})
     if faults:
-        raise ValueError("; ".join(faults))
+        raise ValueError(faults[0])
 
 
 def _usable(name: str, formula: str, value: float) -> float:

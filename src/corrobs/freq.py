@@ -129,6 +129,24 @@ def linearize_observer(p: ObserverParams, a_o: float) -> LinearizedSystem:
     return LinearizedSystem(mat)
 
 
+def _selection_report(name: str, values: dict[str, float], b: str, four_c: str,
+                      right_side) -> ParamValidationReport:
+    """The report on the ``name`` parameters ``values``: every stability fault
+    `parameter_faults` finds or, for a stable set, the no-oscillation verdict
+    b^2 >= 4c with ``b`` the damping gain's name, ``four_c`` the rule's
+    right side and ``right_side()`` its value.  The right side is evaluated
+    for a stable set only, since a negative time-scale raised to a fractional
+    power is complex."""
+    faults = parameter_faults(**values)
+    if faults:
+        return ParamValidationReport(False, False, tuple(faults))
+    lhs, rhs = values[b] * values[b], right_side()
+    ok = lhs >= rhs
+    verdict = f"{b}^2 = {lhs:.6g} {'>=' if ok else '<'} {four_c} = {rhs:.6g}"
+    return ParamValidationReport(True, ok, (f"oscillation-free: {verdict}",) if ok else (
+        f"warning: {verdict}; the linearized {name} has complex poles and may ring",))
+
+
 def validate_corrector_params(k1: float, k2: float, alpha_c: float,
                               eps_c: float) -> ParamValidationReport:
     """Check the corrector stability and no-oscillation selection rules.
@@ -138,20 +156,9 @@ def validate_corrector_params(k1: float, k2: float, alpha_c: float,
     Hurwitz.  Oscillations are avoided when additionally
     k2^2 >= 4 * eps_c^(4 alpha_c) * k1.
     """
-    msgs = parameter_faults(k1=k1, k2=k2, alpha_c=alpha_c, eps_c=eps_c)
-    stable = not msgs
-    oscillation_free = False
-    if stable:
-        lhs = k2 * k2
-        rhs = 4.0 * eps_c ** (4.0 * alpha_c) * k1
-        oscillation_free = lhs >= rhs
-        if oscillation_free:
-            msgs.append(f"oscillation-free: k2^2 = {lhs:.6g} >= {rhs:.6g}")
-        else:
-            msgs.append(
-                f"warning: k2^2 = {lhs:.6g} < 4*eps_c^(4 alpha_c)*k1 = {rhs:.6g}; "
-                "the linearized corrector has complex poles and may ring")
-    return ParamValidationReport(stable, oscillation_free, tuple(msgs))
+    return _selection_report("corrector", dict(k1=k1, k2=k2, alpha_c=alpha_c, eps_c=eps_c),
+                             "k2", "4*eps_c^(4 alpha_c)*k1",
+                             lambda: 4.0 * eps_c ** (4.0 * alpha_c) * k1)
 
 
 def validate_observer_params(k3: float, k4: float, alpha_o: float,
@@ -162,18 +169,8 @@ def validate_observer_params(k3: float, k4: float, alpha_o: float,
     s^2 + k4 s + k3 is then Hurwitz.  Oscillations are avoided when
     additionally k4^2 >= 4 k3.
     """
-    msgs = parameter_faults(k3=k3, k4=k4, alpha_o=alpha_o, eps_o=eps_o)
-    stable = not msgs
-    oscillation_free = False
-    if stable:
-        oscillation_free = k4 * k4 >= 4.0 * k3
-        if oscillation_free:
-            msgs.append(f"oscillation-free: k4^2 = {k4 * k4:.6g} >= 4*k3 = {4 * k3:.6g}")
-        else:
-            msgs.append(
-                f"warning: k4^2 = {k4 * k4:.6g} < 4*k3 = {4 * k3:.6g}; "
-                "the linearized observer has complex poles and may ring")
-    return ParamValidationReport(stable, oscillation_free, tuple(msgs))
+    return _selection_report("observer", dict(k3=k3, k4=k4, alpha_o=alpha_o, eps_o=eps_o),
+                             "k4", "4*k3", lambda: 4.0 * k3)
 
 
 def filtering_advice(params: CorrectorParams | ObserverParams,

@@ -11,7 +11,10 @@ check the package against them:
 * `ideal_tracking_errors` against the analytic error decay of the control law
   (criterion 8 and ``tests/test_engine.py``);
 * `axis_ekf_predict` and `axis_ekf_update`, one filter per axis with a
-  covariance of its own, against the bank (``tests/test_ekf.py``).
+  covariance of its own, against the bank (``tests/test_ekf.py``);
+* `reference_position_control` and `reference_attitude_control`, the
+  position and attitude tracking laws written out each on its own, against
+  the one per-axis law of `corrobs.control` (``tests/test_control.py``).
 """
 
 from __future__ import annotations
@@ -125,3 +128,33 @@ def axis_ekf_update(s: tuple, y1: float, y2: float, fresh: bool, r1: float,
             a * a * p11 + k1 * k1 * r1,
             a * (p12 - k2 * p11) + k1 * k2 * r1,
             k2 * k2 * p11 - 2.0 * k2 * p12 + p22 + k2 * k2 * r1)
+
+
+def reference_position_control(pos, vel, delta_p, tp, gains: ControlGains,
+                               params: UavParams) -> list[float]:
+    """u_p = -Xi_p - delta_p - m (kp1 e_p + kp2 e_p') on axes 0-2, with
+    Xi_p = -m a_p - (0, 0, m g)."""
+    tp_pos, tp_vel, tp_acc = tp
+    m, g, kp1, kp2 = params.m, params.g, gains.kp1, gains.kp2
+    u = [0.0, 0.0, 0.0]
+    for i in range(3):
+        e = pos[i] - tp_pos[i]
+        ed = vel[i] - tp_vel[i]
+        xi = -m * tp_acc[i] - (m * g if i == 2 else 0.0)
+        u[i] = -xi - delta_p[i] - m * (kp1 * e + kp2 * ed)
+    return u
+
+
+def reference_attitude_control(pos, vel, delta_a, tp, gains: ControlGains,
+                               params: UavParams) -> list[float]:
+    """u_a = -Xi_a - delta_a - J (ka1 e_a + ka2 e_a') on axes 3-5, with
+    Xi_a = -J a_a."""
+    tp_pos, tp_vel, tp_acc = tp
+    inert, ka1, ka2 = params.axis_inertia, gains.ka1, gains.ka2
+    u = [0.0, 0.0, 0.0]
+    for i in range(3):
+        e = pos[3 + i] - tp_pos[3 + i]
+        ed = vel[3 + i] - tp_vel[3 + i]
+        xi = -inert[3 + i] * tp_acc[3 + i]
+        u[i] = -xi - delta_a[i] - inert[3 + i] * (ka1 * e + ka2 * ed)
+    return u

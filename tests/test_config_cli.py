@@ -382,6 +382,25 @@ def test_cli_validate_reports_rules_and_a_config_error_together(tmp_path, sec6_d
     assert main(["run", "--config", cfgp, "--out", str(tmp_path / "o")]) == 1
 
 
+def test_cli_run_names_the_first_fault_of_an_estimator_group_by_its_key(
+        tmp_path, sec6_doc, capsys):
+    # Two faults in one group: `run` refuses the first, named by its dotted
+    # key as every other refused value is; `validate` reports both.
+    path = tmp_path / "bad.cfg"
+    path.write_text(json.dumps(
+        _edit(_edit(sec6_doc, "corrector.position.k1", -1), "corrector.position.eps_c", 2)))
+    cfgp = str(path)
+    out = tmp_path / "o"
+    assert main(["run", "--config", cfgp, "--out", str(out)]) == 1
+    assert capsys.readouterr().err == (
+        "config error: corrector.position.k1 must be positive and finite, not -1.0\n")
+    assert not out.exists()
+    assert main(["validate", "--config", cfgp]) == 3
+    assert ("corrector/position: stable=False oscillation_free=False\n"
+            "  k1 must be positive and finite, not -1.0\n"
+            "  eps_c must be in (0, 1), not 2.0\n") in capsys.readouterr().out
+
+
 # Out-of-range values, each refused by its scenario class, and the message
 # that names its dotted key.  A per-axis field is named by its field key.
 OUT_OF_RANGE = [

@@ -4,9 +4,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from corrobs import (CircleTrajectory, ControlGains, HoverTrajectory, UavParams,
                      attitude_control, position_control, uncertainty_rescale)
+from oracles import reference_attitude_control, reference_position_control
 
 PARAMS = UavParams()
 GAINS = ControlGains(kp1=2.5, kp2=4.0, ka1=2.5, ka2=4.0)
@@ -175,6 +178,36 @@ def test_control_continuity():
         est2 = bundle(pos + eps * rng.uniform(-1, 1, 6), vel + eps * rng.uniform(-1, 1, 6))
         pert = np.array(position(est2, tp) + attitude(est2, tp))
         assert np.max(np.abs(pert - base)) < 1e-4
+
+
+# Signed zeros, magnitudes far below and far above the flight scale, and
+# plain flight-scale values, for the estimates and the trajectory point.
+law_values = st.one_of(
+    st.sampled_from([0.0, -0.0]),
+    st.floats(-1e-9, 1e-9, allow_nan=False, allow_infinity=False),
+    st.floats(-1e6, 1e6, allow_nan=False, allow_infinity=False),
+    st.floats(-10.0, 10.0, allow_nan=False, allow_infinity=False),
+)
+positive = st.one_of(st.floats(1e-6, 1e6), st.sampled_from([1e-9, 1.0, 1e9]))
+six = st.lists(law_values, min_size=6, max_size=6)
+three = st.lists(law_values, min_size=3, max_size=3)
+
+
+@settings(max_examples=400, deadline=None)
+@given(pos=six, vel=six, delta_p=three, delta_a=three, tp=st.tuples(six, six, six),
+       gains=st.builds(ControlGains, positive, positive, positive, positive),
+       params=st.builds(UavParams, positive, positive, positive, positive, positive,
+                        positive))
+def test_control_laws_match_the_reference_laws_bit_for_bit(pos, vel, delta_p, delta_a,
+                                                           tp, gains, params):
+    # Both laws are views of one per-axis law; each must give the floats of
+    # its own written-out form exactly, signed zeros included.
+    def hexes(u):
+        return [float(v).hex() for v in u]
+    assert hexes(position_control(pos, vel, delta_p, tp, gains, params)) == \
+        hexes(reference_position_control(pos, vel, delta_p, tp, gains, params))
+    assert hexes(attitude_control(pos, vel, delta_a, tp, gains, params)) == \
+        hexes(reference_attitude_control(pos, vel, delta_a, tp, gains, params))
 
 
 # ---------------------------------------------------------------- rescale

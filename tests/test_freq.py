@@ -211,6 +211,21 @@ def test_validate_corrector_flight_params():
     assert any("900" in m for m in rep.messages)
 
 
+def test_validators_state_the_rule_in_one_message_form():
+    # The oscillation-free line and the warning name the rule's right side
+    # alike, for either estimator.
+    assert validate_corrector_params(1.0, 30.0, 0.1, 1 / 1.2).messages == (
+        "oscillation-free: k2^2 = 900 >= 4*eps_c^(4 alpha_c)*k1 = 3.71867",)
+    assert validate_corrector_params(1.0, 0.1, 0.5, 0.9).messages == (
+        "warning: k2^2 = 0.01 < 4*eps_c^(4 alpha_c)*k1 = 3.24; "
+        "the linearized corrector has complex poles and may ring",)
+    assert validate_observer_params(4.0, 4.0, 0.6, 0.9).messages == (
+        "oscillation-free: k4^2 = 16 >= 4*k3 = 16",)
+    assert validate_observer_params(20.0, 4.0, 0.6, 1 / 1.1).messages == (
+        "warning: k4^2 = 16 < 4*k3 = 80; "
+        "the linearized observer has complex poles and may ring",)
+
+
 def test_validate_corrector_sign_violation():
     rep = validate_corrector_params(-1.0, 30.0, 0.1, 0.8)
     assert not rep.stable and not rep.oscillation_free
