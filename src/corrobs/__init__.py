@@ -7,9 +7,8 @@ from .estimators import (AxisMeasurement, CorrectorParams, CorrectorState,
                          ObserverParams, ObserverState, step_corrector,
                          step_observer)
 from .fractional import falpha
-from .freq import (LinearizedSystem, ParamValidationReport,
-                   corrector_natural_frequency, filtering_advice,
-                   linearize_corrector, linearize_observer,
+from .freq import (ParamValidationReport, corrector_natural_frequency,
+                   filtering_advice, linearize_corrector, linearize_observer,
                    observer_natural_frequency, omega_coefficient,
                    validate_corrector_params, validate_observer_params)
 from .plant import (UavParams, UncertaintyModel, input_acceleration_scalars,

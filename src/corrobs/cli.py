@@ -24,10 +24,11 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import sys
 from dataclasses import replace
 from pathlib import Path
+
+import numpy as np
 
 from . import freq
 from .config import (BUNDLED_CONFIGS, bundled_config_path, estimator_values,
@@ -122,12 +123,12 @@ def cmd_validate(args) -> int:
     return EXIT_OK
 
 
-def _eigenvalues(lin: freq.LinearizedSystem, label: str, amplitude: float) -> dict:
-    """The eigenvalue entries of an estimator's linearization; one that
+def _eigenvalues(matrix: np.ndarray, label: str, amplitude: float) -> dict:
+    """The eigenvalue entries of an estimator's companion matrix; one that
     overflows at the ``--amplitude`` given is a ConfigError naming the flag."""
-    if not all(map(math.isfinite, lin.matrix.flat)):
+    if not np.isfinite(matrix).all():
         raise ConfigError(f"--amplitude {amplitude}: the linearized {label} overflows")
-    eig = lin.eigenvalues()
+    eig = np.linalg.eigvals(matrix)
     return {"eigenvalues_real": [float(e.real) for e in eig],
             "eigenvalues_imag": [float(e.imag) for e in eig]}
 
@@ -146,7 +147,7 @@ def cmd_analyze(args) -> int:
             **_eigenvalues(freq.linearize_corrector(c, amp, amp), label, amp)}
         label = f"observer_{group}"
         doc["estimators"][label] = {
-            "omega_coeff_innovation_term": freq.omega_coefficient(0.5 * (1 + o.alpha_o)),
+            "omega_coeff_innovation_term": freq.omega_coefficient(o.beta),
             "omega_coeff_uncertainty_term": freq.omega_coefficient(o.alpha_o),
             "natural_frequency": freq.observer_natural_frequency(o, amp),
             **_eigenvalues(freq.linearize_observer(o, amp), label, amp)}

@@ -107,13 +107,18 @@ class ObserverParams:
 
     def __post_init__(self):
         _refuse_faults(self)
-        # (alpha_o, (alpha_o + 1)/2, k4/eps_o, k3/eps_o^2) for `step_observer`,
+        # (alpha_o, beta, k4/eps_o, k3/eps_o^2) for `step_observer`,
         # set the same way as the corrector's.
         alpha = self.alpha_o
         eps2 = _usable("eps_o", "eps_o^2", self.eps_o * self.eps_o)
         object.__setattr__(self, "_constants", (
-            alpha, 0.5 * (alpha + 1.0), _usable("k4", "k4/eps_o", self.k4 / self.eps_o),
+            alpha, self.beta, _usable("k4", "k4/eps_o", self.k4 / self.eps_o),
             _usable("k3", "k3/eps_o^2", self.k3 / eps2)))
+
+    @property
+    def beta(self) -> float:
+        """Exponent of the innovation feedback, (alpha_o + 1)/2."""
+        return 0.5 * (self.alpha_o + 1.0)
 
 
 class CorrectorState(NamedTuple):
@@ -188,7 +193,7 @@ def step_observer(state: ObserverState, y_o2: float, h: float,
                   p: ObserverParams, dt: float) -> ObserverState:
     """Advance the observer one fixed step (classical 4th-order scheme).
 
-    The observer's innovation exponent (alpha_o + 1)/2 >= 1/2 keeps the
+    The observer's innovation exponent `ObserverParams.beta` >= 1/2 keeps the
     right-hand side tame enough for an explicit stepper at millisecond steps;
     spurious-offset scales are far below double precision here.  A non-finite
     input gives a non-finite state, which the output check refuses.

@@ -13,10 +13,12 @@ The integral is Wallis's: (2/pi) * B((a+2)/2, 1/2), i.e.
 is evaluated here.
 
 Replacing each fractional-power term of the corrector and observer by its
-equivalent gain yields second-order linear systems whose natural frequencies
-and damping expose how the estimators filter noise, and whose discriminants
-give the oscillation-avoidance rules used by `validate_corrector_params` and
-`validate_observer_params`.
+equivalent gain yields second-order linear systems, each stated once as the
+companion matrix that `linearize_corrector` and `linearize_observer` return.
+Their stiffness and damping expose how the estimators filter noise: the
+natural frequencies are the square roots of the stiffness.  Their
+discriminants give the oscillation-avoidance rules used by
+`validate_corrector_params` and `validate_observer_params`.
 """
 
 from __future__ import annotations
@@ -30,22 +32,12 @@ from .estimators import CorrectorParams, ObserverParams, parameter_faults
 from .plant import check_range
 
 __all__ = [
-    "LinearizedSystem", "ParamValidationReport", "omega_coefficient",
+    "ParamValidationReport", "omega_coefficient",
     "corrector_natural_frequency", "observer_natural_frequency",
     "linearize_corrector", "linearize_observer",
     "validate_corrector_params", "validate_observer_params",
     "filtering_advice",
 ]
-
-
-@dataclass(frozen=True)
-class LinearizedSystem:
-    """Companion-form state matrix of a linearized estimator error system."""
-
-    matrix: np.ndarray
-
-    def eigenvalues(self) -> np.ndarray:
-        return np.linalg.eigvals(self.matrix)
 
 
 @dataclass(frozen=True)
@@ -68,29 +60,25 @@ def omega_coefficient(alpha: float) -> float:
 
 
 def corrector_natural_frequency(p: CorrectorParams, a_c1: float) -> float:
-    """Natural frequency of the linearized corrector at innovation amplitude a_c1.
+    """Natural frequency of the linearized corrector at innovation amplitude a_c1,
+    the square root of `linearize_corrector`'s stiffness:
 
     w_c = sqrt(Omega(alpha_c/(2-alpha_c)) * k1)
           / ( eps_c^((3-2 alpha_c)/(2-alpha_c)) * a_c1^((1-alpha_c)/(2-alpha_c)) )
     """
-    check_range("positive", a_c1=a_c1)
-    om = omega_coefficient(p.kappa)
-    denom = (p.eps_c ** ((3.0 - 2.0 * p.alpha_c) / (2.0 - p.alpha_c))
-             * a_c1 ** ((1.0 - p.alpha_c) / (2.0 - p.alpha_c)))
-    return math.sqrt(om * p.k1) / denom
+    return math.sqrt(-linearize_corrector(p, a_c1, a_c1)[1, 0])
 
 
 def observer_natural_frequency(p: ObserverParams, a_o: float) -> float:
-    """Natural frequency of the linearized observer at innovation amplitude a_o.
+    """Natural frequency of the linearized observer at innovation amplitude a_o,
+    the square root of `linearize_observer`'s stiffness:
 
     w_o = sqrt(Omega(alpha_o) * k3) / ( eps_o * a_o^((1-alpha_o)/2) )
     """
-    check_range("positive", a_o=a_o)
-    return (math.sqrt(omega_coefficient(p.alpha_o) * p.k3)
-            / (p.eps_o * a_o ** (0.5 * (1.0 - p.alpha_o))))
+    return math.sqrt(-linearize_observer(p, a_o)[1, 0])
 
 
-def linearize_corrector(p: CorrectorParams, a_c1: float, a_c2: float) -> LinearizedSystem:
+def linearize_corrector(p: CorrectorParams, a_c1: float, a_c2: float) -> np.ndarray:
     """Describing-function linearization of the corrector error dynamics.
 
     Returns the companion matrix [[0, 1], [-stiffness, -damping]] with
@@ -101,8 +89,7 @@ def linearize_corrector(p: CorrectorParams, a_c1: float, a_c2: float) -> Lineari
         damping   = k2*Omega(alpha_c) / (eps_c^3 * a_c2^(1-alpha_c))
 
     The position-channel gain is evaluated at the amplitude eps_c*a_c1 seen
-    by the nonlinearity (its argument is eps_c times the innovation), which
-    makes sqrt(stiffness) equal `corrector_natural_frequency` identically.
+    by the nonlinearity (its argument is eps_c times the innovation).
     """
     check_range("positive", a_c1=a_c1, a_c2=a_c2)
     kappa = p.kappa
@@ -110,23 +97,25 @@ def linearize_corrector(p: CorrectorParams, a_c1: float, a_c2: float) -> Lineari
     eps3 = p.eps_c ** 3
     stiffness = p.k1 * gain1 * p.eps_c / eps3
     damping = p.k2 * omega_coefficient(p.alpha_c) / (eps3 * a_c2 ** (1.0 - p.alpha_c))
-    mat = np.array([[0.0, 1.0], [-stiffness, -damping]])
-    return LinearizedSystem(mat)
+    return np.array([[0.0, 1.0], [-stiffness, -damping]])
 
 
-def linearize_observer(p: ObserverParams, a_o: float) -> LinearizedSystem:
+def linearize_observer(p: ObserverParams, a_o: float) -> np.ndarray:
     """Describing-function linearization of the observer error dynamics.
 
-    stiffness = k3*Omega(alpha_o) / (eps_o^2 * a_o^(1-alpha_o))
-    damping   = k4*Omega((1+alpha_o)/2) / (eps_o * a_o^((1-alpha_o)/2))
+    Returns the companion matrix [[0, 1], [-stiffness, -damping]] with
+
+        stiffness = k3*Omega(alpha_o) / (eps_o^2 * a_o^(1-alpha_o))
+        damping   = k4*Omega(beta) / (eps_o * a_o^((1-alpha_o)/2))
+
+    and beta = `ObserverParams.beta` the innovation exponent.
     """
     check_range("positive", a_o=a_o)
     stiffness = (p.k3 * omega_coefficient(p.alpha_o)
                  / (p.eps_o ** 2 * a_o ** (1.0 - p.alpha_o)))
-    damping = (p.k4 * omega_coefficient(0.5 * (1.0 + p.alpha_o))
+    damping = (p.k4 * omega_coefficient(p.beta)
                / (p.eps_o * a_o ** (0.5 * (1.0 - p.alpha_o))))
-    mat = np.array([[0.0, 1.0], [-stiffness, -damping]])
-    return LinearizedSystem(mat)
+    return np.array([[0.0, 1.0], [-stiffness, -damping]])
 
 
 def _selection_report(name: str, values: dict[str, float], b: str, four_c: str,

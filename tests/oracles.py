@@ -14,17 +14,24 @@ check the package against them:
   covariance of its own, against the bank (``tests/test_ekf.py``);
 * `reference_position_control` and `reference_attitude_control`, the
   position and attitude tracking laws written out each on its own, against
-  the one per-axis law of `corrobs.control` (``tests/test_control.py``).
+  the one per-axis law of `corrobs.control` (``tests/test_control.py``);
+* `closed_form_corrector_frequency` and `closed_form_observer_frequency`, the
+  paper's closed-form natural frequencies, against the stiffness of the
+  companion matrices of `corrobs.freq` (criterion 6 and
+  ``tests/test_freq.py``).
 """
 
 from __future__ import annotations
 
+import math
 from typing import Sequence
 
 import numpy as np
 
 from corrobs.control import ControlGains, attitude_control, position_control
 from corrobs.engine import TrajectorySpec
+from corrobs.estimators import CorrectorParams, ObserverParams
+from corrobs.freq import omega_coefficient
 from corrobs.plant import (UavParams, UncertaintyModel, input_acceleration_scalars,
                            true_delta)
 
@@ -158,3 +165,18 @@ def reference_attitude_control(pos, vel, delta_a, tp, gains: ControlGains,
         xi = -inert[3 + i] * tp_acc[3 + i]
         u[i] = -xi - delta_a[i] - inert[3 + i] * (ka1 * e + ka2 * ed)
     return u
+
+
+def closed_form_corrector_frequency(p: CorrectorParams, a_c1: float) -> float:
+    """w_c = sqrt(Omega(alpha_c/(2-alpha_c)) * k1)
+    / (eps_c^((3-2 alpha_c)/(2-alpha_c)) * a_c1^((1-alpha_c)/(2-alpha_c)))."""
+    alpha, eps = p.alpha_c, p.eps_c
+    return (math.sqrt(omega_coefficient(alpha / (2.0 - alpha)) * p.k1)
+            / (eps ** ((3.0 - 2.0 * alpha) / (2.0 - alpha))
+               * a_c1 ** ((1.0 - alpha) / (2.0 - alpha))))
+
+
+def closed_form_observer_frequency(p: ObserverParams, a_o: float) -> float:
+    """w_o = sqrt(Omega(alpha_o) * k3) / (eps_o * a_o^((1-alpha_o)/2))."""
+    return (math.sqrt(omega_coefficient(p.alpha_o) * p.k3)
+            / (p.eps_o * a_o ** (0.5 * (1.0 - p.alpha_o))))

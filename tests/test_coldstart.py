@@ -27,6 +27,15 @@ CASES = {
         "except SystemExit as exc:\n"
         "    assert exc.code == 0, exc.code\n"
     ),
+    "analyze": (
+        "import runpy, sys, tempfile\n"
+        "with tempfile.TemporaryDirectory() as out:\n"
+        "    sys.argv = ['corrobs', 'analyze', '--config', 'paper_sec6', '--out', out]\n"
+        "    try:\n"
+        "        runpy.run_module('corrobs.cli', run_name='__main__', alter_sys=True)\n"
+        "    except SystemExit as exc:\n"
+        "        assert exc.code == 0, exc.code\n"
+    ),
     "short_flight": (
         "import sys\n"
         "from dataclasses import replace\n"

@@ -2,7 +2,9 @@
 
 The package evaluates the equivalent-gain coefficient in closed form through
 the Beta function, (2/pi) * B((alpha+2)/2, 1/2); the independent oracle here
-is the defining integral, evaluated by mpmath quadrature at 40 digits.
+is the defining integral, evaluated by mpmath quadrature at 40 digits.  The
+linearizations' stiffness is checked against the paper's closed-form natural
+frequencies in `oracles`, and the observer's against the stepped observer.
 """
 
 from __future__ import annotations
@@ -13,10 +15,12 @@ import mpmath
 import numpy as np
 import pytest
 
-from corrobs import (CorrectorParams, ObserverParams, corrector_natural_frequency,
-                     filtering_advice, linearize_corrector, linearize_observer,
-                     observer_natural_frequency, omega_coefficient,
+from corrobs import (CorrectorParams, ObserverParams, ObserverState,
+                     corrector_natural_frequency, filtering_advice,
+                     linearize_corrector, linearize_observer,
+                     observer_natural_frequency, omega_coefficient, step_observer,
                      validate_corrector_params, validate_observer_params)
+from oracles import closed_form_corrector_frequency, closed_form_observer_frequency
 
 FLIGHT_CORRECTOR = CorrectorParams(k1=1.0, k2=30.0, alpha_c=0.1, eps_c=1 / 1.2)
 FLIGHT_OBSERVER = ObserverParams(k3=20.0, k4=4.0, alpha_o=0.6, eps_o=1 / 1.1)
@@ -135,16 +139,16 @@ def test_natural_frequency_rejects_bad_amplitude():
 
 def test_linearize_corrector_near_alpha_one_reduces_to_constant_gains():
     p = CorrectorParams(k1=2.0, k2=3.0, alpha_c=1.0 - 1e-9, eps_c=0.5)
-    lin = linearize_corrector(p, 1.0, 1.0)
+    mat = linearize_corrector(p, 1.0, 1.0)
     eps3 = p.eps_c ** 3
-    assert -lin.matrix[1, 1] == pytest.approx(p.k2 / eps3, rel=1e-6)
+    assert -mat[1, 1] == pytest.approx(p.k2 / eps3, rel=1e-6)
     # Stiffness at alpha -> 1 carries one eps factor less than the damping.
-    assert -lin.matrix[1, 0] == pytest.approx(p.k1 / p.eps_c ** 2, rel=1e-6)
+    assert -mat[1, 0] == pytest.approx(p.k1 / p.eps_c ** 2, rel=1e-6)
 
 
 def test_linearize_corrector_stable_for_flight_params():
-    lin = linearize_corrector(FLIGHT_CORRECTOR, 1.0, 1.0)
-    assert all(e.real < 0 for e in lin.eigenvalues())
+    mat = linearize_corrector(FLIGHT_CORRECTOR, 1.0, 1.0)
+    assert all(e.real < 0 for e in np.linalg.eigvals(mat))
 
 
 def test_linearize_corrector_frequency_consistency():
@@ -152,25 +156,52 @@ def test_linearize_corrector_frequency_consistency():
               CorrectorParams(2.0, 5.0, 0.4, 0.6),
               CorrectorParams(0.5, 1.0, 0.85, 0.35)):
         for amp in (0.1, 1.0, 12.0):
-            lin = linearize_corrector(p, amp, 2.0)
-            assert abs(math.sqrt(-lin.matrix[1, 0])
-                       - corrector_natural_frequency(p, amp)) < 1e-9
+            mat = linearize_corrector(p, amp, 2.0)
+            assert abs(math.sqrt(-mat[1, 0])
+                       - closed_form_corrector_frequency(p, amp)) < 1e-9
 
 
 def test_linearize_observer_near_alpha_one():
     p = ObserverParams(k3=9.0, k4=5.0, alpha_o=1.0 - 1e-9, eps_o=0.5)
-    lin = linearize_observer(p, 3.0)
-    assert -lin.matrix[1, 1] == pytest.approx(p.k4 / p.eps_o, rel=1e-6)
-    assert -lin.matrix[1, 0] == pytest.approx(p.k3 / p.eps_o ** 2, rel=1e-6)
+    mat = linearize_observer(p, 3.0)
+    assert -mat[1, 1] == pytest.approx(p.k4 / p.eps_o, rel=1e-6)
+    assert -mat[1, 0] == pytest.approx(p.k3 / p.eps_o ** 2, rel=1e-6)
 
 
 def test_linearize_observer_stable_and_consistent():
-    lin = linearize_observer(FLIGHT_OBSERVER, 1.0)
-    assert all(e.real < 0 for e in lin.eigenvalues())
+    mat = linearize_observer(FLIGHT_OBSERVER, 1.0)
+    assert all(e.real < 0 for e in np.linalg.eigvals(mat))
     for amp in (0.2, 1.0, 16.0):
-        lin = linearize_observer(FLIGHT_OBSERVER, amp)
-        assert abs(math.sqrt(-lin.matrix[1, 0])
-                   - observer_natural_frequency(FLIGHT_OBSERVER, amp)) < 1e-9
+        mat = linearize_observer(FLIGHT_OBSERVER, amp)
+        assert abs(math.sqrt(-mat[1, 0])
+                   - closed_form_observer_frequency(FLIGHT_OBSERVER, amp)) < 1e-9
+
+
+def test_observer_describing_function_matches_stepped_observer():
+    # The flight observer stepped alone at dt = 1e-5 against a unit step in
+    # sigma (h = 0, so the measured velocity is y_o2 = t).  Over each half
+    # cycle between sign changes of the innovation, the simulated frequency
+    # pi/half-period is compared with |Im lambda| of the linearization at the
+    # half cycle's peak |innovation|.  Measured: +4.2 %, +4.0 %, +5.0 % and
+    # -1.4 % for peaks from 1.1e-2 down to 7.2e-5.  The next half cycle
+    # (peak 7.1e-6, +31 %) is the finite-time landing, which the describing
+    # function does not model.
+    p, dt = FLIGHT_OBSERVER, 1e-5
+    state = ObserverState(0.0, 0.0)
+    innov = np.empty(150_000)
+    for i in range(innov.size):
+        state = step_observer(state, i * dt, 0.0, p, dt)
+        innov[i] = state.xhat3 - (i + 1) * dt
+    flips = np.flatnonzero(np.signbit(innov[1:]) != np.signbit(innov[:-1])) + 1
+    deviations = []
+    for start, end in zip(flips, flips[1:]):
+        peak = float(np.abs(innov[start:end]).max())
+        if peak >= 7e-5:
+            simulated = math.pi / ((end - start) * dt)
+            predicted = np.abs(np.linalg.eigvals(linearize_observer(p, peak)).imag).max()
+            deviations.append(simulated / predicted - 1.0)
+    assert len(deviations) == 4, deviations
+    assert max(map(abs, deviations)) <= 0.06, deviations
 
 
 def test_companion_eigenvalues_match_polynomial_roots():
@@ -178,9 +209,9 @@ def test_companion_eigenvalues_match_polynomial_roots():
     for _ in range(20):
         p = CorrectorParams(float(rng.uniform(0.1, 5)), float(rng.uniform(0.1, 5)),
                             float(rng.uniform(0.05, 0.95)), float(rng.uniform(0.1, 0.9)))
-        lin = linearize_corrector(p, 1.0, 1.0)
-        roots = np.roots([1.0, -lin.matrix[1, 1], -lin.matrix[1, 0]])
-        eig = np.sort_complex(lin.eigenvalues())
+        mat = linearize_corrector(p, 1.0, 1.0)
+        roots = np.roots([1.0, -mat[1, 1], -mat[1, 0]])
+        eig = np.sort_complex(np.linalg.eigvals(mat))
         assert np.allclose(np.sort_complex(roots), eig, rtol=1e-9, atol=1e-9)
 
 
@@ -190,15 +221,15 @@ def test_oscillation_free_implies_real_eigenvalues_at_alpha_one():
     for k1, k2, eps in ((1.0, 4.0, 0.9), (2.0, 1.0, 0.3), (1.0, 1.9, 0.95)):
         alpha = 1.0 - 1e-12
         rep = validate_corrector_params(k1, k2, alpha, eps)
-        lin = linearize_corrector(CorrectorParams(k1, k2, alpha, eps), 1.0, 1.0)
-        has_real = np.max(np.abs(np.imag(lin.eigenvalues()))) < 1e-6
+        mat = linearize_corrector(CorrectorParams(k1, k2, alpha, eps), 1.0, 1.0)
+        has_real = np.max(np.abs(np.imag(np.linalg.eigvals(mat)))) < 1e-6
         if rep.oscillation_free:
             assert has_real
     for k3, k4 in ((4.0, 4.0), (20.0, 4.0), (1.0, 2.0)):
         alpha = 1.0 - 1e-12
         rep = validate_observer_params(k3, k4, alpha, 0.7)
-        lin = linearize_observer(ObserverParams(k3, k4, alpha, 0.7), 1.0)
-        has_real = np.max(np.abs(np.imag(lin.eigenvalues()))) < 1e-6
+        mat = linearize_observer(ObserverParams(k3, k4, alpha, 0.7), 1.0)
+        has_real = np.max(np.abs(np.imag(np.linalg.eigvals(mat)))) < 1e-6
         assert rep.oscillation_free == has_real
 
 
