@@ -488,13 +488,15 @@ def observer_ramp_study(eps_values: Sequence[float], duration: float = 40.0,
     for eps in values:
         p = replace(_DEFAULT_OBSERVER, eps_o=eps)
         st = ObserverState(0.0, 0.0)
-        errors = []
+        xhat4 = []
         for i in range(n):
             t = i * dt
             y2 = 0.5 * ramp_rate * t * t
             st = step_observer(st, y2, 0.0, p, dt)
-            errors.append(abs(st.xhat4 - ramp_rate * (t + dt)))
-        rows.append({"eps_o": eps, "max_e4": _window_stats(np.array(errors), steady)[0]})
+            xhat4.append(st.xhat4)
+        # Elementwise the per-step abs(xhat4 - ramp_rate * (t + dt)), bit for bit.
+        errors = np.abs(np.array(xhat4) - ramp_rate * (np.arange(n) * dt + dt))
+        rows.append({"eps_o": eps, "max_e4": _window_stats(errors, steady)[0]})
     return SweepResult(rows)
 
 

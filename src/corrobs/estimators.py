@@ -31,7 +31,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, fields
 from functools import partial
-from math import copysign, isfinite
+from math import isfinite
 from typing import NamedTuple
 
 from .fractional import relay_step
@@ -175,11 +175,11 @@ def step_corrector(state: CorrectorState, meas: AxisMeasurement,
     h = 0.5 * dt
     hy2 = h * y2    # du1/dt = xhat2 = y_o2 + u2
     v = eps * u1
-    spring = -k1 * (copysign(abs(v) ** kappa, v) if v != 0.0 else 0.0) * inv_eps3
+    spring = -k1 * ((v ** kappa if v > 0.0 else -((-v) ** kappa)) if v != 0.0 else 0.0) * inv_eps3
     u2, integral = relay_step(u2, spring, c2, alpha, h)
     u1 += hy2 + integral
     v = eps * u1
-    spring = -k1 * (copysign(abs(v) ** kappa, v) if v != 0.0 else 0.0) * inv_eps3
+    spring = -k1 * ((v ** kappa if v > 0.0 else -((-v) ** kappa)) if v != 0.0 else 0.0) * inv_eps3
     u2, integral = relay_step(u2, spring, c2, alpha, h)
     u1 += hy2 + integral
     x1_out = y1 + u1
@@ -203,22 +203,23 @@ def step_observer(state: ObserverState, y_o2: float, h: float,
     xhat3, xhat4 = state
     alpha, beta, c4, c3 = p._constants
     half = 0.5 * dt
-    innov = xhat3 - y_o2
-    mag = abs(innov)
-    a1 = xhat4 - c4 * (copysign(mag ** beta, innov) if innov != 0.0 else 0.0) + h
-    b1 = -c3 * (copysign(mag ** alpha, innov) if innov != 0.0 else 0.0)
-    innov = xhat3 + half * a1 - y_o2
-    mag = abs(innov)
-    a2 = xhat4 + half * b1 - c4 * (copysign(mag ** beta, innov) if innov != 0.0 else 0.0) + h
-    b2 = -c3 * (copysign(mag ** alpha, innov) if innov != 0.0 else 0.0)
-    innov = xhat3 + half * a2 - y_o2
-    mag = abs(innov)
-    a3 = xhat4 + half * b2 - c4 * (copysign(mag ** beta, innov) if innov != 0.0 else 0.0) + h
-    b3 = -c3 * (copysign(mag ** alpha, innov) if innov != 0.0 else 0.0)
-    innov = xhat3 + dt * a3 - y_o2
-    mag = abs(innov)
-    a4 = xhat4 + dt * b3 - c4 * (copysign(mag ** beta, innov) if innov != 0.0 else 0.0) + h
-    b4 = -c3 * (copysign(mag ** alpha, innov) if innov != 0.0 else 0.0)
+    # Each stage's innovation e enters as [e]^beta and [e]^alpha, in the form
+    # the `fractional` module docstring gives.
+    e = xhat3 - y_o2
+    a1 = xhat4 - c4 * ((e ** beta if e > 0.0 else -((-e) ** beta)) if e != 0.0 else 0.0) + h
+    b1 = -c3 * ((e ** alpha if e > 0.0 else -((-e) ** alpha)) if e != 0.0 else 0.0)
+    e = xhat3 + half * a1 - y_o2
+    a2 = (xhat4 + half * b1
+          - c4 * ((e ** beta if e > 0.0 else -((-e) ** beta)) if e != 0.0 else 0.0) + h)
+    b2 = -c3 * ((e ** alpha if e > 0.0 else -((-e) ** alpha)) if e != 0.0 else 0.0)
+    e = xhat3 + half * a2 - y_o2
+    a3 = (xhat4 + half * b2
+          - c4 * ((e ** beta if e > 0.0 else -((-e) ** beta)) if e != 0.0 else 0.0) + h)
+    b3 = -c3 * ((e ** alpha if e > 0.0 else -((-e) ** alpha)) if e != 0.0 else 0.0)
+    e = xhat3 + dt * a3 - y_o2
+    a4 = (xhat4 + dt * b3
+          - c4 * ((e ** beta if e > 0.0 else -((-e) ** beta)) if e != 0.0 else 0.0) + h)
+    b4 = -c3 * ((e ** alpha if e > 0.0 else -((-e) ** alpha)) if e != 0.0 else 0.0)
     x3_out = xhat3 + dt / 6.0 * (a1 + 2.0 * a2 + 2.0 * a3 + a4)
     x4_out = xhat4 + dt / 6.0 * (b1 + 2.0 * b2 + 2.0 * b3 + b4)
     if not (isfinite(x3_out) and isfinite(x4_out)):

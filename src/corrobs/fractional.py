@@ -8,9 +8,19 @@ settling onto the true equilibrium.  ``relay_step`` integrates the scalar
 forced relay ODE over one step with a closed-form treatment of exactly that
 regime, and is the building block for the corrector stepper.
 
-The steppers evaluate the odd power inline, on unvalidated floats, as
-``copysign(abs(v) ** alpha, v) if v != 0.0 else 0.0``: the same operations
-as `falpha` after its checks, with the +0.0 result at v = +-0.0 kept.
+The steppers evaluate the odd power inline, on unvalidated floats and with
+no function call, in the branch-signed form
+
+    (v ** alpha if v > 0.0 else -((-v) ** alpha)) if v != 0.0 else 0.0
+
+which gives the bits of `falpha`'s ``copysign(abs(v) ** alpha, v)``: for
+v < 0, -v is |v| exactly, and negating the power, which is not negative,
+is what copysign does to it (an underflow to +0.0 becomes -0.0 either way).
+v = +-0.0 gives +0.0, a NaN fails both comparisons and comes out of the
+negative branch as a NaN, and +-inf gives +-inf.  `relay_step` signs its
+closed-form end point the same way, as ueq + r or ueq - r, which is
+ueq + copysign(r, d) bit for bit.  Its time integral keeps copysign: the
+magnitude, a difference of two powers, can round below 0.
 """
 
 from __future__ import annotations
@@ -65,11 +75,12 @@ def relay_step(u: float, forcing: float, c: float, alpha: float,
         ueq = 0.0
     else:
         try:
-            ueq = copysign((abs(forcing) / c) ** (1.0 / alpha), forcing)
+            ueq = ((forcing / c) ** (1.0 / alpha) if forcing > 0.0
+                   else -((-forcing / c) ** (1.0 / alpha)))
         except OverflowError:
             ueq = copysign(math.inf, forcing)
 
-    g1 = forcing - c * (copysign(abs(u) ** alpha, u) if u != 0.0 else 0.0)
+    g1 = forcing - c * ((u ** alpha if u > 0.0 else -((-u) ** alpha)) if u != 0.0 else 0.0)
     um = u + 0.5 * h * g1
     # An equilibrium beyond floating-point range leaves the relay negligible
     # against the forcing, so the plain midpoint step below is accurate.
@@ -82,9 +93,9 @@ def relay_step(u: float, forcing: float, c: float, alpha: float,
             # (with no forcing, h alpha |g1| / |u| is h c alpha |u|^(alpha-1)).
             # Decay the offset from equilibrium analytically; this lands on
             # ueq exactly once the finite reaching time has elapsed.
-            ad = abs(d)
-            if ad == 0.0:
+            if d == 0.0:
                 return ueq, ueq * h
+            ad = d if d > 0.0 else -d
             one_m = 1.0 - alpha
             if one_m <= 0.0:
                 # alpha == 1: linear relay, plain exponential decay.
@@ -95,11 +106,12 @@ def relay_step(u: float, forcing: float, c: float, alpha: float,
             if z <= 0.0:
                 integral = copysign(ad ** (2.0 - alpha) / (c * (2.0 - alpha)), d)
                 return ueq, integral + ueq * h
-            dend = copysign(z ** (1.0 / one_m), d)
+            r = z ** (1.0 / one_m)
+            # The magnitude can round below 0, so the sign comes from copysign.
             integral = copysign(
-                (ad ** (2.0 - alpha) - abs(dend) ** (2.0 - alpha)) / (c * (2.0 - alpha)), d)
-            return ueq + dend, integral + ueq * h
-    g2 = forcing - c * (copysign(abs(um) ** alpha, um) if um != 0.0 else 0.0)
+                (ad ** (2.0 - alpha) - r ** (2.0 - alpha)) / (c * (2.0 - alpha)), d)
+            return ueq + r if d > 0.0 else ueq - r, integral + ueq * h
+    g2 = forcing - c * ((um ** alpha if um > 0.0 else -((-um) ** alpha)) if um != 0.0 else 0.0)
     un = u + h * g2
     if finite and (un - ueq) * d < 0.0:
         un = ueq

@@ -89,11 +89,13 @@ def linearize_corrector(p: CorrectorParams, a_c1: float, a_c2: float) -> np.ndar
         damping   = k2*Omega(alpha_c) / (eps_c^3 * a_c2^(1-alpha_c))
 
     The position-channel gain is evaluated at the amplitude eps_c*a_c1 seen
-    by the nonlinearity (its argument is eps_c times the innovation).
+    by the nonlinearity (its argument is eps_c times the innovation), with
+    (eps_c*a_c1)^(1-kappa) taken as eps_c^(1-kappa) * a_c1^(1-kappa): the
+    product itself would round, or reach 0, at a subnormal a_c1.
     """
     check_range("positive", a_c1=a_c1, a_c2=a_c2)
     kappa = p.kappa
-    gain1 = omega_coefficient(kappa) / (p.eps_c * a_c1) ** (1.0 - kappa)
+    gain1 = omega_coefficient(kappa) / (p.eps_c ** (1.0 - kappa) * a_c1 ** (1.0 - kappa))
     eps3 = p.eps_c ** 3
     stiffness = p.k1 * gain1 * p.eps_c / eps3
     damping = p.k2 * omega_coefficient(p.alpha_c) / (eps3 * a_c2 ** (1.0 - p.alpha_c))

@@ -161,6 +161,18 @@ def test_linearize_corrector_frequency_consistency():
                        - closed_form_corrector_frequency(p, amp)) < 1e-9
 
 
+@pytest.mark.parametrize("amplitude", [5e-324, 1e-320, 2.2250738585072014e-308, 1e-300,
+                                       1e-100, 1e-3, 1.0, 3.0, 1e10, 1e100, 1e300])
+def test_corrector_natural_frequency_matches_closed_form_at_every_amplitude(amplitude):
+    # eps_c * a_c1 is subnormal once a_c1 < 2.2e-308 / eps_c: formed before
+    # the power, it rounded (8.3 % low at 5e-324 on the flight parameters) or
+    # reached 0 (eps_c = 0.35 at 5e-324, a ZeroDivisionError).
+    for p in (FLIGHT_CORRECTOR, CorrectorParams(2.0, 5.0, 0.4, 0.6),
+              CorrectorParams(0.5, 1.0, 0.85, 0.35), CorrectorParams(2.0, 2.0, 0.5, 0.9)):
+        assert corrector_natural_frequency(p, amplitude) == pytest.approx(
+            closed_form_corrector_frequency(p, amplitude), rel=1e-12)
+
+
 def test_linearize_observer_near_alpha_one():
     p = ObserverParams(k3=9.0, k4=5.0, alpha_o=1.0 - 1e-9, eps_o=0.5)
     mat = linearize_observer(p, 3.0)

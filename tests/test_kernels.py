@@ -371,3 +371,79 @@ def test_constant_disturbance_as_a_zero_frequency_sinusoid(c, axis, drag, vel, s
     w = tuple(wrench)
     assert outcome(plant_step, np.array(state), w, unc, params, t, dt) == \
         outcome(ref_step_plant, np.array(state), w, unc, params, t, dt)
+
+
+# The steppers write the odd power [v]^a without abs and copysign, as
+# v ** a for v > 0 and -((-v) ** a) for v < 0 (see the `fractional` module
+# docstring); these cases pin that form to the references at its edges.
+NEG_SUBNORMAL = -5e-324
+NEG_TINY = -2.2250738585072014e-308    # the smallest normal float, negated
+EDGE_CORRECTOR = CorrectorParams(2.0, 2.0, 0.5, 0.9)
+
+
+@pytest.mark.parametrize("args", [
+    # negative subnormal and tiny innovation, forcing, or both
+    (NEG_SUBNORMAL, 0.0, 30.0, 0.1, 1e-3), (NEG_TINY, 0.0, 30.0, 0.1, 1e-3),
+    (0.5, NEG_SUBNORMAL, 30.0, 0.1, 1e-3), (0.5, NEG_TINY, 30.0, 0.1, 1e-3),
+    (0.0, NEG_SUBNORMAL, 2.0, 0.5, 1e-3), (NEG_TINY, NEG_TINY, 2.0, 0.5, 1e-3),
+    (-NEG_SUBNORMAL, NEG_SUBNORMAL, 1.0, 0.5, 1e-3),
+    # -0.0 forcing with negative u: closed form, midpoint and linear relay
+    (-0.5, -0.0, 2.0, 0.5, 1e-3), (-1e-9, -0.0, 1e-3, 0.5, 1e-3),
+    (-0.5, -0.0, 3.0, 1.0, 1e-3),
+    # an equilibrium beyond float range, on the negative side
+    (1e3, -1e3, 1e-12, 0.01, 1e-3),
+])
+def test_relay_step_odd_power_edges(args):
+    assert outcome(relay_step, *args) == outcome(ref_relay_step, *args)
+
+
+def test_overflow_is_the_reference_error():
+    # A stiff relay step from |u| = 1e250 lands, and the integral's
+    # |u| ** (2 - alpha) overflows, in `relay_step` and through the corrector.
+    stiff = CorrectorParams(1.0, 1e240, 0.1, 0.9)
+    for u in (1e250, -1e250):
+        for fn, ref, args in (
+                (relay_step, ref_relay_step, (u, 0.0, 1e240, 0.1, 5e-4)),
+                (step_corrector, ref_step_corrector,
+                 (CorrectorState(0.0, u), AxisMeasurement(0.0, 0.0), stiff, 1e-3))):
+            result = outcome(fn, *args)
+            assert result[0] == "OverflowError"
+            assert result == outcome(ref, *args)
+
+
+@pytest.mark.parametrize("state,meas,p", [
+    ((NEG_SUBNORMAL, 0.0), (0.0, 0.0), EDGE_CORRECTOR),
+    ((0.0, NEG_SUBNORMAL), (0.0, 0.0), EDGE_CORRECTOR),
+    ((NEG_TINY, NEG_TINY), (0.0, 0.0), EDGE_CORRECTOR),
+    ((0.3, -0.0), (0.3, 0.0), EDGE_CORRECTOR),
+    ((-0.2, -0.5), (0.0, 0.0), EDGE_CORRECTOR),
+])
+def test_step_corrector_odd_power_edges(state, meas, p):
+    args = (CorrectorState(*state), AxisMeasurement(*meas), p, 1e-3)
+    assert outcome(step_corrector, *args) == outcome(ref_step_corrector, *args)
+
+
+@pytest.mark.parametrize("x3,y2", [(NEG_SUBNORMAL, 0.0), (NEG_TINY, 0.0), (0.0, -NEG_TINY),
+                                   (-0.0, 0.0), (-0.4, 0.1)])
+def test_step_observer_odd_power_edges(x3, y2):
+    args = (ObserverState(x3, -0.0), y2, 0.0, FLIGHT_OBSERVER, 1e-3)
+    assert outcome(step_observer, *args) == outcome(ref_step_observer, *args)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("which", range(4))
+def test_non_finite_input_reaches_the_output_check(bad, which):
+    corrector_in = [0.1, -0.2, 0.3, -0.4]
+    corrector_in[which] = bad
+    x1, x2, y1, y2 = corrector_in
+    args = (CorrectorState(x1, x2), AxisMeasurement(y1, y2), FLIGHT_CORRECTOR, 1e-3)
+    result = outcome(step_corrector, *args)
+    assert result == ("ValueError", "corrector step produced a non-finite state")
+    assert result == outcome(ref_step_corrector, *args)
+    observer_in = [0.1, -0.2, 0.3, -0.4]
+    observer_in[which] = bad
+    x3, x4, y2, h = observer_in
+    args = (ObserverState(x3, x4), y2, h, FLIGHT_OBSERVER, 1e-3)
+    result = outcome(step_observer, *args)
+    assert result == ("ValueError", "observer step produced a non-finite state")
+    assert result == outcome(ref_step_observer, *args)
