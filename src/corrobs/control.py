@@ -52,8 +52,7 @@ class CircleTrajectory:
                  climb_time: float):
         check_range("positive", radius=radius, speed=speed, altitude=altitude,
                     climb_time=climb_time)
-        self.radius, self.speed, self.altitude, self.climb_time = (
-            radius, speed, altitude, climb_time)
+        self.radius, self.altitude, self.climb_time = radius, altitude, climb_time
         try:
             self._climb_time_sq = climb_time ** 2
         except OverflowError:

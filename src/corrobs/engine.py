@@ -211,7 +211,9 @@ def run_scenario(cfg: ScenarioConfig) -> TraceLog:
 
     The loop keeps every state as plain floats and calls the public steppers
     with constants worked out once per run; the outputs of each stage are
-    checked for finiteness once per tick.
+    checked for finiteness once per tick.  Each stage is looked up by name
+    on every call, so a wrapper set on this module's attributes, or on the
+    sensor or trajectory class, sees every call.
     """
     traj = cfg.trajectory.build()
     params = cfg.uav
@@ -225,16 +227,7 @@ def run_scenario(cfg: ScenarioConfig) -> TraceLog:
     rows = np.empty((n_rows, len(TraceLog.COLUMNS)))
     row_i = 0
 
-    # Per-run constants, and locals for the per-tick calls.  The steppers are
-    # looked up here, on each run, so that a wrapper set on this module's
-    # attributes (or on the trajectory class) sees every call.
-    measure = suite.measure
-    point = traj.point
-    rescale, position, attitude = uncertainty_rescale, position_control, attitude_control
-    step_corr, step_obs = step_corrector, step_observer
-    input_terms, plant_step = input_acceleration_scalars, step_plant
-    predict, update = ekf_predict, ekf_update
-    row_of = trace_row
+    # Per-run constants.
     correctors, observers = per_axis(cfg.correctors), per_axis(cfg.observers)
     dts = (dt,) * 6
     axes = plant_axes(cfg.uncertainty, params)
@@ -242,9 +235,9 @@ def run_scenario(cfg: ScenarioConfig) -> TraceLog:
     ekf_q = process_noise(ekf_cfg.q, dt)
     gains = cfg.gains
 
-    pos0, vel0, _ = point(0.0)
+    pos0, vel0, _ = traj.point(0.0)
     s = [a + b for a, b in zip(pos0 + vel0, cfg.initial_offset)]
-    frame = measure(s, 0)
+    frame = suite.measure(s, 0)
     y_o2 = [mz.y_o2 for mz in frame]
     if cfg.estimator_init == "truth":
         corr = [CorrectorState(s[a], s[6 + a]) for a in range(6)]
@@ -256,46 +249,46 @@ def run_scenario(cfg: ScenarioConfig) -> TraceLog:
 
     for i in range(n_ticks + 1):
         t = i * dt
-        tp = point(t)
+        tp = traj.point(t)
         est_pos = [c.xhat1 for c in corr]
         est_vel = [c.xhat2 for c in corr]
-        dp, da = rescale([o.xhat4 for o in obs], params)
-        wrench = (position(est_pos, est_vel, dp, tp, gains, params)
-                  + attitude(est_pos, est_vel, da, tp, gains, params))
+        dp, da = uncertainty_rescale([o.xhat4 for o in obs], params)
+        wrench = (position_control(est_pos, est_vel, dp, tp, gains, params)
+                  + attitude_control(est_pos, est_vel, da, tp, gains, params))
         if not _all_finite(wrench):
             raise _diverged(i, t, "control", "non-finite wrench")
 
         if i % sample_every == 0:
-            rows[row_i] = row_of(t, s, frame, corr, obs, kf, wrench, tp[0])
+            rows[row_i] = trace_row(t, s, frame, corr, obs, kf, wrench, tp[0])
             row_i += 1
 
         if i == n_ticks:
             break
 
-        h6 = input_terms(wrench, params)
+        h6 = input_acceleration_scalars(wrench, params)
         try:
-            corr = list(map(step_corr, corr, frame, correctors, dts))
+            corr = list(map(step_corrector, corr, frame, correctors, dts))
         except ValueError as exc:
             raise _diverged(i, t, "corrector", exc) from exc
         try:
-            obs = list(map(step_obs, obs, y_o2, h6, observers, dts))
+            obs = list(map(step_observer, obs, y_o2, h6, observers, dts))
         except ValueError as exc:
             raise _diverged(i, t, "observer", exc) from exc
-        s = plant_step(s, h6, axes, t, dt)
+        s = step_plant(s, h6, axes, t, dt)
         if not _all_finite(s):
             raise _diverged(i + 1, t + dt, "plant", "non-finite state")
         try:
-            kf = predict(kf, dt, ekf_q)
+            kf = ekf_predict(kf, dt, ekf_q)
         except EkfDivergence as exc:
             raise _diverged(i, t, "ekf", exc) from exc
 
         nxt = i + 1
-        held, frame = frame, measure(s, nxt)
+        held, frame = frame, suite.measure(s, nxt)
         if frame is not held:
             y_o2 = [mz.y_o2 for mz in frame]
         if nxt % vel_every == 0:
             try:
-                kf = update(kf, frame[:3], ekf_cfg)
+                kf = ekf_update(kf, frame[:3], ekf_cfg)
             except EkfDivergence as exc:
                 raise _diverged(nxt, nxt * dt, "ekf", exc) from exc
 
@@ -347,7 +340,7 @@ def metrics(trace: TraceLog, settle: float, scenario: ScenarioConfig) -> dict:
     out: dict = {"settle": settle, "duration": duration,
                  "corrector": {}, "ekf": {}, "observer": {}, "drift": {}}
 
-    for a, name in enumerate(AXIS_NAMES):
+    for name in AXIS_NAMES:
         err = np.abs(trace.column(f"corr_{name}") - trace.column(f"true_{name}"))
         mx, rms = _window_stats(err, steady)
         out["corrector"][name] = {"max": mx, "rms": rms}
@@ -359,7 +352,7 @@ def metrics(trace: TraceLog, settle: float, scenario: ScenarioConfig) -> dict:
             "ratio": late_max / ref_max if ref_max > 0 else None,
         }
 
-    for a, name in enumerate(AXIS_NAMES[:3]):
+    for name in AXIS_NAMES[:3]:
         err = np.abs(trace.column(f"ekf_{name}") - trace.column(f"true_{name}"))
         mx, rms = _window_stats(err, steady)
         out["ekf"][name] = {"max": mx, "rms": rms}
@@ -449,9 +442,10 @@ def convergence_study(cfg: ScenarioConfig, eps_values: Sequence[float],
     error-order bound shrinks with eps_c, so the measured error must be
     non-increasing as eps_c decreases.  In practice the bias is rejected so
     completely that the rows are set by the zero-order hold of the velocity
-    measurement, not by eps_c: on ``paper_sec6`` (40 s, settle 20 s) max_e1
-    is 1.58e-5 m at eps_c = 0.9 and 1.55e-5 m at 0.3 with its 10 ms hold,
-    and 1.42e-6 and 1.37e-6 m with a 1 ms hold.
+    measurement, not by eps_c, and a shorter hold lowers every row.  On
+    ``paper_sec6`` (40 s, settle 20 s, 10 ms hold) max_e1 is 1.58e-5 m at
+    eps_c = 0.9 and 1.55e-5 m at 0.3, the rows that criterion 5 of
+    tests/test_acceptance.py computes and reports.
     """
     values = _descending_eps(eps_values)
     base = replace(

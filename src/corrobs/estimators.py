@@ -25,6 +25,26 @@ With [v]^a = |v|^a*sign(v), the two right-hand sides are
 
 Both are exposed as one-step integrators with measurements held constant
 over the step (zero-order hold).
+
+With h = 0 and the measurements held, both error systems are homogeneous
+of negative degree (Bhat & Bernstein, Math. Control Signals Systems 17,
+2005): a dilation by any lambda > 0 maps solutions to solutions.
+
+* Corrector, with u1 = xhat1 - y_o1, u2 = xhat2 - y_o2 and
+  r = 1/(2 - alpha_c): (u1, u2) -> (lambda*u1, lambda^r*u2) with
+  t -> lambda^(1-r)*t, and y_o2 dilated with u2.  It holds because
+  `CorrectorParams.kappa` = alpha_c/(2 - alpha_c) = 2r - 1 = r*alpha_c.
+  The degree is r - 1 = -(1 - alpha_c)/(2 - alpha_c).
+* Observer, with e3 = xhat3 - y_o2 and e4 = xhat4:
+  (e3, e4) -> (lambda*e3, lambda^beta*e4) with t -> lambda^(1-beta)*t.  It
+  holds because `ObserverParams.beta` = (alpha_o + 1)/2 makes
+  2*beta - 1 = alpha_o.  The degree is beta - 1 = -(1 - alpha_o)/2.
+
+A negative degree is what makes the errors settle in finite time.  Both
+steppers keep the symmetry: a step from a dilated state, with dilated
+measurements and dt scaled by lambda^(1-r) or lambda^(1-beta), is the
+dilated step up to rounding (the dilation tests in
+tests/test_estimators.py).
 """
 
 from __future__ import annotations
@@ -194,9 +214,9 @@ def step_observer(state: ObserverState, y_o2: float, h: float,
     """Advance the observer one fixed step (classical 4th-order scheme).
 
     The observer's innovation exponent `ObserverParams.beta` >= 1/2 keeps the
-    right-hand side tame enough for an explicit stepper at millisecond steps;
-    spurious-offset scales are far below double precision here.  A non-finite
-    input gives a non-finite state, which the output check refuses.
+    right-hand side tame enough for an explicit stepper at millisecond steps,
+    so the observer needs no relay sub-integrator.  A non-finite input gives
+    a non-finite state, which the output check refuses.
     """
     if dt <= 0.0:
         raise ValueError("dt must be positive")

@@ -1,12 +1,14 @@
 """Fractional-power feedback primitive and the stiff relay sub-integrator.
 
 The feedback terms used throughout the estimators have the form
-``|v|**alpha * sign(v)`` with ``alpha`` in (0, 1].  Near v = 0 the slope of
-this function is unbounded, which makes explicit fixed-step integrators
-misbehave: they develop small but persistent spurious offsets instead of
-settling onto the true equilibrium.  ``relay_step`` integrates the scalar
-forced relay ODE over one step with a closed-form treatment of exactly that
-regime, and is the building block for the corrector stepper.
+``|v|**alpha * sign(v)`` with ``alpha`` in (0, 1].  For alpha < 1 the slope
+of this function is unbounded near v = 0, which makes explicit fixed-step
+integrators misbehave: they develop small but persistent spurious offsets
+instead of settling onto the true equilibrium.  ``relay_step`` integrates the
+scalar forced relay ODE over one step with a closed-form treatment of exactly
+that regime, and is the building block for the corrector stepper.  It takes
+alpha in (0, 1), the corrector's stability range for alpha_c, and does not
+check it; `falpha` takes (0, 1], as the describing-function analysis does.
 
 The steppers evaluate the odd power inline, on unvalidated floats and with
 no function call, in the branch-signed form
@@ -54,11 +56,12 @@ def relay_step(u: float, forcing: float, c: float, alpha: float,
                h: float) -> tuple[float, float]:
     """Advance ``du/dt = forcing - c*|u|^alpha*sign(u)`` over one interval.
 
-    ``forcing`` and ``c > 0`` are held constant over the step.  The solution
-    of this one-dimensional ODE approaches the equilibrium ``ueq`` (where the
-    relay term balances the forcing) monotonically and never crosses it; for
-    ``forcing = 0`` it lands exactly on u = 0 in finite time.  The integrator
-    preserves both facts: an explicit midpoint step is used while the flow is
+    ``forcing`` and ``c > 0`` are held constant over the step, and ``alpha``
+    lies in (0, 1), which is not checked (the corrector's parameters are).
+    The solution of this one-dimensional ODE approaches the equilibrium
+    ``ueq`` (where the relay term balances the forcing) monotonically and
+    never crosses it; for ``forcing = 0`` it lands exactly on u = 0 in finite
+    time.  The integrator preserves both facts: an explicit midpoint step is used while the flow is
     well resolved.  When the midpoint would overshoot the equilibrium, or
     when ``forcing = 0`` and the step is long against the relay's time scale
     (``h c alpha |u|^(alpha-1) > 1/2``, where the midpoint barely moves), the
@@ -97,11 +100,6 @@ def relay_step(u: float, forcing: float, c: float, alpha: float,
                 return ueq, ueq * h
             ad = d if d > 0.0 else -d
             one_m = 1.0 - alpha
-            if one_m <= 0.0:
-                # alpha == 1: linear relay, plain exponential decay.
-                dec = math.exp(-c * h)
-                dend = d * dec
-                return ueq + dend, ueq * h + d * (1.0 - dec) / c
             z = ad ** one_m - c * one_m * h
             if z <= 0.0:
                 integral = copysign(ad ** (2.0 - alpha) / (c * (2.0 - alpha)), d)

@@ -92,6 +92,14 @@ def linearize_corrector(p: CorrectorParams, a_c1: float, a_c2: float) -> np.ndar
     by the nonlinearity (its argument is eps_c times the innovation), with
     (eps_c*a_c1)^(1-kappa) taken as eps_c^(1-kappa) * a_c1^(1-kappa): the
     product itself would round, or reach 0, at a subnormal a_c1.
+
+    The stiffness is the squared frequency, so it overflows to inf while the
+    frequency is still finite once a_c1^((2-2 alpha_c)/(2-alpha_c)) falls
+    below k1*Omega(kappa) / (eps_c^((6-4 alpha_c)/(2-alpha_c)) * 1.8e308).
+    Only a small alpha_c at a tiny amplitude gets there: with k1 = 1 and
+    eps_c = 1/1.2, below a_c1 = 9.5e-317 at alpha_c = 0.05 and 3.4e-310 at
+    alpha_c = 0.01, and at no positive a_c1 for alpha_c >= 0.1.  There
+    `corrector_natural_frequency` returns inf.
     """
     check_range("positive", a_c1=a_c1, a_c2=a_c2)
     kappa = p.kappa

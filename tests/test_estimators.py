@@ -13,6 +13,8 @@ import math
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from corrobs import (AxisMeasurement, CorrectorParams, CorrectorState,
                      ObserverParams, ObserverState, falpha, step_corrector,
@@ -328,6 +330,65 @@ def test_step_observer_difference_quotient_matches_oracle():
         out = step_observer(s, y2, hin, FLIGHT_OBSERVER, h)
         for new, old, d in zip(out, s, observer_derivative(s, y2, hin, FLIGHT_OBSERVER)):
             assert abs((new - old) / h - d) <= 3e-6 * max(1.0, abs(d))
+
+
+# The dilations of the `estimators` module docstring, stepped: one step from
+# a dilated state, with dilated measurements (h = 0) and the step dt scaled
+# by lambda^(1 - r) (corrector) or lambda^(1 - beta) (observer), is the
+# dilated step.  Each output component, of weight lambda^w, may differ by
+# DILATION_RTOL of itself plus DILATION_FLOOR_ULPS rounding units of its
+# scale, times lambda^w: the largest of its inputs, its undilated output and
+# the terms of its update that can cancel.  Measured over 4 000 uniform
+# draws per gain set from the domains below: the worst relative error was
+# 2.7e-14 (balanced corrector), 1.3e-13 (flight corrector), 2.3e-14 (flight
+# observer) and 9.1e-13 (the other observer), the two largest on outputs
+# near 0; with the relative term, the floor needed at most 1.0 unit.
+DILATION_RTOL = 1e-13
+DILATION_FLOOR_ULPS = 4.0
+dilations = st.integers(-12, 12).map(lambda k: 2.0 ** k)
+dilated_steps = st.floats(-5.0, -2.0).map(lambda e: 10.0 ** e)
+DILATION_SETTINGS = settings(max_examples=300, deadline=None, derandomize=True)
+
+
+def dilated_values(bound):
+    # 0 or a magnitude of at least 1e-100: on tinier inputs the powers inside
+    # a step reach the subnormal range, whose rounding is not relative.
+    return st.floats(-bound, bound).filter(lambda v: v == 0.0 or abs(v) >= 1e-100)
+
+
+def assert_dilated(got, want, weights, scales):
+    for g, w, lam_w, scale in zip(got, want, weights, scales):
+        floor = DILATION_FLOOR_ULPS * 2.0 ** -52 * lam_w * scale
+        assert abs(g - lam_w * w) <= DILATION_RTOL * abs(lam_w * w) + floor, (g, lam_w * w)
+
+
+@DILATION_SETTINGS
+@given(p=st.sampled_from([BALANCED_CORRECTOR, FLIGHT_CORRECTOR]), lam=dilations,
+       x1=dilated_values(5.0), x2=dilated_values(5.0), y1=dilated_values(20.0),
+       y2=dilated_values(2.0), dt=dilated_steps)
+def test_step_corrector_commutes_with_its_dilation(p, lam, x1, x2, y1, y2, dt):
+    lam_r = lam ** (1.0 / (2.0 - p.alpha_c))
+    out = step_corrector(CorrectorState(x1, x2), AxisMeasurement(y1, y2), p, dt)
+    dilated = step_corrector(CorrectorState(lam * x1, lam_r * x2),
+                             AxisMeasurement(lam * y1, lam_r * y2), p, dt * lam / lam_r)
+    # x1 moves by about dt * y2 + dt * (x2 - y2), which can cancel
+    assert_dilated(dilated, out, (lam, lam_r),
+                   (max(abs(x1), abs(y1), abs(out[0]), dt * abs(x2), dt * abs(y2)),
+                    max(abs(x2), abs(y2), abs(out[1]))))
+
+
+@DILATION_SETTINGS
+@given(p=st.sampled_from([FLIGHT_OBSERVER, ObserverParams(5.0, 9.0, 0.3, 0.5)]),
+       lam=dilations, x3=dilated_values(5.0), x4=dilated_values(5.0),
+       y2=dilated_values(5.0), dt=dilated_steps)
+def test_step_observer_commutes_with_its_dilation(p, lam, x3, x4, y2, dt):
+    lam_b = lam ** p.beta
+    out = step_observer(ObserverState(x3, x4), y2, 0.0, p, dt)
+    dilated = step_observer(ObserverState(lam * x3, lam_b * x4), lam * y2, 0.0, p,
+                            dt * lam / lam_b)
+    assert_dilated(dilated, out, (lam, lam_b),
+                   (max(abs(x3), abs(y2), abs(out[0]), dt * abs(x4)),
+                    max(abs(x4), abs(out[1]))))
 
 
 def test_step_rejects_bad_dt():

@@ -21,6 +21,11 @@ also imports the scenario classes).
 * No ``for`` or ``while`` loop or comprehension in the package calls
   ``run_scenario``: multi-run work goes through ``engine._runs``, the one
   path that checks every value before its first run.
+* No function of the package binds a package function to a local name, one
+  that its module imports by name or defines: each call looks the function
+  up by its module-level name, so a wrapper set on the module attribute
+  (as perfbench's tracer sets one) sees every call, and there is one way to
+  call a stage.
 * Every field of ``ScenarioConfig`` and of each dataclass it holds is set
   somewhere: a bundled document gives one of its keys, or a call outside the
   tests gives it to the class's constructor (by name or by position) or by
@@ -207,6 +212,29 @@ def test_no_loop_calls_run_scenario():
                     for c in ast.walk(node)):
                 looped.append(f"{path.name}:{node.lineno}")
     assert not looped, f"loops that call run_scenario; use engine._runs: {looped}"
+
+
+def test_no_function_binds_a_package_function_to_a_local():
+    defined = {path.stem: {node.name for node in ast.parse(path.read_text()).body
+                           if isinstance(node, ast.FunctionDef)} for path in PACKAGE}
+    bound = set()
+    for path in PACKAGE:
+        tree = ast.parse(path.read_text(), filename=str(path))
+        functions = set(defined[path.stem])
+        for node in tree.body:
+            if isinstance(node, ast.ImportFrom) and node.level == 1:
+                functions.update(a.asname or a.name for a in node.names
+                                 if a.name in defined.get(node.module, ()))
+        for fn in ast.walk(tree):
+            if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            for node in ast.walk(fn):
+                if isinstance(node, (ast.Assign, ast.AnnAssign)) and node.value is not None:
+                    value = node.value
+                    for v in value.elts if isinstance(value, ast.Tuple) else [value]:
+                        if isinstance(v, ast.Name) and v.id in functions:
+                            bound.add(f"{path.name}:{node.lineno} {v.id}")
+    assert not bound, f"package functions bound to locals; call each by name: {sorted(bound)}"
 
 
 def _scenario_fields(cls: type, path: str = ""):
