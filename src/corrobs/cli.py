@@ -100,26 +100,23 @@ def cmd_validate(args) -> int:
     doc = read_document(_config_path(args))
     rules = {"corrector": freq.validate_corrector_params,
              "observer": freq.validate_observer_params}
-    reports = {section: rules[section.split(".")[0]](**values)
-               for section, values in estimator_values(doc).items()}
-    warned = False
-    for section, rep in reports.items():
-        warned |= not rep.oscillation_free
-        print(f"{section.replace('.', '/')}: stable={rep.stable} "
-              f"oscillation_free={rep.oscillation_free}")
-        for m in rep.messages:
-            print(f"  {m}")
-    stand_in = estimator_values(scenario_to_dict(ScenarioConfig()))
+    stand_in = scenario_to_dict(ScenarioConfig())
     checked = json.loads(json.dumps(doc))
-    for section, rep in reports.items():
+    stable = oscillation_free = True
+    for section, values in estimator_values(doc).items():
+        group, axis = section.split(".")
+        rep = rules[group](**values)
+        stable &= rep.stable
+        oscillation_free &= rep.oscillation_free
+        print(f"{group}/{axis}: stable={rep.stable} oscillation_free={rep.oscillation_free}",
+              *(f"  {m}" for m in rep.messages), sep="\n")
         if not rep.stable:
-            group, axis = section.split(".")
-            checked[group][axis].update(stand_in[section])
+            checked[group][axis].update(stand_in[group][axis])
     _with_overrides(args, scenario_from_dict(checked))
-    if not all(rep.stable for rep in reports.values()):
+    if not stable:
         print("validation FAILED: unstable parameter set")
         return EXIT_VALIDATION
-    print("validation passed" + (" (with oscillation warnings)" if warned else ""))
+    print("validation passed" + ("" if oscillation_free else " (with oscillation warnings)"))
     return EXIT_OK
 
 

@@ -8,8 +8,8 @@ trajectory, seed).  Three reference documents ship with the package:
                      bias with dropouts, non-Gaussian noise
     paper_fig5.cfg   uncertainty-estimation run with the sinusoidal
                      disturbance set and no dropouts
-    noise_only.cfg   unbiased small-noise scenario used to tune the EKF
-                     baseline fairly
+    noise_only.cfg   unbiased small-noise scenario on which the EKF
+                     baseline's q was grid-searched
 
 A document is the scenario dataclasses written out: each section holds the
 fields of the dataclass it builds under their field names, and a key left

@@ -380,12 +380,13 @@ class SweepResult:
         return all(b <= a + slack for a, b in zip(col, col[1:]))
 
 
-def _runs(cfg: ScenarioConfig, name: str, values: Sequence[float], set_value, reduce,
-          jobs: int = 1) -> SweepResult:
+def _runs(cfg: ScenarioConfig | ObserverParams, name: str, values: Sequence[float],
+          set_value, reduce, jobs: int = 1) -> SweepResult:
     """The one multi-run path: a row ``{name: v, **reduce(set_value(cfg, v))}``
     per value, in the order given.
 
-    Every value's config is built, and so checked, before the first run; a
+    ``cfg`` is a scenario, or the observer of `observer_ramp_study`.  Every
+    value's config is built, and so checked, before the first run; a
     refusal is a ConfigError naming the value.  ``reduce`` runs each config;
     with ``jobs`` (at least 1) above 1 it runs in a pool of at most that many
     worker processes, and no more than there are values, so it must pickle.
@@ -462,6 +463,20 @@ def convergence_study(cfg: ScenarioConfig, eps_values: Sequence[float],
                  partial(_convergence_row, settle))
 
 
+def _ramp_row(n: int, dt: float, steady, p: ObserverParams) -> dict:
+    ramp_rate = 0.2
+    st = ObserverState(0.0, 0.0)
+    xhat4 = []
+    for i in range(n):
+        t = i * dt
+        y2 = 0.5 * ramp_rate * t * t
+        st = step_observer(st, y2, 0.0, p, dt)
+        xhat4.append(st.xhat4)
+    # Elementwise the per-step abs(xhat4 - ramp_rate * (t + dt)), bit for bit.
+    errors = np.abs(np.array(xhat4) - ramp_rate * (np.arange(n) * dt + dt))
+    return {"max_e4": _window_stats(errors, steady)[0]}
+
+
 def observer_ramp_study(eps_values: Sequence[float], duration: float = 40.0,
                         settle: float = 20.0, dt: float = 1e-3) -> SweepResult:
     """Steady observer error against a ramp uncertainty, per time-scale value.
@@ -472,26 +487,14 @@ def observer_ramp_study(eps_values: Sequence[float], duration: float = 40.0,
     decreases (error-order property), which is measurable here because the
     ramp keeps a persistent innovation alive.  ``duration`` is a whole number
     of steps, and the error is taken over the steps from ``settle`` on (at
-    least one, or a ConfigError).
+    least one, or a ConfigError).  Every value's observer is built, and so
+    checked, before the first step.
     """
     values = _descending_eps(eps_values)
-    ramp_rate = 0.2
     n = whole_multiple("duration", duration, "dt", dt)
     steady = _window(np.arange(n) * dt, "settle", settle)
-    rows = []
-    for eps in values:
-        p = replace(_DEFAULT_OBSERVER, eps_o=eps)
-        st = ObserverState(0.0, 0.0)
-        xhat4 = []
-        for i in range(n):
-            t = i * dt
-            y2 = 0.5 * ramp_rate * t * t
-            st = step_observer(st, y2, 0.0, p, dt)
-            xhat4.append(st.xhat4)
-        # Elementwise the per-step abs(xhat4 - ramp_rate * (t + dt)), bit for bit.
-        errors = np.abs(np.array(xhat4) - ramp_rate * (np.arange(n) * dt + dt))
-        rows.append({"eps_o": eps, "max_e4": _window_stats(errors, steady)[0]})
-    return SweepResult(rows)
+    return _runs(_DEFAULT_OBSERVER, "eps_o", values, lambda p, eps: replace(p, eps_o=eps),
+                 partial(_ramp_row, n, dt, steady))
 
 
 @dataclass(frozen=True)

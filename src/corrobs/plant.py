@@ -179,8 +179,11 @@ def true_delta(axis: int, vel: float | np.ndarray, t: float | np.ndarray,
     components carry the arm-length lever on the pitch/roll drag.  ``vel``
     and ``t`` are either floats or equal-length columns of one axis, which
     give the force column; Delta_i is evaluated per element with
-    `math.sin` either way, so both forms give the same bits.  An ``axis``
-    outside 0-5 is refused.
+    `math.sin` either way, so both forms give the same bits.  `metrics`
+    passes columns; the float form is the one the test oracles call every
+    tick (``tests/oracles.py``: `sigma`, and through it the stacked plant
+    derivative and the perfect-information loop), so both stay.  An
+    ``axis`` outside 0-5 is refused.
     """
     if not 0 <= axis < 6:
         raise ValueError(f"axis index out of range: {axis}")

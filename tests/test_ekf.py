@@ -5,8 +5,8 @@ import math
 import numpy as np
 import pytest
 
-from corrobs import (AxisMeasurement, EkfConfig, ekf_init, ekf_predict, ekf_update,
-                     process_noise)
+from corrobs import (AxisMeasurement, EkfConfig, bundled_config_path, ekf_init,
+                     ekf_predict, ekf_update, load_scenario, process_noise)
 from corrobs.ekf import EkfDivergence, EkfState
 from oracles import axis_ekf_predict, axis_ekf_update
 
@@ -176,3 +176,21 @@ def test_divergence_reports():
         ekf_update(one_axis(math.inf, 0.0, 1.0, 0.0, 1.0),
                    [AxisMeasurement(0.0, 0.0, True)], CFG)
     assert pd(s)
+
+
+def mixture_variance(mix) -> float:
+    """Gaussian + uniform + Bernoulli impulse of random sign."""
+    return (mix.gaussian_std ** 2 + mix.uniform_halfwidth ** 2 / 3.0
+            + mix.impulse_prob * mix.impulse_magnitude ** 2)
+
+
+@pytest.mark.parametrize("name, r2_over_variance", [("paper_sec6", 1.062), ("noise_only", 1.0)])
+def test_bundled_measurement_variances_are_the_position_groups_noise(name, r2_over_variance):
+    # What the module docstring states of the tuning: r1 is the position
+    # mixture's variance (0.25 + 0.03 + 0.18 = 0.46 on paper_sec6), and r2
+    # the velocity mixture's on noise_only and 2e-6 against 1.883e-6 on
+    # paper_sec6.
+    cfg = load_scenario(bundled_config_path(name))
+    assert math.isclose(cfg.ekf.r1, mixture_variance(cfg.sensors.position_noise[0]))
+    ratio = cfg.ekf.r2 / mixture_variance(cfg.sensors.velocity_noise[0])
+    assert abs(ratio - r2_over_variance) <= 1e-3, ratio

@@ -421,6 +421,45 @@ def test_observer_ramp_study_refuses_an_off_grid_duration():
         observer_ramp_study([0.9], duration=1.0005, settle=0.5)
 
 
+def ramp_study(**kw):
+    return lambda: observer_ramp_study([0.9], **{"duration": 1.0, "settle": 0.5, **kw})
+
+
+@pytest.mark.parametrize("build, message", [
+    (ramp_study(dt=0.0), "dt must be positive and finite, not 0.0"),
+    (ramp_study(dt=-1e-3), "dt must be positive and finite, not -0.001"),
+    (ramp_study(dt=math.nan), "dt must be positive and finite, not nan"),
+    (ramp_study(duration=math.inf), "duration must be positive and finite, not inf"),
+    (ramp_study(duration=math.nan), "duration must be positive and finite, not nan"),
+    (lambda: SensorSuite(SensorConfig(), 1, 0.0), "dt must be positive and finite, not 0.0"),
+], ids=["ramp dt=0", "ramp dt<0", "ramp dt=nan", "ramp duration=inf", "ramp duration=nan",
+        "sensor suite dt=0"])
+def test_a_tick_count_of_a_bad_interval_or_step_is_refused_by_name(build, message):
+    # `whole_multiple` checks both numbers before it divides one by the other.
+    with pytest.raises(ValueError) as err:
+        build()
+    assert str(err.value) == message
+
+
+@pytest.mark.parametrize("eps, message", [
+    (1e-170, "eps_o=1e-170: eps_o gives eps_o^2 = 0.0; it must be finite and nonzero"),
+    (1e-160, "eps_o=1e-160: k3 gives k3/eps_o^2 = inf; it must be finite and nonzero"),
+], ids=["1e-170", "1e-160"])
+def test_observer_ramp_study_refuses_an_unusable_eps_before_the_first_step(
+        monkeypatch, eps, message):
+    steps, step = [], engine.step_observer
+
+    def counted(*args):
+        steps.append(args)
+        return step(*args)
+
+    monkeypatch.setattr(engine, "step_observer", counted)
+    with pytest.raises(ConfigError) as err:
+        observer_ramp_study([0.9, eps], duration=1.0, settle=0.5)
+    assert str(err.value) == message
+    assert steps == []
+
+
 def test_observer_ramp_study_monotone():
     result = observer_ramp_study([0.9, 0.7, 0.5, 0.3], duration=30.0, settle=15.0)
     assert result.non_increasing("max_e4", slack=1e-4)

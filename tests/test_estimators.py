@@ -215,6 +215,44 @@ def test_step_corrector_no_spurious_velocity_offset():
     assert abs(s.xhat1 - 1.0) < 1e-8
 
 
+def classical_midpoint(state, meas, p, dt):
+    d = corrector_derivative(state, meas, p)
+    half = CorrectorState(state[0] + 0.5 * dt * d[0], state[1] + 0.5 * dt * d[1])
+    d = corrector_derivative(half, meas, p)
+    return CorrectorState(state[0] + dt * d[0], state[1] + dt * d[1])
+
+
+def classical_rk4(state, meas, p, dt):
+    k1 = corrector_derivative(state, meas, p)
+    k2 = corrector_derivative(CorrectorState(state[0] + 0.5 * dt * k1[0],
+                                             state[1] + 0.5 * dt * k1[1]), meas, p)
+    k3 = corrector_derivative(CorrectorState(state[0] + 0.5 * dt * k2[0],
+                                             state[1] + 0.5 * dt * k2[1]), meas, p)
+    k4 = corrector_derivative(CorrectorState(state[0] + dt * k3[0],
+                                             state[1] + dt * k3[1]), meas, p)
+    return CorrectorState(*(x + dt / 6.0 * (a + 2.0 * b + 2.0 * c + d)
+                            for x, a, b, c, d in zip(state, k1, k2, k3, k4)))
+
+
+@pytest.mark.parametrize("step, drift", [(classical_midpoint, -7.17e-3),
+                                         (classical_rk4, -4.49e-3)],
+                         ids=["midpoint", "rk4"])
+def test_classical_steppers_drift_the_flight_corrector(step, drift):
+    # The README's "a few mm/s at 1 ms steps": with the flight gains at rest
+    # (zero measurements, start (1, 0)), a classical explicit stepper's
+    # spurious velocity offset moves the position estimate steadily, where
+    # `step_corrector` holds it (test_step_corrector_no_spurious_velocity_offset).
+    # Measured over 2 s to 5 s: -7.17 mm/s (midpoint) and -4.49 mm/s (RK4),
+    # the same to 0.5 % over 10 s to 20 s.
+    m, dt = AxisMeasurement(0.0, 0.0), 1e-3
+    s = CorrectorState(1.0, 0.0)
+    for i in range(5000):
+        s = step(s, m, FLIGHT_CORRECTOR, dt)
+        if i + 1 == 2000:
+            at_2s = s.xhat1
+    assert abs((s.xhat1 - at_2s) / 3.0 / drift - 1.0) <= 0.01
+
+
 def test_step_corrector_finite_time_convergence_balanced():
     # Module-level version of the finite-time property (20 trials; the
     # acceptance suite runs 100): from any start with norm <= 10 the error
@@ -389,6 +427,37 @@ def test_step_observer_commutes_with_its_dilation(p, lam, x3, x4, y2, dt):
     assert_dilated(dilated, out, (lam, lam_b),
                    (max(abs(x3), abs(y2), abs(out[0]), dt * abs(x4)),
                     max(abs(x4), abs(out[1]))))
+
+
+def first_step_below(p, state, dt, threshold, steps):
+    """The first step at which the corrector's homogeneous norm
+    |u1| + |u2|^(2 - alpha_c) (zero measurements) falls below ``threshold``."""
+    for i in range(steps):
+        state = step_corrector(state, AxisMeasurement(0.0, 0.0), p, dt)
+        if abs(state.xhat1) + abs(state.xhat2) ** (2.0 - p.alpha_c) < threshold:
+            return i + 1
+    return None
+
+
+@pytest.mark.parametrize("p, start, dt, threshold, settled", [
+    (BALANCED_CORRECTOR, (1.0, 0.0), 1e-3, 1e-3, 2765),
+    (BALANCED_CORRECTOR, (-2.0, 3.0), 1e-3, 1e-3, 3044),
+    (FLIGHT_CORRECTOR, (0.0, 1.0), 1e-4, 0.1, 142),
+    (FLIGHT_CORRECTOR, (0.5, -2.0), 1e-4, 0.6, 327),
+], ids=["balanced (1, 0)", "balanced (-2, 3)", "flight (0, 1)", "flight (0.5, -2)"])
+def test_settling_time_scales_along_a_dilation_ray(p, start, dt, threshold, settled):
+    # A dilated start (lam*x1, lam^r*x2), stepped at dt*lam^(1 - r), crosses
+    # the dilated threshold lam*threshold at the same step as the start does
+    # its own: settling time grows as lam^(1 - r) = lam^((1-alpha_c)/(2-alpha_c))
+    # along each ray.  Measured: the same step at every lam = 2^k for
+    # |k| <= 6.  (The flight corrector's relay freezes its position error,
+    # so there the threshold is crossed as the velocity error lands.)
+    r = 1.0 / (2.0 - p.alpha_c)
+    assert first_step_below(p, CorrectorState(*start), dt, threshold, 5000) == settled
+    for lam in (2.0 ** -6, 2.0 ** -3, 0.5, 2.0, 8.0, 64.0):
+        dilated = CorrectorState(lam * start[0], lam ** r * start[1])
+        step = first_step_below(p, dilated, dt * lam ** (1.0 - r), lam * threshold, 5000)
+        assert step is not None and abs(step - settled) <= 1, (lam, step)
 
 
 def test_step_rejects_bad_dt():

@@ -4,7 +4,7 @@ The package evaluates the equivalent-gain coefficient in closed form through
 the Beta function, (2/pi) * B((alpha+2)/2, 1/2); the independent oracle here
 is the defining integral, evaluated by mpmath quadrature at 40 digits.  The
 linearizations' stiffness is checked against the paper's closed-form natural
-frequencies in `oracles`, and the observer's against the stepped observer.
+frequencies in `oracles`, and both against the stepped estimators.
 """
 
 from __future__ import annotations
@@ -16,11 +16,11 @@ import mpmath
 import numpy as np
 import pytest
 
-from corrobs import (CorrectorParams, ObserverParams, ObserverState,
-                     corrector_natural_frequency, filtering_advice,
+from corrobs import (AxisMeasurement, CorrectorParams, CorrectorState, ObserverParams,
+                     ObserverState, corrector_natural_frequency, filtering_advice,
                      linearize_corrector, linearize_observer,
-                     observer_natural_frequency, omega_coefficient, step_observer,
-                     validate_corrector_params, validate_observer_params)
+                     observer_natural_frequency, omega_coefficient, step_corrector,
+                     step_observer, validate_corrector_params, validate_observer_params)
 from oracles import closed_form_corrector_frequency, closed_form_observer_frequency
 
 FLIGHT_CORRECTOR = CorrectorParams(k1=1.0, k2=30.0, alpha_c=0.1, eps_c=1 / 1.2)
@@ -236,6 +236,44 @@ def test_observer_describing_function_matches_stepped_observer():
             deviations.append(simulated / predicted - 1.0)
     assert len(deviations) == 4, deviations
     assert max(map(abs, deviations)) <= 0.06, deviations
+
+
+@pytest.mark.parametrize("k2, steps, ratio, fall", [
+    (2.0, 296_000, 0.739, 74.7),
+    (1.0, 376_000, 0.956, 3.80),
+    (0.5, 472_000, 0.987, 1.863),
+])
+def test_corrector_describing_function_holds_while_the_amplitude_falls_slowly(
+        k2, steps, ratio, fall):
+    # The BALANCED corrector (k1 = 2, alpha_c = 0.5, eps_c = 0.9) with k2
+    # varied, started at (1, 0) with zero measurements and stepped at
+    # dt = 1e-5.  Over each of the first three half cycles between sign
+    # changes of xhat1, the simulated frequency pi/half-period is compared
+    # with |Im lambda| of the linearization at the half cycle's peak |xhat1|
+    # and |xhat2|.  Measured: 0.73886-0.73916, 0.95608 and 0.98663, with
+    # falls of 74.7, 3.80 and 1.863 times per half cycle.  Each ratio is the
+    # same at every half cycle: the error system is homogeneous, so each half
+    # cycle is a dilated, mirrored copy of the one before.  The describing
+    # function assumes a slowly varying amplitude, and holds within 5 % only
+    # while it falls by at most about 5 times per half cycle.
+    p, dt = CorrectorParams(2.0, k2, 0.5, 0.9), 1e-5
+    state, zero = CorrectorState(1.0, 0.0), AxisMeasurement(0.0, 0.0)
+    x1, x2 = np.empty(steps), np.empty(steps)
+    for i in range(steps):
+        state = step_corrector(state, zero, p, dt)
+        x1[i], x2[i] = state
+    flips = np.flatnonzero(np.signbit(x1[1:]) != np.signbit(x1[:-1])) + 1
+    assert len(flips) == 4, flips
+    ratios, peaks = [], []
+    for start, end in zip(flips, flips[1:]):
+        peaks.append(float(np.abs(x1[start:end]).max()))
+        matrix = linearize_corrector(p, peaks[-1], float(np.abs(x2[start:end]).max()))
+        ratios.append(math.pi / ((end - start) * dt)
+                      / np.abs(np.linalg.eigvals(matrix).imag).max())
+    falls = [a / b for a, b in zip(peaks, peaks[1:])]
+    assert all(abs(r - ratio) <= 1e-3 for r in ratios), ratios
+    assert all(abs(f / fall - 1.0) <= 2e-3 for f in falls), falls
+    assert all((abs(r - 1.0) <= 0.05) == (f <= 5.0) for r, f in zip(ratios, falls))
 
 
 def test_companion_eigenvalues_match_polynomial_roots():

@@ -21,6 +21,8 @@ also imports the scenario classes).
 * No ``for`` or ``while`` loop or comprehension in the package calls
   ``run_scenario``: multi-run work goes through ``engine._runs``, the one
   path that checks every value before its first run.
+* No package function other than ``engine._runs`` constructs a
+  ``SweepResult``: every multi-run study returns the rows of the one path.
 * No function of the package binds a package function to a local name, one
   that its module imports by name or defines: each call looks the function
   up by its module-level name, so a wrapper set on the module attribute
@@ -212,6 +214,18 @@ def test_no_loop_calls_run_scenario():
                     for c in ast.walk(node)):
                 looped.append(f"{path.name}:{node.lineno}")
     assert not looped, f"loops that call run_scenario; use engine._runs: {looped}"
+
+
+def test_only_runs_constructs_a_sweep_result():
+    builders = set()
+    for path in PACKAGE:
+        for fn in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)) and any(
+                    isinstance(c, ast.Call) and _callee(c) == "SweepResult"
+                    for c in ast.walk(fn)):
+                builders.add(f"{path.stem}.{fn.name}")
+    others = sorted(builders - {"engine._runs"})
+    assert not others, f"functions that construct a SweepResult; use engine._runs: {others}"
 
 
 def test_no_function_binds_a_package_function_to_a_local():
