@@ -5,7 +5,7 @@ dropout, non-Gaussian noise, sinusoidal model uncertainties, six
 corrector/observer pairs feeding the position and attitude loops, and a
 shadow Kalman-filter baseline watching the same measurements.
 
-Run:  python demos/04_flight_replication.py        (about 15 s)
+Run:  python demos/04_flight_replication.py
 """
 
 import numpy as np

@@ -5,13 +5,14 @@ q on the unbiased scenario, where the filter's assumptions hold; the
 bundled q should be the grid's best.  Then two runs of the same machinery:
 
   1. unbiased small Gaussian noise: the Kalman filter's assumptions hold and
-     the two estimators land in the same error class (the baseline is tuned
-     on exactly this scenario, so the comparison is fair);
+     the two estimators land in the same error class.  The bundled q is the
+     best of the grid printed first, and the aggregate EKF/corrector RMS
+     ratio printed for this scenario reads 0.75;
   2. the flight scenario with a ~20 m bias: the filter has no mechanism
      against a non-zero-mean measurement error and slowly adopts the bias,
      while the corrector keeps millimetres.
 
-Run:  python demos/05_ekf_comparison.py        (about 40 s)
+Run:  python demos/05_ekf_comparison.py
 """
 
 import numpy as np
@@ -45,6 +46,6 @@ def report(name: str) -> None:
 tune()
 report("noise_only")
 report("paper_sec6")
-print("\nunbiased noise: comparable accuracy (fair tuning).")
+print("\nunbiased noise, with q the grid's best: the same error class.")
 print("large-error sensing: the corrector rejects the bias outright; the")
 print("filter converges to it.")

@@ -12,7 +12,7 @@ Three studies,  all cheap to run:
     fix inherit the bias as a frozen initial error, so the steady error
     tracks the bound.
 
-Run:  python demos/06_parameter_studies.py        (about 1 min)
+Run:  python demos/06_parameter_studies.py
 """
 
 from dataclasses import replace

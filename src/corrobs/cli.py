@@ -34,7 +34,7 @@ from . import freq
 from .config import (BUNDLED_CONFIGS, bundled_config_path, estimator_values,
                      read_document, scenario_from_dict, scenario_to_dict)
 from .engine import (SWEEPABLE_PARAMETERS, ConfigError, ScenarioConfig,
-                     SimulationDiverged, decoupling_check, metrics, run_scenario,
+                     SimulationDiverged, _ratio, decoupling_check, metrics, run_scenario,
                      sweep_parameter, write_csv)
 from .plant import AXIS_NAMES, range_faults
 
@@ -120,14 +120,17 @@ def cmd_validate(args) -> int:
     return EXIT_OK
 
 
-def _eigenvalues(matrix: np.ndarray, label: str, amplitude: float) -> dict:
-    """The eigenvalue entries of an estimator's companion matrix; one that
-    overflows at the ``--amplitude`` given is a ConfigError naming the flag."""
-    if not np.isfinite(matrix).all():
-        raise ConfigError(f"--amplitude {amplitude}: the linearized {label} overflows")
-    eig = np.linalg.eigvals(matrix)
-    return {"eigenvalues_real": [float(e.real) for e in eig],
-            "eigenvalues_imag": [float(e.imag) for e in eig]}
+def _linearized(cfg: ScenarioConfig, amp: float):
+    """Per estimator of ``cfg``, in `analyze`'s order: its label, its two
+    describing-function terms' exponents by term name, and its natural
+    frequency and companion matrix at amplitude ``amp``.  Each is evaluated
+    only when the loop reaches it, so a refused estimator stops `analyze`
+    before the next one's model can fail in its own way."""
+    for group, c, o in zip(("position", "attitude"), cfg.correctors, cfg.observers):
+        yield (f"corrector_{group}", {"position": c.kappa, "velocity": c.alpha_c},
+               freq.corrector_natural_frequency(c, amp), freq.linearize_corrector(c, amp, amp))
+        yield (f"observer_{group}", {"innovation": o.beta, "uncertainty": o.alpha_o},
+               freq.observer_natural_frequency(o, amp), freq.linearize_observer(o, amp))
 
 
 def cmd_analyze(args) -> int:
@@ -135,19 +138,14 @@ def cmd_analyze(args) -> int:
     out = Path(args.out)
     amp = args.amplitude
     doc: dict = {"amplitude": amp, "estimators": {}}
-    for group, c, o in zip(("position", "attitude"), cfg.correctors, cfg.observers):
-        label = f"corrector_{group}"
+    for label, exponents, omega, matrix in _linearized(cfg, amp):
+        if not np.isfinite(matrix).all():
+            raise ConfigError(f"--amplitude {amp}: the linearized {label} overflows")
+        eig = np.linalg.eigvals(matrix)
         doc["estimators"][label] = {
-            "omega_coeff_position_term": freq.omega_coefficient(c.kappa),
-            "omega_coeff_velocity_term": freq.omega_coefficient(c.alpha_c),
-            "natural_frequency": freq.corrector_natural_frequency(c, amp),
-            **_eigenvalues(freq.linearize_corrector(c, amp, amp), label, amp)}
-        label = f"observer_{group}"
-        doc["estimators"][label] = {
-            "omega_coeff_innovation_term": freq.omega_coefficient(o.beta),
-            "omega_coeff_uncertainty_term": freq.omega_coefficient(o.alpha_o),
-            "natural_frequency": freq.observer_natural_frequency(o, amp),
-            **_eigenvalues(freq.linearize_observer(o, amp), label, amp)}
+            **{f"omega_coeff_{t}_term": freq.omega_coefficient(e) for t, e in exponents.items()},
+            "natural_frequency": omega,
+            "eigenvalues_real": eig.real.tolist(), "eigenvalues_imag": eig.imag.tolist()}
     _write_json(out / "analysis.json", doc)
     print(f"wrote {out / 'analysis.json'}")
     return EXIT_OK
@@ -167,27 +165,22 @@ def cmd_sweep(args) -> int:
 
 def cmd_compare_ekf(args) -> int:
     cfg = _load(args)
-    trace = run_scenario(cfg)
-    summary = metrics(trace, settle=_settle(args, cfg), scenario=cfg)
-    doc: dict = {"per_axis": {}, "settle": summary["settle"]}
-    ratios = []
-    for a in AXIS_NAMES[:3]:
-        corr = summary["corrector"][a]
-        ekf = summary["ekf"][a]
-        ratio = ekf["rms"] / corr["rms"] if corr["rms"] > 0 else None
-        ratios.append(ratio)
-        doc["per_axis"][a] = {"corrector_rms": corr["rms"], "corrector_max": corr["max"],
-                              "ekf_rms": ekf["rms"], "ekf_max": ekf["max"],
-                              "ekf_to_corrector_rms_ratio": ratio}
-    ratios = [r for r in ratios if r is not None]    # a 0 corrector RMS leaves it None
-    doc["min_ratio"] = min(ratios, default=None)
-    doc["max_ratio"] = max(ratios, default=None)
-    mean_corr = sum(summary["corrector"][a]["rms"] for a in AXIS_NAMES[:3]) / 3.0
-    mean_ekf = sum(summary["ekf"][a]["rms"] for a in AXIS_NAMES[:3]) / 3.0
-    doc["aggregate_ratio"] = mean_ekf / mean_corr if mean_corr > 0 else None
+    summary = metrics(run_scenario(cfg), settle=_settle(args, cfg), scenario=cfg)
+    corr, ekf = summary["corrector"], summary["ekf"]
+    per_axis = {a: {"corrector_rms": corr[a]["rms"], "corrector_max": corr[a]["max"],
+                    "ekf_rms": ekf[a]["rms"], "ekf_max": ekf[a]["max"],
+                    "ekf_to_corrector_rms_ratio": _ratio(ekf[a]["rms"], corr[a]["rms"])}
+                for a in AXIS_NAMES[:3]}
+    # A 0 corrector RMS leaves an axis's ratio None.
+    ratios = [e["ekf_to_corrector_rms_ratio"] for e in per_axis.values()]
+    ratios = [r for r in ratios if r is not None]
+    mean = {k: sum(e[k] for e in per_axis.values()) / 3.0 for k in ("corrector_rms", "ekf_rms")}
+    doc = {"per_axis": per_axis, "settle": summary["settle"],
+           "min_ratio": min(ratios, default=None), "max_ratio": max(ratios, default=None),
+           "aggregate_ratio": _ratio(mean["ekf_rms"], mean["corrector_rms"])}
     out = Path(args.out)
     _write_json(out / "comparison.json", doc)
-    span = (f"in [{min(ratios):.3g}, {max(ratios):.3g}]" if ratios
+    span = (f"in [{doc['min_ratio']:.3g}, {doc['max_ratio']:.3g}]" if ratios
             else "undefined: the corrector RMS is 0")
     print(f"wrote {out / 'comparison.json'}; EKF/corrector RMS ratio {span}")
     return EXIT_OK

@@ -128,6 +128,11 @@ class ScenarioConfig:
                        "sensors.velocity_period", self.sensors.velocity_period)
         whole_multiple("sample_interval", self.sample_interval, "dt", self.dt)
         whole_multiple("duration", self.duration, "sample_interval", self.sample_interval)
+        # A large-error walk takes a step per walk period, so at most one per
+        # tick: no more steps than the loop has ticks, which MAX_TICKS caps.
+        for group, model in zip(("position", "attitude"), self.sensors.large_error):
+            if model.walk_period < self.dt:
+                raise ValueError(f"sensors.{group}_large_error.walk_period must be at least dt")
         check_range("pair", correctors=self.correctors, observers=self.observers)
         check_range(("first_measurement", "truth"), estimator_init=self.estimator_init)
         check_range("per state", initial_offset=self.initial_offset)
@@ -317,6 +322,12 @@ def _window_stats(err: np.ndarray, window: tuple[np.ndarray, str]) -> tuple[floa
     return peak, float(np.sqrt(np.mean(seg * seg)))
 
 
+def _ratio(num: float, den: float) -> float | None:
+    """``num / den``, or None where ``den`` is not positive: a ratio over a 0
+    error is written as JSON null, never as Infinity or NaN."""
+    return num / den if den > 0 else None
+
+
 def metrics(trace: TraceLog, settle: float, scenario: ScenarioConfig) -> dict:
     """Per-axis steady-state estimate-error summary of ``trace``, a run of
     ``scenario``.
@@ -349,7 +360,7 @@ def metrics(trace: TraceLog, settle: float, scenario: ScenarioConfig) -> dict:
         out["drift"][name] = {
             "reference_max": ref_max,
             "late_max": late_max,
-            "ratio": late_max / ref_max if ref_max > 0 else None,
+            "ratio": _ratio(late_max, ref_max),
         }
 
     for name in AXIS_NAMES[:3]:

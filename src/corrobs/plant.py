@@ -156,10 +156,6 @@ class UncertaintyModel:
                                    for i, s in enumerate(sins)})
         check_range("nonnegative", drag=self.drag)
         check_range("finite", delta_sinusoids=self.delta_sinusoids)
-        # Per axis, the disturbance Delta_i as a function of time; set here,
-        # as `UavParams` sets its per-axis table.
-        object.__setattr__(self, "_disturbances", tuple(
-            partial(sinusoid_sum, sins) for sins in self.delta_sinusoids))
 
 
 def sinusoid_sum(sinusoids, t: float) -> float:
@@ -188,7 +184,7 @@ def true_delta(axis: int, vel: float | np.ndarray, t: float | np.ndarray,
     if not 0 <= axis < 6:
         raise ValueError(f"axis index out of range: {axis}")
     lever = params.drag_lever[axis]
-    fn = unc._disturbances[axis]
+    fn = partial(sinusoid_sum, unc.delta_sinusoids[axis])
     if isinstance(t, np.ndarray):
         delta = np.fromiter(map(fn, t.tolist()), float, len(t))
     else:
@@ -217,10 +213,10 @@ def plant_axes(unc: UncertaintyModel, params: UavParams):
     function of time, or None when the axis has no disturbance).  Worked out
     once per run for `step_plant`."""
     out = []
-    for axis, (scale, lever) in enumerate(zip(params.axis_inertia, params.drag_lever)):
+    for scale, lever, drag, sins in zip(params.axis_inertia, params.drag_lever, unc.drag,
+                                        unc.delta_sinusoids):
         inv = 1.0 / scale
-        fn = unc._disturbances[axis] if unc.delta_sinusoids[axis] else None
-        out.append((inv, inv * lever * unc.drag[axis], fn))
+        out.append((inv, inv * lever * drag, partial(sinusoid_sum, sins) if sins else None))
     return tuple(out)
 
 

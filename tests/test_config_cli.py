@@ -264,6 +264,38 @@ def test_cli_sweep_output_bytes_are_pinned(tmp_path):
     assert hashlib.sha256((out / "sweep.csv").read_bytes()).hexdigest() == SWEEP_SHA256
 
 
+# SHA-256 of the analysis.json `corrobs analyze` writes for the bundled
+# paper_sec6 document, by --amplitude.
+ANALYZE_SHA256 = {
+    "1": "b0593dbc867616a80da463b1f59739481d8dc440b6938fdf6b53f4c813ea2026",
+    "0.3": "809edb5aa27150f596273b4bae9bc022747d445471115fd2005af940094943c5",
+}
+
+
+@pytest.mark.parametrize("amplitude", sorted(ANALYZE_SHA256))
+def test_cli_analyze_output_bytes_are_pinned(tmp_path, amplitude):
+    out = tmp_path / "out"
+    rc = main(["analyze", "--config", "paper_sec6", "--amplitude", amplitude,
+               "--out", str(out)])
+    assert rc == 0
+    digest = hashlib.sha256((out / "analysis.json").read_bytes()).hexdigest()
+    assert digest == ANALYZE_SHA256[amplitude]
+
+
+# SHA-256 of the comparison.json `corrobs compare-ekf` writes for 3 s of the
+# bundled noise_only flight.
+COMPARE_EKF_SHA256 = "b009242d36d3396bc73a83b82cf65e98df24423e87963d6815006e4d2eeb4acb"
+
+
+def test_cli_compare_ekf_output_bytes_are_pinned(tmp_path):
+    out = tmp_path / "out"
+    rc = main(["compare-ekf", "--config", "noise_only", "--duration", "3", "--settle", "1",
+               "--out", str(out)])
+    assert rc == 0
+    digest = hashlib.sha256((out / "comparison.json").read_bytes()).hexdigest()
+    assert digest == COMPARE_EKF_SHA256
+
+
 # An override value the scenario refuses; the one-line message names the flag.
 OVERRIDE_ERRORS = [("--duration", "0.015"), ("--duration", "0"), ("--duration", "1e300"),
                    ("--seed", "-1")]
@@ -346,6 +378,18 @@ def test_cli_position_period_off_the_velocity_grid_is_config_error(tmp_path, sec
         assert capsys.readouterr().err == (
             "config error: sensors.position_period must be a whole multiple of "
             "sensors.velocity_period\n")
+    assert not (tmp_path / "o").exists()
+
+
+def test_cli_walk_period_below_dt_is_config_error(tmp_path, sec6_doc, capsys):
+    # At 1e-6 s the bias walk would take 1 000 steps a tick on each position axis.
+    cfgp = write_quick(_edit(sec6_doc, "sensors.position_large_error.walk_period", 1e-6),
+                       tmp_path, duration=1.0)
+    for argv in (["validate", "--config", cfgp],
+                 ["run", "--config", cfgp, "--out", str(tmp_path / "o")]):
+        assert main(argv) == 1, argv[0]
+        assert capsys.readouterr().err == (
+            "config error: sensors.position_large_error.walk_period must be at least dt\n")
     assert not (tmp_path / "o").exists()
 
 
