@@ -33,10 +33,9 @@ import numpy as np
 from . import freq
 from .config import (BUNDLED_CONFIGS, bundled_config_path, estimator_values,
                      read_document, scenario_from_dict, scenario_to_dict)
-from .engine import (SWEEPABLE_PARAMETERS, ConfigError, ScenarioConfig,
-                     SimulationDiverged, _ratio, decoupling_check, metrics, run_scenario,
-                     sweep_parameter, write_csv)
-from .plant import AXIS_NAMES, range_faults
+from .engine import (SWEEPABLE_PARAMETERS, ScenarioConfig, SimulationDiverged, _ratio,
+                     decoupling_check, metrics, run_scenario, sweep_parameter, write_csv)
+from .plant import AXIS_NAMES, ConfigError, range_faults
 
 EXIT_OK = 0
 EXIT_CONFIG = 1
@@ -59,7 +58,7 @@ def _with_overrides(args, cfg: ScenarioConfig) -> ScenarioConfig:
         if value is not None:
             try:
                 cfg = replace(cfg, **{name: value})
-            except ValueError as exc:
+            except ConfigError as exc:
                 raise ConfigError(f"--{name} {value}: {exc}") from exc
     return cfg
 

@@ -30,12 +30,11 @@ from importlib import resources
 from pathlib import Path
 from typing import Any, get_args, get_type_hints
 
-from .engine import ConfigError, ScenarioConfig
-from .plant import AXIS_NAMES, range_faults
+from .engine import ScenarioConfig
+from .plant import AXIS_NAMES, ConfigError, check_range
 
-__all__ = ["ConfigError", "load_scenario", "read_document", "scenario_from_dict",
-           "scenario_to_dict", "save_scenario", "estimator_values",
-           "bundled_config_path", "BUNDLED_CONFIGS"]
+__all__ = ["load_scenario", "read_document", "scenario_from_dict", "scenario_to_dict",
+           "save_scenario", "estimator_values", "bundled_config_path", "BUNDLED_CONFIGS"]
 
 BUNDLED_CONFIGS = ("paper_sec6", "paper_fig5", "noise_only")
 
@@ -153,7 +152,7 @@ def _build(cls: type, node: dict, path: str, required: bool = False):
     kwargs = _fields(cls, node, path, required)
     try:
         return cls(**kwargs)
-    except ValueError as exc:
+    except ConfigError as exc:
         raise ConfigError(_join(path, str(exc))) from exc
 
 
@@ -239,7 +238,5 @@ def save_scenario(cfg: ScenarioConfig, path) -> None:
 def bundled_config_path(name: str) -> Path:
     """Filesystem path of one of the shipped scenario documents."""
     stem = name.removesuffix(".cfg")
-    faults = range_faults(BUNDLED_CONFIGS, config=stem)
-    if faults:
-        raise ConfigError(faults[0])
+    check_range(BUNDLED_CONFIGS, config=stem)
     return Path(resources.files("corrobs") / "configs" / f"{stem}.cfg")

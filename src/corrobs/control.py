@@ -19,7 +19,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .plant import UavParams, check_range
+from .plant import ConfigError, UavParams, check_range
 
 __all__ = [
     "CircleTrajectory", "HoverTrajectory", "ControlGains", "position_control",
@@ -58,7 +58,7 @@ class CircleTrajectory:
         except OverflowError:
             self._climb_time_sq = math.inf
         if not 0.0 < self._climb_time_sq < math.inf:
-            raise ValueError(f"climb_time must have a finite nonzero square, not {climb_time}")
+            raise ConfigError(f"climb_time must have a finite nonzero square, not {climb_time}")
         self.omega = speed / radius
         self.center = (-radius, 0.0)
 

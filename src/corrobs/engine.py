@@ -27,23 +27,18 @@ from .ekf import (EkfConfig, EkfDivergence, ekf_init, ekf_predict, ekf_update,
                   process_noise)
 from .estimators import (AxisMeasurement, CorrectorParams, CorrectorState, ObserverParams,
                          ObserverState, step_corrector, step_observer)
-from .plant import (AXIS_NAMES, UavParams, UncertaintyModel, check_range,
-                    input_acceleration_scalars, per_axis, plant_axes, range_faults,
-                    step_plant, true_delta)
+from .plant import (AXIS_NAMES, ConfigError, UavParams, UncertaintyModel, check_range,
+                    input_acceleration_scalars, per_axis, plant_axes, step_plant,
+                    true_delta)
 from .sensors import (LargeErrorModel, NoiseMixture, SensorConfig, SensorSuite,
                       whole_multiple)
 
 __all__ = [
-    "TrajectorySpec", "ScenarioConfig", "TraceLog", "ConfigError", "SimulationDiverged",
+    "TrajectorySpec", "ScenarioConfig", "TraceLog", "SimulationDiverged",
     "run_scenario", "metrics", "SweepResult", "convergence_study",
     "observer_ramp_study", "decoupling_check", "DecouplingReport",
     "sweep_parameter", "SWEEPABLE_PARAMETERS", "tune_ekf_process_noise",
 ]
-
-
-class ConfigError(ValueError):
-    """A scenario, document or option the user gave is refused; the message
-    names the offending key or flag."""
 
 
 class SimulationDiverged(RuntimeError):
@@ -114,13 +109,13 @@ class ScenarioConfig:
         check_range("positive", duration=self.duration, dt=self.dt,
                     sample_interval=self.sample_interval)
         if self.duration / self.dt > MAX_TICKS:
-            raise ValueError(f"duration / dt must be at most {MAX_TICKS} ticks, "
-                             f"not {self.duration / self.dt:.3g}")
+            raise ConfigError(f"duration / dt must be at most {MAX_TICKS} ticks, "
+                              f"not {self.duration / self.dt:.3g}")
         if self.duration / self.sample_interval + 1 > MAX_ROWS:
-            raise ValueError(f"duration / sample_interval + 1 must be at most {MAX_ROWS} "
-                             f"trace rows, not {self.duration / self.sample_interval + 1:.3g}")
+            raise ConfigError(f"duration / sample_interval + 1 must be at most {MAX_ROWS} "
+                              f"trace rows, not {self.duration / self.sample_interval + 1:.3g}")
         if isinstance(self.seed, bool) or not (isinstance(self.seed, int) and self.seed >= 0):
-            raise ValueError(f"seed must be a nonnegative integer, not {self.seed!r}")
+            raise ConfigError(f"seed must be a nonnegative integer, not {self.seed!r}")
         for name in ("position_period", "velocity_period"):
             whole_multiple(f"sensors.{name}", getattr(self.sensors, name), "dt", self.dt)
         # The EKF bank absorbs a position sample only on a velocity tick.
@@ -132,7 +127,7 @@ class ScenarioConfig:
         # tick: no more steps than the loop has ticks, which MAX_TICKS caps.
         for group, model in zip(("position", "attitude"), self.sensors.large_error):
             if model.walk_period < self.dt:
-                raise ValueError(f"sensors.{group}_large_error.walk_period must be at least dt")
+                raise ConfigError(f"sensors.{group}_large_error.walk_period must be at least dt")
         check_range("pair", correctors=self.correctors, observers=self.observers)
         check_range(("first_measurement", "truth"), estimator_init=self.estimator_init)
         check_range("per state", initial_offset=self.initial_offset)
@@ -404,14 +399,12 @@ def _runs(cfg: ScenarioConfig | ObserverParams, name: str, values: Sequence[floa
     """
     if jobs < 1:
         raise ConfigError(f"jobs must be at least 1, not {jobs}")
-    faults = range_faults("nonempty", values=values)
-    if faults:
-        raise ConfigError(faults[0])
+    check_range("nonempty", values=values)
     configs = []
     for v in values:
         try:
             configs.append(set_value(cfg, v))
-        except ValueError as exc:
+        except ConfigError as exc:
             raise ConfigError(f"{name}={v}: {exc}") from exc
     workers = min(jobs, len(configs))
     if workers > 1:
@@ -562,7 +555,7 @@ def decoupling_check(cfg: ScenarioConfig) -> DecouplingReport:
     """
     try:
         record_cfg = replace(cfg, sample_interval=cfg.dt)
-    except ValueError as exc:
+    except ConfigError as exc:
         raise ConfigError(f"the decoupling check records a row every dt: {exc}") from exc
     trace = run_scenario(record_cfg)
     params, dts = cfg.uav, (cfg.dt,) * 6
@@ -638,9 +631,7 @@ def sweep_parameter(cfg: ScenarioConfig, name: str, values: Sequence[float],
     regardless of completion order.  Every value's scenario is built, and so
     checked, before the first run.
     """
-    faults = range_faults(tuple(SWEEPABLE_PARAMETERS), parameter=name)
-    if faults:
-        raise ConfigError(faults[0])
+    check_range(tuple(SWEEPABLE_PARAMETERS), parameter=name)
     return _runs(cfg, name, values, SWEEPABLE_PARAMETERS[name], partial(_sweep_row, settle),
                  jobs)
 

@@ -55,7 +55,7 @@ from math import isfinite
 from typing import NamedTuple
 
 from .fractional import relay_step
-from .plant import range_faults
+from .plant import ConfigError, range_faults
 
 __all__ = [
     "CorrectorParams", "CorrectorState", "ObserverParams", "ObserverState",
@@ -79,14 +79,14 @@ def parameter_faults(**values: float) -> list[str]:
 def _refuse_faults(params) -> None:
     faults = parameter_faults(**{f.name: getattr(params, f.name) for f in fields(params)})
     if faults:
-        raise ValueError(faults[0])
+        raise ConfigError(faults[0])
 
 
 def _usable(name: str, formula: str, value: float) -> float:
     """``value``, the stepper constant ``formula``, if it is finite and not 0
-    (a tiny eps cubed underflows); otherwise a ValueError naming ``name``."""
+    (a tiny eps cubed underflows); otherwise a ConfigError naming ``name``."""
     if value == 0.0 or not isfinite(value):
-        raise ValueError(f"{name} gives {formula} = {value}; it must be finite and nonzero")
+        raise ConfigError(f"{name} gives {formula} = {value}; it must be finite and nonzero")
     return value
 
 

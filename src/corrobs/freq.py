@@ -59,6 +59,12 @@ def omega_coefficient(alpha: float) -> float:
         / math.gamma(0.5 * (alpha + 3.0))
 
 
+def _quotient(num: float, den: float) -> float:
+    """``num / den`` for a positive ``num``; a ``den`` that underflowed to 0
+    is the same overflow as an infinite ``num``, so the quotient is inf."""
+    return num / den if den else math.inf
+
+
 def corrector_natural_frequency(p: CorrectorParams, a_c1: float) -> float:
     """Natural frequency of the linearized corrector at innovation amplitude a_c1,
     the square root of `linearize_corrector`'s stiffness:
@@ -99,7 +105,9 @@ def linearize_corrector(p: CorrectorParams, a_c1: float, a_c2: float) -> np.ndar
     Only a small alpha_c at a tiny amplitude gets there: with k1 = 1 and
     eps_c = 1/1.2, below a_c1 = 9.5e-317 at alpha_c = 0.05 and 3.4e-310 at
     alpha_c = 0.01, and at no positive a_c1 for alpha_c >= 0.1.  There
-    `corrector_natural_frequency` returns inf.
+    `corrector_natural_frequency` returns inf.  A gain whose denominator
+    underflows to 0 is inf as well, as the damping is at eps_c = 1e-100 and
+    a_c2 = 1e-300, where eps_c^3 * a_c2^(1-alpha_c) = 0.
 
     The describing function assumes an amplitude that varies slowly over a
     cycle.  Against the stepped corrector started away from rest, its
@@ -111,10 +119,10 @@ def linearize_corrector(p: CorrectorParams, a_c1: float, a_c2: float) -> np.ndar
     """
     check_range("positive", a_c1=a_c1, a_c2=a_c2)
     kappa = p.kappa
-    gain1 = omega_coefficient(kappa) / (p.eps_c ** (1.0 - kappa) * a_c1 ** (1.0 - kappa))
+    gain1 = _quotient(omega_coefficient(kappa), p.eps_c ** (1.0 - kappa) * a_c1 ** (1.0 - kappa))
     eps3 = p.eps_c ** 3
     stiffness = p.k1 * gain1 * p.eps_c / eps3
-    damping = p.k2 * omega_coefficient(p.alpha_c) / (eps3 * a_c2 ** (1.0 - p.alpha_c))
+    damping = _quotient(p.k2 * omega_coefficient(p.alpha_c), eps3 * a_c2 ** (1.0 - p.alpha_c))
     return np.array([[0.0, 1.0], [-stiffness, -damping]])
 
 
@@ -126,13 +134,15 @@ def linearize_observer(p: ObserverParams, a_o: float) -> np.ndarray:
         stiffness = k3*Omega(alpha_o) / (eps_o^2 * a_o^(1-alpha_o))
         damping   = k4*Omega(beta) / (eps_o * a_o^((1-alpha_o)/2))
 
-    and beta = `ObserverParams.beta` the innovation exponent.
+    and beta = `ObserverParams.beta` the innovation exponent.  A denominator
+    that underflows to 0 (eps_o = 1e-3 and alpha_o = 0.01 at a_o = 5e-324)
+    gives an infinite entry.
     """
     check_range("positive", a_o=a_o)
-    stiffness = (p.k3 * omega_coefficient(p.alpha_o)
-                 / (p.eps_o ** 2 * a_o ** (1.0 - p.alpha_o)))
-    damping = (p.k4 * omega_coefficient(p.beta)
-               / (p.eps_o * a_o ** (0.5 * (1.0 - p.alpha_o))))
+    stiffness = _quotient(p.k3 * omega_coefficient(p.alpha_o),
+                          p.eps_o ** 2 * a_o ** (1.0 - p.alpha_o))
+    damping = _quotient(p.k4 * omega_coefficient(p.beta),
+                        p.eps_o * a_o ** (0.5 * (1.0 - p.alpha_o)))
     return np.array([[0.0, 1.0], [-stiffness, -damping]])
 
 

@@ -26,11 +26,21 @@ from typing import Sequence
 import numpy as np
 
 __all__ = [
-    "UavParams", "UncertaintyModel", "AXIS_NAMES", "check_range", "range_faults", "per_axis",
-    "sinusoid_sum", "true_delta", "input_acceleration_scalars", "plant_axes", "step_plant",
+    "UavParams", "UncertaintyModel", "AXIS_NAMES", "ConfigError", "check_range", "range_faults",
+    "per_axis", "sinusoid_sum", "true_delta", "input_acceleration_scalars", "plant_axes",
+    "step_plant",
 ]
 
 AXIS_NAMES = ("x", "y", "z", "psi", "theta", "phi")
+
+
+class ConfigError(ValueError):
+    """A configured value (a document key, a flag or a study argument) is
+    refused; the message names the offending key or flag.  Every refusal is
+    one, raised where its rule is checked: by `check_range`, or by a rule
+    with a message form of its own.  A boundary only prefixes the key, flag
+    or value it read; a plain ValueError is a fault of the program, not a
+    refusal."""
 
 
 # The rules a configured value can break, by name.  A range rule holds its
@@ -97,10 +107,11 @@ def range_faults(rule: str | tuple[str, ...], **values) -> list[str]:
 
 def check_range(rule: str | tuple[str, ...], **values) -> None:
     """Refuse the first field of ``values`` that `range_faults` finds at
-    fault: the one check of every rule a configured value can break."""
+    fault with a ConfigError carrying its message: the one check of every
+    rule a configured value can break."""
     faults = range_faults(rule, **values)
     if faults:
-        raise ValueError(faults[0])
+        raise ConfigError(faults[0])
 
 
 def per_axis(pair: tuple) -> tuple:

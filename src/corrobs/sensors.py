@@ -28,7 +28,7 @@ from typing import Sequence
 import numpy as np
 
 from .estimators import AxisMeasurement
-from .plant import check_range, per_axis
+from .plant import ConfigError, check_range, per_axis
 
 __all__ = [
     "NoiseMixture", "LargeErrorModel", "LargeErrorProcess",
@@ -38,14 +38,14 @@ __all__ = [
 
 def whole_multiple(name: str, value: float, unit: str, step: float) -> int:
     """How many ``step``s (called ``unit``) make ``value`` (called ``name``):
-    a whole number of at least 1, to 1e-9 of itself, or ValueError.  The one
-    rule for every interval that the fixed-step clock counts in ticks; both
-    numbers must be positive and finite."""
+    a whole number of at least 1, to 1e-9 of itself, or a ConfigError.  The
+    one rule for every interval that the fixed-step clock counts in ticks;
+    both numbers must be positive and finite."""
     check_range("positive", **{name: value, unit: step})
     n = value / step
     k = round(n)
     if k < 1 or abs(n - k) > 1e-9 * k:
-        raise ValueError(f"{name} must be a whole multiple of {unit}")
+        raise ConfigError(f"{name} must be a whole multiple of {unit}")
     return k
 
 

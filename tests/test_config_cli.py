@@ -10,12 +10,14 @@ from pathlib import Path
 
 import pytest
 
-from corrobs import (ConfigError, DecouplingReport, ScenarioConfig,
-                     bundled_config_path, load_scenario, save_scenario,
-                     scenario_from_dict, scenario_to_dict)
+from corrobs import (ConfigError, ControlGains, CorrectorParams, DecouplingReport,
+                     LargeErrorModel, ScenarioConfig, SensorConfig, TrajectorySpec,
+                     UavParams, bundled_config_path, decoupling_check, load_scenario,
+                     save_scenario, scenario_from_dict, scenario_to_dict, sweep_parameter)
 from corrobs.cli import main
 from corrobs.config import _KEYS, BUNDLED_CONFIGS
 from corrobs.plant import per_axis
+from corrobs.sensors import whole_multiple
 
 
 @pytest.fixture(scope="module")
@@ -629,6 +631,19 @@ def test_cli_analyze_overflowing_linearization_names_the_flag(tmp_path, sec6_doc
     assert not (tmp_path / "o").exists()
 
 
+def test_cli_analyze_refuses_a_linearization_whose_denominator_underflows(tmp_path, sec6_doc,
+                                                                          capsys):
+    # eps_o^2 * a_o^(1 - alpha_o) reaches 0 at the least subnormal amplitude.
+    doc = _edit(_edit(sec6_doc, "observer.position.eps_o", 1e-3), "observer.position.alpha_o",
+                0.01)
+    rc = main(["analyze", "--config", write_quick(doc, tmp_path), "--out", str(tmp_path / "o"),
+               "--amplitude", "5e-324"])
+    assert rc == 1
+    assert capsys.readouterr().err == ("config error: --amplitude 5e-324: the linearized "
+                                       "observer_position overflows\n")
+    assert not (tmp_path / "o").exists()
+
+
 @pytest.mark.parametrize("settle", ["nan", "-1", "inf"])
 def test_cli_run_bad_settle_writes_nothing(tmp_path, sec6_doc, capsys, settle):
     cfgp = write_quick(sec6_doc, tmp_path, duration=1.0)
@@ -870,3 +885,78 @@ def test_cli_ekf_divergence_exits_2_with_one_line(tmp_path, sec6_doc, capsys):
     assert rc == 2
     assert err.startswith("simulation diverged:") and err.count("\n") == 1
     assert "tick 0" in err and "ekf" in err
+
+
+# ---------------------------------------------------------- refusal contract
+
+# A class refuses a configured value with a ConfigError, a ValueError, where
+# the rule is checked: by `check_range` or by a rule with a message of its own.
+CLASS_REFUSALS = {
+    "seed": lambda: ScenarioConfig(seed=-1),
+    "tick cap": lambda: ScenarioConfig(duration=2e6, sample_interval=1.0),
+    "walk period": lambda: ScenarioConfig(sensors=SensorConfig(
+        large_error=(LargeErrorModel(walk_period=1e-6), LargeErrorModel()))),
+    "whole multiple": lambda: whole_multiple("duration", 0.0155, "dt", 1e-3),
+    "unusable eps_c": lambda: CorrectorParams(1.0, 30.0, 0.1, 1e-200),
+    "climb time": lambda: TrajectorySpec(climb_time=1e200),
+    "range": lambda: UavParams(m=-1.0),
+}
+
+
+@pytest.mark.parametrize("build", CLASS_REFUSALS.values(), ids=CLASS_REFUSALS)
+def test_a_refusal_raised_by_a_class_is_a_config_error(build):
+    with pytest.raises(ConfigError) as err:
+        build()
+    assert isinstance(err.value, ValueError)
+
+
+def _plain_fault(monkeypatch, cls, when=lambda obj: True):
+    """Make ``cls`` raise a ValueError that no rule raised, as a program fault
+    would, when ``when`` holds of the object being built."""
+    post_init = cls.__post_init__
+
+    def faulty(self):
+        if when(self):
+            raise ValueError("math domain error")
+        post_init(self)
+
+    monkeypatch.setattr(cls, "__post_init__", faulty)
+
+
+def _load_with_a_faulty_class(monkeypatch, doc, tmp_path):
+    _plain_fault(monkeypatch, ControlGains)
+    scenario_from_dict(doc)
+
+
+def _seed_override_with_a_faulty_class(monkeypatch, doc, tmp_path):
+    _plain_fault(monkeypatch, ScenarioConfig, lambda cfg: cfg.seed == 7)
+    main(["run", "--config", "paper_sec6", "--seed", "7", "--out", str(tmp_path / "o")])
+
+
+def _sweep_with_a_faulty_class(monkeypatch, doc, tmp_path):
+    cfg = scenario_from_dict(doc)
+    _plain_fault(monkeypatch, CorrectorParams, lambda p: p.eps_c == 0.5)
+    sweep_parameter(cfg, "eps_c", [0.5])
+
+
+def _decoupling_check_with_a_faulty_class(monkeypatch, doc, tmp_path):
+    cfg = scenario_from_dict(doc)
+    _plain_fault(monkeypatch, ScenarioConfig)
+    decoupling_check(cfg)
+
+
+PLAIN_FAULT_BOUNDARIES = [_load_with_a_faulty_class, _seed_override_with_a_faulty_class,
+                          _sweep_with_a_faulty_class, _decoupling_check_with_a_faulty_class]
+
+
+@pytest.mark.parametrize("call", PLAIN_FAULT_BOUNDARIES,
+                         ids=["scenario_from_dict", "--seed", "sweep_parameter",
+                              "decoupling_check"])
+def test_a_plain_value_error_in_a_scenario_class_is_not_a_config_error(
+        monkeypatch, sec6_doc, tmp_path, call):
+    # Only a rule refuses; a boundary adds its key, flag or value to a
+    # ConfigError and lets every other error through unchanged.
+    with pytest.raises(ValueError, match="^math domain error$") as err:
+        call(monkeypatch, sec6_doc, tmp_path)
+    assert type(err.value) is ValueError
+    assert not (tmp_path / "o").exists()

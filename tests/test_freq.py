@@ -193,6 +193,18 @@ def test_corrector_natural_frequency_in_the_stiffness_overflow_window():
             closed_form_corrector_frequency(p, amplitude), rel=1e-12)
 
 
+def test_a_denominator_that_underflows_to_zero_gives_an_infinite_entry():
+    # eps_c^3 * a_c2^(1 - alpha_c) and the position gain's denominator reach
+    # 0 here, and so does eps_o^2 * a_o^(1 - alpha_o); 1/0 is the overflow of
+    # a tiny denominator, not a fault.  The observer's damping stays finite.
+    corrector = linearize_corrector(CorrectorParams(1.0, 30.0, 0.1, 1e-100), 1e-300, 1e-300)
+    assert corrector[1, 0] == corrector[1, 1] == -math.inf
+    observer = linearize_observer(replace(FLIGHT_OBSERVER, alpha_o=0.01, eps_o=1e-3), 5e-324)
+    assert observer[1, 0] == -math.inf and math.isfinite(observer[1, 1])
+    assert observer_natural_frequency(replace(FLIGHT_OBSERVER, alpha_o=0.01, eps_o=1e-3),
+                                      5e-324) == math.inf
+
+
 def test_linearize_observer_near_alpha_one():
     p = ObserverParams(k3=9.0, k4=5.0, alpha_o=1.0 - 1e-9, eps_o=0.5)
     mat = linearize_observer(p, 3.0)

@@ -28,6 +28,13 @@ also imports the scenario classes).
   up by its module-level name, so a wrapper set on the module attribute
   (as perfbench's tracer sets one) sees every call, and there is one way to
   call a stage.
+* No ``except`` clause of the package that catches ``ValueError`` raises a
+  ``ConfigError``: a refusal is a ConfigError where its rule is checked, so a
+  boundary catches ConfigError only and adds its key, flag or value, and a
+  ValueError that no rule raised ends in its traceback.
+* Outside ``plant``, no package function that calls ``range_faults`` raises a
+  ``ConfigError``: ``plant.check_range`` is the one step from a rule's fault
+  to a refusal.
 * Every field of ``ScenarioConfig`` and of each dataclass it holds is set
   somewhere: a bundled document gives one of its keys, or a call outside the
   tests gives it to the class's constructor (by name or by position) or by
@@ -249,6 +256,40 @@ def test_no_function_binds_a_package_function_to_a_local():
                         if isinstance(v, ast.Name) and v.id in functions:
                             bound.add(f"{path.name}:{node.lineno} {v.id}")
     assert not bound, f"package functions bound to locals; call each by name: {sorted(bound)}"
+
+
+def _functions(path: Path):
+    """(module.name, def node) of each function of the package module at ``path``."""
+    for fn in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+        if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            yield f"{path.stem}.{fn.name}", fn
+
+
+def _raises_config_error(node: ast.AST) -> bool:
+    return any(isinstance(n, ast.Raise) and isinstance(n.exc, ast.Call)
+               and _callee(n.exc) == "ConfigError" for n in ast.walk(node))
+
+
+def _catches_value_error(handler: ast.ExceptHandler) -> bool:
+    caught = handler.type.elts if isinstance(handler.type, ast.Tuple) else [handler.type]
+    return any(isinstance(c, ast.Name) and c.id == "ValueError" for c in caught)
+
+
+def test_no_boundary_relabels_a_value_error_as_a_config_error():
+    relabelling = sorted({name for path in PACKAGE for name, fn in _functions(path)
+                          for h in ast.walk(fn) if isinstance(h, ast.ExceptHandler)
+                          and _catches_value_error(h) and _raises_config_error(h)})
+    assert not relabelling, f"except clauses that turn a ValueError into a ConfigError; " \
+                            f"raise the ConfigError at the rule: {relabelling}"
+
+
+def test_only_check_range_turns_a_rule_fault_into_a_refusal():
+    hand_rolled = sorted(name for path in PACKAGE if path.stem != "plant"
+                         for name, fn in _functions(path) if _raises_config_error(fn)
+                         and any(isinstance(c, ast.Call) and _callee(c) == "range_faults"
+                                 for c in ast.walk(fn)))
+    assert not hand_rolled, f"functions that raise a ConfigError from range_faults; " \
+                            f"call plant.check_range: {hand_rolled}"
 
 
 def _scenario_fields(cls: type, path: str = ""):
