@@ -12,12 +12,22 @@ The integral is Wallis's: (2/pi) * B((a+2)/2, 1/2), i.e.
 (Gradshteyn & Ryzhik 3.621.1; Abramowitz & Stegun 6.2.1), which is how it
 is evaluated here.
 
-Replacing each fractional-power term of the corrector and observer by its
-equivalent gain yields second-order linear systems, each stated once as the
-companion matrix that `linearize_corrector` and `linearize_observer` return.
-Their stiffness and damping expose how the estimators filter noise: the
-natural frequencies are the square roots of the stiffness.  Their
-discriminants give the oscillation-avoidance rules used by
+Replacing each fractional-power term k |u|^a sign(u) of the corrector and
+observer by its equivalent gain k N(A) yields second-order linear systems,
+each stated once as the companion matrix that `linearize_corrector` and
+`linearize_observer` return.  Each entry is the one gain
+
+    gain(k, a, A) = k * Omega(a) / A^(1-a),
+
+with k multiplied in before the division, then divided in turn by the
+estimator's time-scale factors.  No step divides by a product of powers,
+so a tiny amplitude neither turns an entry inf nor costs it digits while
+its exact value is finite; an entry beyond floating-point range is inf.
+Only A^(1-a) itself carries few digits, at a subnormal A.
+
+The systems' stiffness and damping expose how the estimators filter
+noise: the natural frequencies are the square roots of the stiffness.
+Their discriminants give the oscillation-avoidance rules used by
 `validate_corrector_params` and `validate_observer_params`.
 """
 
@@ -59,10 +69,11 @@ def omega_coefficient(alpha: float) -> float:
         / math.gamma(0.5 * (alpha + 3.0))
 
 
-def _quotient(num: float, den: float) -> float:
-    """``num / den`` for a positive ``num``; a ``den`` that underflowed to 0
-    is the same overflow as an infinite ``num``, so the quotient is inf."""
-    return num / den if den else math.inf
+def _gain(k: float, alpha: float, amplitude: float) -> float:
+    """gain(k, alpha, amplitude), the equivalent gain k N(A) of the term
+    k |u|^alpha sign(u).  k goes in before the division: N alone overflows
+    for a tiny k where k N is finite."""
+    return k * omega_coefficient(alpha) / amplitude ** (1.0 - alpha)
 
 
 def corrector_natural_frequency(p: CorrectorParams, a_c1: float) -> float:
@@ -89,15 +100,17 @@ def linearize_corrector(p: CorrectorParams, a_c1: float, a_c2: float) -> np.ndar
 
     Returns the companion matrix [[0, 1], [-stiffness, -damping]] with
 
-        stiffness = k1*Omega(kappa) * eps_c^kappa / (eps_c^3 * (eps_c*a_c1)^(1-kappa))
+        stiffness = k1*Omega(kappa) * eps_c / (eps_c^3 * (eps_c*a_c1)^(1-kappa))
                   = k1*Omega(kappa) / (eps_c^((6-4 alpha_c)/(2-alpha_c))
                                        * a_c1^((2-2 alpha_c)/(2-alpha_c)))
         damping   = k2*Omega(alpha_c) / (eps_c^3 * a_c2^(1-alpha_c))
 
-    The position-channel gain is evaluated at the amplitude eps_c*a_c1 seen
-    by the nonlinearity (its argument is eps_c times the innovation), with
-    (eps_c*a_c1)^(1-kappa) taken as eps_c^(1-kappa) * a_c1^(1-kappa): the
-    product itself would round, or reach 0, at a subnormal a_c1.
+    evaluated as gain(k1, kappa, a_c1) / eps_c^(1-kappa) * eps_c / eps_c^3
+    and gain(k2, alpha_c, a_c2) / eps_c^3 (see the module docstring).  The
+    position-channel gain is the one at the amplitude eps_c*a_c1 seen by the
+    nonlinearity (its argument is eps_c times the innovation), reached by
+    dividing by eps_c^(1-kappa) in turn: the product eps_c*a_c1 would round,
+    or reach 0, at a subnormal a_c1.
 
     The stiffness is the squared frequency, so it overflows to inf while the
     frequency is still finite once a_c1^((2-2 alpha_c)/(2-alpha_c)) falls
@@ -105,9 +118,7 @@ def linearize_corrector(p: CorrectorParams, a_c1: float, a_c2: float) -> np.ndar
     Only a small alpha_c at a tiny amplitude gets there: with k1 = 1 and
     eps_c = 1/1.2, below a_c1 = 9.5e-317 at alpha_c = 0.05 and 3.4e-310 at
     alpha_c = 0.01, and at no positive a_c1 for alpha_c >= 0.1.  There
-    `corrector_natural_frequency` returns inf.  A gain whose denominator
-    underflows to 0 is inf as well, as the damping is at eps_c = 1e-100 and
-    a_c2 = 1e-300, where eps_c^3 * a_c2^(1-alpha_c) = 0.
+    `corrector_natural_frequency` returns inf.
 
     The describing function assumes an amplitude that varies slowly over a
     cycle.  Against the stepped corrector started away from rest, its
@@ -118,11 +129,9 @@ def linearize_corrector(p: CorrectorParams, a_c1: float, a_c2: float) -> np.ndar
     tests/test_freq.py).
     """
     check_range("positive", a_c1=a_c1, a_c2=a_c2)
-    kappa = p.kappa
-    gain1 = _quotient(omega_coefficient(kappa), p.eps_c ** (1.0 - kappa) * a_c1 ** (1.0 - kappa))
     eps3 = p.eps_c ** 3
-    stiffness = p.k1 * gain1 * p.eps_c / eps3
-    damping = _quotient(p.k2 * omega_coefficient(p.alpha_c), eps3 * a_c2 ** (1.0 - p.alpha_c))
+    stiffness = _gain(p.k1, p.kappa, a_c1) / p.eps_c ** (1.0 - p.kappa) * p.eps_c / eps3
+    damping = _gain(p.k2, p.alpha_c, a_c2) / eps3
     return np.array([[0.0, 1.0], [-stiffness, -damping]])
 
 
@@ -134,15 +143,13 @@ def linearize_observer(p: ObserverParams, a_o: float) -> np.ndarray:
         stiffness = k3*Omega(alpha_o) / (eps_o^2 * a_o^(1-alpha_o))
         damping   = k4*Omega(beta) / (eps_o * a_o^((1-alpha_o)/2))
 
-    and beta = `ObserverParams.beta` the innovation exponent.  A denominator
-    that underflows to 0 (eps_o = 1e-3 and alpha_o = 0.01 at a_o = 5e-324)
-    gives an infinite entry.
+    and beta = `ObserverParams.beta` the innovation exponent, evaluated as
+    gain(k3, alpha_o, a_o) / eps_o^2 and gain(k4, beta, a_o) / eps_o (see
+    the module docstring).
     """
     check_range("positive", a_o=a_o)
-    stiffness = _quotient(p.k3 * omega_coefficient(p.alpha_o),
-                          p.eps_o ** 2 * a_o ** (1.0 - p.alpha_o))
-    damping = _quotient(p.k4 * omega_coefficient(p.beta),
-                        p.eps_o * a_o ** (0.5 * (1.0 - p.alpha_o)))
+    stiffness = _gain(p.k3, p.alpha_o, a_o) / p.eps_o ** 2
+    damping = _gain(p.k4, p.beta, a_o) / p.eps_o
     return np.array([[0.0, 1.0], [-stiffness, -damping]])
 
 

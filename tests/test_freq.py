@@ -194,15 +194,47 @@ def test_corrector_natural_frequency_in_the_stiffness_overflow_window():
 
 
 def test_a_denominator_that_underflows_to_zero_gives_an_infinite_entry():
-    # eps_c^3 * a_c2^(1 - alpha_c) and the position gain's denominator reach
-    # 0 here, and so does eps_o^2 * a_o^(1 - alpha_o); 1/0 is the overflow of
-    # a tiny denominator, not a fault.  The observer's damping stays finite.
+    # The corrector's exact stiffness and damping (1.1e579 and 3.7e571) and
+    # the observer's exact stiffness (3.0e327) lie beyond floating-point
+    # range, so each entry is inf; the observer's damping (4.8e163) stays
+    # finite.
     corrector = linearize_corrector(CorrectorParams(1.0, 30.0, 0.1, 1e-100), 1e-300, 1e-300)
     assert corrector[1, 0] == corrector[1, 1] == -math.inf
     observer = linearize_observer(replace(FLIGHT_OBSERVER, alpha_o=0.01, eps_o=1e-3), 5e-324)
     assert observer[1, 0] == -math.inf and math.isfinite(observer[1, 1])
     assert observer_natural_frequency(replace(FLIGHT_OBSERVER, alpha_o=0.01, eps_o=1e-3),
                                       5e-324) == math.inf
+
+
+def test_a_tiny_gain_at_a_subnormal_amplitude_keeps_its_digits():
+    # k3 * Omega(alpha_o) / a_o^(1 - alpha_o) / eps_o^2 is 8.0e292, while the
+    # product eps_o^2 * a_o^(1 - alpha_o) is subnormal (1.5e-323); divided by
+    # that product the stiffness read 8.56e292, 6.9 % high.  What is left is
+    # the few digits of a_o^(1 - alpha_o) itself (measured 5.6e-8).
+    p, a_o = ObserverParams(1e-30, 4.0, 0.01, 1e-3), 1e-320
+    with mpmath.workdps(40):
+        alpha = mpmath.mpf(p.alpha_o)
+        exact = -p.k3 * omega_quad_mp(p.alpha_o) / (mpmath.mpf(p.eps_o) ** 2
+                                                     * mpmath.mpf(a_o) ** (1 - alpha))
+        assert abs((linearize_observer(p, a_o)[1, 0] - exact) / exact) <= 1e-6
+    assert float(exact) == pytest.approx(-8.00914398e292, rel=1e-8)
+
+
+def test_a_tiny_gain_is_multiplied_in_before_the_amplitude_divides():
+    # The stiffness is 2.56e301, but Omega(kappa) / (eps_c*a_c1)^(1 - kappa)
+    # alone is 1.6e312: formed without k1 = 1.6e-17, it overflowed, and the
+    # stiffness read -inf.
+    p = CorrectorParams(1.553798344835943e-17, 3.698882991862785e-10,
+                        0.027792766063941154, 0.0009885496777705465)
+    a_c1 = 2.7504192034e-314
+    with mpmath.workdps(40):
+        alpha, eps = mpmath.mpf(p.alpha_c), mpmath.mpf(p.eps_c)
+        kappa = alpha / (2 - alpha)
+        exact = -p.k1 * omega_quad_mp(kappa) * eps / (eps ** 3 * (eps * mpmath.mpf(a_c1))
+                                                     ** (1 - kappa))
+        stiffness = linearize_corrector(p, a_c1, 1.0)[1, 0]
+        assert math.isfinite(stiffness) and abs((stiffness - exact) / exact) <= 1e-12
+    assert float(exact) == pytest.approx(-2.5640698e301, rel=1e-7)
 
 
 def test_linearize_observer_near_alpha_one():

@@ -35,6 +35,9 @@ also imports the scenario classes).
 * Outside ``plant``, no package function that calls ``range_faults`` raises a
   ``ConfigError``: ``plant.check_range`` is the one step from a rule's fault
   to a refusal.
+* Within ``freq``, no function other than ``_gain`` calls
+  ``omega_coefficient``: every linearized term is built from the one
+  describing-function gain k * Omega(a) / A^(1-a).
 * Every field of ``ScenarioConfig`` and of each dataclass it holds is set
   somewhere: a bundled document gives one of its keys, or a call outside the
   tests gives it to the class's constructor (by name or by position) or by
@@ -290,6 +293,15 @@ def test_only_check_range_turns_a_rule_fault_into_a_refusal():
                                  for c in ast.walk(fn)))
     assert not hand_rolled, f"functions that raise a ConfigError from range_faults; " \
                             f"call plant.check_range: {hand_rolled}"
+
+
+def test_only_the_gain_evaluates_omega_in_freq():
+    callers = sorted(name for name, fn in _functions(ROOT / "src" / "corrobs" / "freq.py")
+                     if name != "freq._gain" and any(
+                         isinstance(c, ast.Call) and _callee(c) == "omega_coefficient"
+                         for c in ast.walk(fn)))
+    assert not callers, f"functions of freq that call omega_coefficient; build each " \
+                        f"term from freq._gain: {callers}"
 
 
 def _scenario_fields(cls: type, path: str = ""):

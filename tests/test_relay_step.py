@@ -341,8 +341,12 @@ FLIGHT_INTEGRAL_TOL = 0.5
 def check_flight_step(u0, f_over_c, c, alpha):
     """One flight-regime step of 5e-4 against the oracle, to within
     FLIGHT_END_TOL and FLIGHT_INTEGRAL_TOL."""
+    check_step(u0, f_over_c * c, c, alpha)
+
+
+def check_step(u0, f, c, alpha):
+    """`check_flight_step` with the forcing f given as it is."""
     h = 5e-4
-    f = f_over_c * c
     u_end, integral = relay_step(u0, f, c, alpha, h)
     exact_end, exact_integral = mp_forced_solution(u0, f, c, alpha, h)
     with mp.workdps(DPS):
@@ -385,6 +389,24 @@ def test_relay_step_flight_regime_corner_matches_the_exact_solution():
     # 0.424 |u0 - ueq| against FLIGHT_END_TOL (the integral by 0.435 h |u0 - ueq|,
     # within FLIGHT_INTEGRAL_TOL).
     check_flight_step(0.009646616199111993, -0.01, 10 ** 1.9765625, 0.19921875)
+
+
+# A stiff forced step can miss the other way.  Its midpoint lands just short
+# of the equilibrium, so it takes the explicit midpoint branch; the rate
+# there is nearly 0, and the step barely moves.  The stiff test that sends an
+# unforced step to the closed form (h alpha |g1| > |d|/2) does not look at
+# forced steps, and extending it to them is not the fix: on such calls the
+# closed form misses too, by about 0.35 |u0 - ueq| at the end point.
+STIFF_MIDPOINT = "explicit midpoint taken on a stiff forced step"
+
+
+@pytest.mark.xfail(strict=True, reason=STIFF_MIDPOINT)
+def test_relay_step_stiff_forced_midpoint_ends_near_the_exact_solution():
+    # A call from a 1 s paper_sec6 flight with alpha_c = 0.5: it moves u0 by
+    # 1.2e-10 where u(h) = 9.09e-5, so the end point is off by
+    # 0.812 |u0 - ueq| against FLIGHT_END_TOL and the integral by
+    # 0.567 h |u0 - ueq| against FLIGHT_INTEGRAL_TOL.
+    check_step(-1.8130993905092325e-4, 0.6434386948861219, 51.83999999999999, 0.5)
 
 
 def test_relay_step_sequence_lands_near_the_reaching_time_near_alpha_one():
