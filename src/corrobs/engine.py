@@ -123,11 +123,6 @@ class ScenarioConfig:
                        "sensors.velocity_period", self.sensors.velocity_period)
         whole_multiple("sample_interval", self.sample_interval, "dt", self.dt)
         whole_multiple("duration", self.duration, "sample_interval", self.sample_interval)
-        # A large-error walk takes a step per walk period, so at most one per
-        # tick: no more steps than the loop has ticks, which MAX_TICKS caps.
-        for group, model in zip(("position", "attitude"), self.sensors.large_error):
-            if model.walk_period < self.dt:
-                raise ConfigError(f"sensors.{group}_large_error.walk_period must be at least dt")
         check_range("pair", correctors=self.correctors, observers=self.observers)
         check_range(("first_measurement", "truth"), estimator_init=self.estimator_init)
         check_range("per state", initial_offset=self.initial_offset)

@@ -7,9 +7,11 @@ Each of the six axes produces two outputs,
 
 sampled at their own update periods and zero-order-held in between.  The
 bounded error d_i(t) is a constant bias plus a bounded random walk, folded
-back into [-bound, bound].  Noise is a Gaussian/uniform/impulse mixture,
-which gives the heavy-tailed, distinctly non-Gaussian statistics the
-estimators are supposed to survive.
+back into [-bound, bound].  The walk takes one step per position-sample
+instant, dropped instants included, so it runs on the tick clock like every
+other schedule.  Noise is a Gaussian/uniform/impulse mixture, which gives the
+heavy-tailed, distinctly non-Gaussian statistics the estimators are supposed
+to survive.
 
 The error and noise models are set per group: one for x, y, z, one for psi,
 theta, phi.  Every channel draws from its own seeded stream (derived from the
@@ -82,19 +84,18 @@ def sample_noise(mix: NoiseMixture, rng: np.random.Generator) -> float:
 class LargeErrorModel:
     """Bounded bias process: constant + reflected random walk.
 
+    The walk takes a step of +-``walk_step`` per position-sample instant.
     The total is folded into [-bound, bound], so |d(t)| <= bound by
     construction; ``bound`` is the recorded sup bound L_d of the channel.
     """
 
     constant: float = 0.0
     walk_step: float = 0.0
-    walk_period: float = 1.0
     bound: float = 0.0
 
     def __post_init__(self):
         check_range("finite", constant=self.constant)
         check_range("nonnegative", walk_step=self.walk_step, bound=self.bound)
-        check_range("positive", walk_period=self.walk_period)
 
 
 def _fold(value: float, bound: float) -> float:
@@ -113,23 +114,24 @@ def _fold(value: float, bound: float) -> float:
 
 
 class LargeErrorProcess:
-    """Stateful sampler of a LargeErrorModel along increasing time."""
+    """Stateful sampler of a LargeErrorModel at increasing sample instants."""
 
     def __init__(self, model: LargeErrorModel, rng: np.random.Generator):
         self.model = model
         self._rng = rng
         self._walk = 0.0
-        self._next_walk_t = model.walk_period
+        self._steps = 0
 
-    def value(self, t: float) -> float:
-        if t < 0:
-            raise ValueError("time must be nonnegative")
+    def value(self, instant: int) -> float:
+        """The error at position-sample instant ``instant`` (0, 1, 2, ...):
+        the walk has taken one step per instant since 0, so the steps of
+        instants never asked for are taken now, in order."""
         m = self.model
         if m.walk_step > 0.0:
-            while self._next_walk_t <= t:
+            while self._steps < instant:
                 step = m.walk_step if self._rng.random() < 0.5 else -m.walk_step
                 self._walk = _fold(self._walk + step, m.bound)
-                self._next_walk_t += m.walk_period
+                self._steps += 1
         return _fold(m.constant + self._walk, m.bound)
 
 
@@ -216,10 +218,10 @@ class SensorSuite:
                           and not self.cfg.in_dropout(tick * self.dt))
         vel_due = first or tick % self.velocity_every == 0
         if fresh or vel_due:
-            t = tick * self.dt
+            instant = tick // self.position_every   # dropped instants included
             for axis in range(6):
                 if fresh:
-                    d = self._err[axis].value(t)
+                    d = self._err[axis].value(instant)
                     n1 = sample_noise(self._pos_noise[axis], self._pos_rngs[axis])
                     self._held_y1[axis] = float(state[axis]) + d + n1
                 if vel_due:

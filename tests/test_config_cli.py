@@ -11,9 +11,9 @@ from pathlib import Path
 import pytest
 
 from corrobs import (ConfigError, ControlGains, CorrectorParams, DecouplingReport,
-                     LargeErrorModel, ScenarioConfig, SensorConfig, TrajectorySpec,
-                     UavParams, bundled_config_path, decoupling_check, load_scenario,
-                     save_scenario, scenario_from_dict, scenario_to_dict, sweep_parameter)
+                     ScenarioConfig, TrajectorySpec, UavParams, bundled_config_path,
+                     decoupling_check, load_scenario, save_scenario, scenario_from_dict,
+                     scenario_to_dict, sweep_parameter)
 from corrobs.cli import main
 from corrobs.config import _KEYS, BUNDLED_CONFIGS
 from corrobs.plant import per_axis
@@ -93,9 +93,9 @@ def test_bundled_configs_round_trip_exactly(tmp_path):
 # SHA-256 of `save_scenario` output for the bundled documents: the document
 # format must not change unnoticed.
 SAVED_SHA256 = {
-    "paper_sec6": "bb81e2e853facb17d597a209e459cb430cc1ba2a8e0d21e239b890b7b278af3c",
-    "paper_fig5": "a8577143f47f9978043ae1027d42469d5876138dfe8bd6edbd7f34a2c1172ee7",
-    "noise_only": "0923e7b576666a1996776801b2fcfdd18c0de79acd836069ad6b1ff7a04db5fe",
+    "paper_sec6": "c2123d89ce5e429ba027e98c602f1be5c73649cae588d9980236886cb0b951bf",
+    "paper_fig5": "76c03af295b532103e289c30a356b64601e363450dbe11794aec1ae4fa033bdf",
+    "noise_only": "f7e7612a7a4cdafc4ac6369694c8dcdce25804bd8b0a6dda8d6823262e2f8545",
 }
 
 
@@ -383,15 +383,16 @@ def test_cli_position_period_off_the_velocity_grid_is_config_error(tmp_path, sec
     assert not (tmp_path / "o").exists()
 
 
-def test_cli_walk_period_below_dt_is_config_error(tmp_path, sec6_doc, capsys):
-    # At 1e-6 s the bias walk would take 1 000 steps a tick on each position axis.
-    cfgp = write_quick(_edit(sec6_doc, "sensors.position_large_error.walk_period", 1e-6),
+def test_cli_walk_period_is_an_unknown_config_key(tmp_path, sec6_doc, capsys):
+    # The bias walk steps once per position sample, so no document sets a
+    # period of its own, not even the sample period.
+    cfgp = write_quick(_edit(sec6_doc, "sensors.position_large_error.walk_period", 1.0),
                        tmp_path, duration=1.0)
     for argv in (["validate", "--config", cfgp],
                  ["run", "--config", cfgp, "--out", str(tmp_path / "o")]):
         assert main(argv) == 1, argv[0]
         assert capsys.readouterr().err == (
-            "config error: sensors.position_large_error.walk_period must be at least dt\n")
+            "config error: unknown config key: sensors.position_large_error.walk_period\n")
     assert not (tmp_path / "o").exists()
 
 
@@ -895,8 +896,6 @@ def test_cli_ekf_divergence_exits_2_with_one_line(tmp_path, sec6_doc, capsys):
 CLASS_REFUSALS = {
     "seed": lambda: ScenarioConfig(seed=-1),
     "tick cap": lambda: ScenarioConfig(duration=2e6, sample_interval=1.0),
-    "walk period": lambda: ScenarioConfig(sensors=SensorConfig(
-        large_error=(LargeErrorModel(walk_period=1e-6), LargeErrorModel()))),
     "whole multiple": lambda: whole_multiple("duration", 0.0155, "dt", 1e-3),
     "unusable eps_c": lambda: CorrectorParams(1.0, 30.0, 0.1, 1e-200),
     "climb time": lambda: TrajectorySpec(climb_time=1e200),

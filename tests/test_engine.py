@@ -251,24 +251,6 @@ def test_position_period_off_the_velocity_grid_is_refused_at_build(sec6):
     replace(sec6, sensors=replace(sec6.sensors, position_period=0.02))
 
 
-@pytest.mark.parametrize("group", [0, 1], ids=["position", "attitude"])
-def test_large_error_walk_period_below_dt_is_refused_at_build(sec6, group):
-    # The walk steps once per period up to each sample time, so a 1e-6 s
-    # period would take 1 000 walk steps a tick.  One step a tick is allowed.
-    name = ("position", "attitude")[group]
-
-    def with_period(period):
-        models = list(sec6.sensors.large_error)
-        models[group] = replace(models[group], walk_period=period)
-        return replace(sec6, sensors=replace(sec6.sensors, large_error=tuple(models)))
-
-    for period in (1e-6, 0.999 * sec6.dt):
-        with pytest.raises(ValueError, match=f"^sensors.{name}_large_error.walk_period "
-                                             "must be at least dt$"):
-            with_period(period)
-    assert with_period(sec6.dt).sensors.large_error[group].walk_period == sec6.dt
-
-
 @pytest.mark.parametrize("seed", [1.5, True], ids=["1.5", "True"])
 def test_scenario_refuses_a_seed_that_is_not_an_integer(sec6, seed):
     # 1.5 would fail in the sensors' seed streams; True would run as seed 1

@@ -237,6 +237,25 @@ def test_a_tiny_gain_is_multiplied_in_before_the_amplitude_divides():
     assert float(exact) == pytest.approx(-2.5640698e301, rel=1e-7)
 
 
+@pytest.mark.xfail(strict=True, reason="the gain underflows before the eps factors "
+                                       "lift it back into range (see freq._gain)")
+def test_a_gain_that_underflows_before_the_eps_division_keeps_its_stiffness():
+    # k1 * Omega(kappa) / a_c1^(1 - kappa) is 8.2e-332, below the smallest
+    # subnormal, so the gain reads 0 and so does the stiffness, whose exact
+    # value -4.97e-271 is a normal float.  Measured: 0.0.
+    p = CorrectorParams(1.797478111296541e-27, 9.088974041263022e+22,
+                        0.014006847787710393, 4.9186704626132566e-21)
+    a_c1, a_c2 = 4.036905541981731e306, 4.5955066307396645e-130
+    with mpmath.workdps(40):
+        alpha, eps = mpmath.mpf(p.alpha_c), mpmath.mpf(p.eps_c)
+        kappa = alpha / (2 - alpha)
+        exact = -p.k1 * omega_quad_mp(kappa) * eps / (eps ** 3 * (eps * mpmath.mpf(a_c1))
+                                                     ** (1 - kappa))
+        stiffness = linearize_corrector(p, a_c1, a_c2)[1, 0]
+        assert float(exact) == pytest.approx(-4.96879264e-271, rel=1e-8, abs=0.0)
+        assert abs((stiffness - exact) / exact) <= 1e-12
+
+
 def test_linearize_observer_near_alpha_one():
     p = ObserverParams(k3=9.0, k4=5.0, alpha_o=1.0 - 1e-9, eps_o=0.5)
     mat = linearize_observer(p, 3.0)

@@ -117,41 +117,59 @@ def test_non_finite_sinusoid_is_refused_by_name(slot, value):
 
 def test_large_error_zero_bound():
     proc = LargeErrorProcess(LargeErrorModel(constant=20.0, bound=0.0), rng())
-    assert all(proc.value(t) == 0.0 for t in (0.0, 1.0, 50.0))
+    assert all(proc.value(n) == 0.0 for n in (0, 1, 50))
 
 
 def test_large_error_constant_bias():
     proc = LargeErrorProcess(LargeErrorModel(constant=20.0, bound=25.0), rng())
-    assert proc.value(0.0) == 20.0
-    assert proc.value(123.4) == 20.0
+    assert proc.value(0) == 20.0
+    assert proc.value(123) == 20.0
 
 
 def test_large_error_walk_never_exceeds_bound():
-    model = LargeErrorModel(constant=18.0, walk_step=0.5, walk_period=1e-3, bound=20.0)
+    model = LargeErrorModel(constant=18.0, walk_step=0.5, bound=20.0)
     proc = LargeErrorProcess(model, rng(42))
     worst = 0.0
-    for k in range(1_000_000):
-        worst = max(worst, abs(proc.value(k * 1e-3)))
+    for n in range(1_000_000):
+        worst = max(worst, abs(proc.value(n)))
     assert worst <= 20.0
 
 
 def test_large_error_value_is_the_folded_constant_plus_walk_bit_for_bit():
     # The walk reaches past the bound from the constant, so the fold acts.
-    model = LargeErrorModel(constant=3.0, walk_step=0.5, walk_period=0.1, bound=4.0)
+    model = LargeErrorModel(constant=3.0, walk_step=0.5, bound=4.0)
     proc = LargeErrorProcess(model, rng(5))
     folded = 0
     for k in range(500):
-        got = proc.value(k * 0.037)
+        got = proc.value(k * 3 // 8)
         raw = model.constant + proc._walk
         assert got == _fold(raw, model.bound)
         folded += abs(raw) > model.bound
     assert folded
 
 
-def test_large_error_requires_nonnegative_time():
-    proc = LargeErrorProcess(LargeErrorModel(bound=1.0), rng())
-    with pytest.raises(ValueError):
-        proc.value(-0.1)
+def test_large_error_walk_steps_once_per_sample_instant_dropped_ones_included():
+    # Position every 100 ticks, dropped on [0.5, 0.8) s: the samples at
+    # instants 5, 6 and 7 are never taken, and the one at instant 8 sees the
+    # walk after exactly 8 steps, the three dropped ones taken in order.
+    model = LargeErrorModel(constant=1.0, walk_step=0.25, bound=2.0)
+    cfg = default_config(position_period=0.1, dropouts=((0.5, 0.8),),
+                         large_error=(model, LargeErrorModel()))
+    suite = SensorSuite(cfg, seed=11, dt=1e-3)
+    draws = suite._stream(11, 0, 2)   # axis x's walk stream, drawn here by hand
+    walk, expected = 0.0, []
+    for n in range(20):
+        expected.append(_fold(model.constant + walk, model.bound))
+        step = model.walk_step if draws.random() < 0.5 else -model.walk_step
+        walk = _fold(walk + step, model.bound)
+    seen = {}
+    for tick in range(2000):
+        frame = suite.measure(np.zeros(12), tick)
+        if tick % 100 == 0 and frame[0].y_o1_fresh:
+            seen[tick // 100] = frame[0].y_o1
+    assert sorted(seen) == [n for n in range(20) if n not in (5, 6, 7)]
+    assert all(seen[n] == expected[n] for n in seen)
+    assert len(set(expected)) > 3    # the walk moved
 
 
 def test_fold_stays_in_band():
@@ -271,7 +289,7 @@ def test_measure_deterministic():
     cfg = default_config(
         position_noise=(NoiseMixture(0.5, 0.3, 0.02, 3.0),) * 2,
         velocity_noise=(NoiseMixture(0.001, 0.0005, 0.002, 0.02),) * 2,
-        large_error=(LargeErrorModel(20.0, 0.05, 1.0, 25.0),) * 2,
+        large_error=(LargeErrorModel(20.0, 0.05, 25.0),) * 2,
     )
     a = SensorSuite(cfg, seed=77, dt=1e-3)
     b = SensorSuite(cfg, seed=77, dt=1e-3)
@@ -291,7 +309,7 @@ def test_measure_axis_streams_independent():
     cfg_b = default_config(
         position_noise=(noisy[0], NoiseMixture(0.1, 0.2, 0.3, 4.0)),
         velocity_noise=(noisy[0], NoiseMixture(0.0, 0.1, 0.0, 0.0)),
-        large_error=(LargeErrorModel(), LargeErrorModel(5.0, 0.5, 0.001, 9.0)))
+        large_error=(LargeErrorModel(), LargeErrorModel(5.0, 0.5, 9.0)))
     a = SensorSuite(cfg_a, seed=5, dt=1e-3)
     b = SensorSuite(cfg_b, seed=5, dt=1e-3)
     state = np.zeros(12)
